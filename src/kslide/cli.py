@@ -5,7 +5,8 @@ schedule), violate (agreement counterexample with one participant too
 many), valence (configuration-graph export), and lincheck (threaded stress
 histories through the linearizability checker, or re-checking a saved
 history file). Exit codes: 0 when every checked property holds, 1 when a
-violation was found, 2 on usage or structural errors.
+violation was found, 2 on usage or structural errors, 3 on an internal
+error (an unexpected exception, reported with its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .valence import Explorer, sorted_values
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 REGISTER_FACTORIES = {
     None: LockedSlidingRegister,
@@ -352,6 +354,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        import traceback  # only needed on this path; keeps start-up lean
+
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

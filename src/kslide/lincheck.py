@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from .register import BOTTOM, LockedSlidingRegister, SlidingRegister, Value, Window
+from .register import BOTTOM, LockedSlidingRegister, SlidingRegister, Value, Window, slide
 
 
 class MalformedHistoryError(ValueError):
@@ -79,19 +79,23 @@ class History:
     def operations(self) -> "list[OpRecord]":
         """Pair events into operation records, ordered by invocation time."""
         self.validate()
-        ops: list[OpRecord] = []
+        invokes: list[Event] = []
+        responds: dict[int, Event] = {}
         open_idx: dict[int, int] = {}
         for ev in self.events:
             if ev.kind == "invoke":
-                open_idx[ev.pid] = len(ops)
-                ops.append(
-                    OpRecord(ev.pid, ev.op, ev.value, None, ev.timestamp, None)
-                )
+                open_idx[ev.pid] = len(invokes)
+                invokes.append(ev)
             else:
-                i = open_idx.pop(ev.pid)
-                base = ops[i]
-                ops[i] = OpRecord(
-                    base.pid, base.op, base.value, ev.result, base.invoked, ev.timestamp
+                responds[open_idx.pop(ev.pid)] = ev
+        ops: list[OpRecord] = []
+        for i, ev in enumerate(invokes):
+            end = responds.get(i)
+            if end is None:
+                ops.append(OpRecord(ev.pid, ev.op, ev.value, None, ev.timestamp, None))
+            else:
+                ops.append(
+                    OpRecord(ev.pid, ev.op, ev.value, end.result, ev.timestamp, end.timestamp)
                 )
         return ops
 
@@ -113,54 +117,81 @@ class OpRecord:
 def check_linearizable(history: History) -> Optional[List[OpRecord]]:
     """Witness linearization of a history, or None if there is none.
 
-    Depth-first search over linearization orders. An operation becomes a
-    candidate once every completed operation that responded before it was
-    invoked has been placed. Writes replay unconditionally; a read is kept
-    only when the sequential register would return exactly the recorded
-    window. Visited (placed-set, register-state) pairs are memoized.
+    Depth-first search over linearization orders (Wing and Gong), run on an
+    explicit stack so history length is not bounded by the recursion limit.
+    An operation becomes a candidate once every completed operation that
+    responded before it was invoked has been placed. Writes replay
+    unconditionally; a read is kept only when the sequential register would
+    return exactly the recorded window. Visited (placed-set, window) pairs
+    are memoized; the window determines the register state because the
+    placed-set fixes how many writes happened.
 
     Completed operations must all be placed. Pending writes at the end of
     the history may or may not have taken effect, so both branches are
     explored; pending reads returned nothing and constrain nothing, so they
     are dropped.
+
+    Placed-sets and predecessor sets are int bitmasks over the operations
+    in invocation order. Predecessor sets only grow along that order, so a
+    node's candidate scan starts at its lowest unplaced operation and ends
+    at the first one still waiting on a predecessor.
     """
     ops = history.operations()
     usable = [o for o in ops if not o.pending or o.op == "write"]
-    must = frozenset(i for i, o in enumerate(usable) if not o.pending)
+    n = len(usable)
+    must = 0
+    for i, o in enumerate(usable):
+        if not o.pending:
+            must |= 1 << i
+    done = sorted((o.responded, i) for i, o in enumerate(usable) if not o.pending)
     preds = []
+    mask = j = 0
     for o in usable:
-        preds.append(
-            frozenset(
-                j
-                for j, p in enumerate(usable)
-                if not p.pending and p.responded < o.invoked
-            )
-        )
-    k = history.k
-    start = SlidingRegister(k).state()
-    seen: set[tuple] = set()
+        while j < len(done) and done[j][0] < o.invoked:
+            mask |= 1 << done[j][1]
+            j += 1
+        preds.append(mask)
 
-    def dfs(placed: frozenset, reg_state: tuple, order: list) -> Optional[list]:
-        if must <= placed:
-            return list(order)
-        key = (placed, reg_state)
-        if key in seen:
-            return None
-        seen.add(key)
-        for i, op in enumerate(usable):
-            if i in placed or not preds[i] <= placed:
+    start = SlidingRegister(history.k).read()  # also rejects a bad k
+    if not must:
+        return []
+    seen = {(0, start)}
+    order: list[OpRecord] = []
+    # One frame per placed prefix: [placed, window, next index to try].
+    stack = [[0, start, 0]]
+    while stack:
+        frame = stack[-1]
+        placed, window, resume = frame
+        unplaced = ~placed
+        for i in range(resume, n):
+            bit = 1 << i
+            if placed & bit:
                 continue
-            reg = SlidingRegister.from_state(k, reg_state)
+            if preds[i] & unplaced:
+                break
+            op = usable[i]
             if op.op == "write":
-                reg.write(op.value)
-            elif reg.read() != op.result:
+                after = slide(window, op.value)
+            elif window == op.result:
+                after = window
+            else:
                 continue
-            found = dfs(placed | {i}, reg.state(), order + [op])
-            if found is not None:
-                return found
-        return None
-
-    return dfs(frozenset(), start, [])
+            now = placed | bit
+            if (now, after) in seen:
+                continue
+            order.append(op)
+            if not must & ~now:
+                return order
+            seen.add((now, after))
+            frame[2] = i + 1
+            lowest_unplaced = ((now + 1) & ~now).bit_length() - 1
+            stack.append([now, after, lowest_unplaced])
+            break
+        if stack[-1] is frame:  # no child left: backtrack
+            stack.pop()
+            if order:
+                order.pop()
+    return None
 
 
 class _TickCounter:
@@ -189,8 +220,9 @@ def stress(
 
     Each thread runs a seeded half-read half-write operation mix, so the
     per-thread sequences are reproducible even though the interleaving is up
-    to the operating system scheduler. Written values are distinct across
-    the whole run, which keeps windows unambiguous for the checker.
+    to the operating system scheduler. Operation i of process pid writes
+    i * threads + pid, so written values are distinct across the whole run
+    for any operation count, which keeps windows unambiguous for the checker.
     """
     if threads < 2:
         raise ValueError("stress needs at least 2 threads")
@@ -209,7 +241,7 @@ def stress(
                 window = reg.read()
                 out.append(Event("respond", pid, "read", clock.tick(), result=window))
             else:
-                value = pid * 1000 + i
+                value = i * threads + pid
                 out.append(Event("invoke", pid, "write", clock.tick(), value=value))
                 reg.write(value)
                 out.append(Event("respond", pid, "write", clock.tick()))

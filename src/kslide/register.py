@@ -43,6 +43,12 @@ def first_non_bottom(window: Window) -> Optional[Value]:
     return None
 
 
+def slide(window: Window, value: Value) -> Window:
+    """Window after writing value: the oldest slot drops out and value
+    becomes the newest. Over the padded window this is the whole of write."""
+    return window[1:] + (value,)
+
+
 class SlidingRegister:
     """Sequential reference implementation.
 

@@ -6,7 +6,9 @@ factorials), never by calling the code under test.
 
 from __future__ import annotations
 
+import itertools
 import math
+from typing import NamedTuple, Optional
 
 from kslide.register import BOTTOM
 
@@ -65,3 +67,65 @@ def with_crash_count(n: int, ops: int) -> int:
 
     rec(0, [])
     return total
+
+
+class _Op(NamedTuple):
+    op: str
+    value: object
+    result: Optional[tuple]
+    invoked: int
+    responded: Optional[int]
+
+
+def _pair_events(events) -> list:
+    """Operations of an invoke/respond event list; responded is None for an
+    operation that never returned."""
+    ops: list = []
+    open_at: dict = {}
+    for ev in events:
+        if ev.kind == "invoke":
+            open_at[ev.pid] = len(ops)
+            ops.append(_Op(ev.op, ev.value, None, ev.timestamp, None))
+        else:
+            i = open_at.pop(ev.pid)
+            ops[i] = ops[i]._replace(result=ev.result, responded=ev.timestamp)
+    return ops
+
+
+def _respects_real_time(order) -> bool:
+    """No operation comes before one that responded before it was invoked."""
+    for a in range(len(order)):
+        for b in range(a + 1, len(order)):
+            later = order[b]
+            if later.responded is not None and later.responded < order[a].invoked:
+                return False
+    return True
+
+
+def _replays(k: int, order) -> bool:
+    reg = FullSequenceRegister(k)
+    for o in order:
+        if o.op == "write":
+            reg.write(o.value)
+        elif reg.read() != o.result:
+            return False
+    return True
+
+
+def brute_force_linearizable(k: int, events) -> bool:
+    """Linearizability by enumeration, for histories of a handful of ops.
+
+    Tries every order of the completed operations together with every
+    subset of the pending writes (a pending write may or may not have taken
+    effect; a pending read constrains nothing), keeps the orders that
+    respect real-time precedence, and replays each on FullSequenceRegister.
+    """
+    ops = _pair_events(events)
+    completed = [o for o in ops if o.responded is not None]
+    pending_writes = [o for o in ops if o.responded is None and o.op == "write"]
+    for size in range(len(pending_writes) + 1):
+        for chosen in itertools.combinations(pending_writes, size):
+            for order in itertools.permutations(completed + list(chosen)):
+                if _respects_real_time(order) and _replays(k, order):
+                    return True
+    return False

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from kslide import cli
 from kslide.cli import main
 from kslide.sim import consensus_protocol, parse_schedule, run_schedule
 from kslide.trace import (
@@ -231,6 +232,15 @@ def test_lincheck_stress_small_run(capsys):
     assert "5 histories checked, 0 non-linearizable" in out
 
 
+def test_lincheck_stress_deep_history(capsys):
+    # 1,200 operations in one history: deeper than the recursion limit
+    code, out, _ = run_cli(
+        capsys, "lincheck", "stress", "--threads", "4", "--ops", "300", "--histories", "1"
+    )
+    assert code == 0
+    assert "1 histories checked, 0 non-linearizable" in out
+
+
 def test_lincheck_stress_save_then_recheck(capsys, tmp_path):
     path = str(tmp_path / "history.jsonl")
     code, out, _ = run_cli(
@@ -321,6 +331,18 @@ def test_violate_output_is_byte_stable(capsys, tmp_path):
     run_cli(capsys, "violate", "--k", "2", "--output", str(a))
     run_cli(capsys, "violate", "--k", "2", "--output", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_verify", broken)
+    code, out, err = run_cli(capsys, "verify", "--k", "1", "--n", "1")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == ""
+    assert err.startswith("internal error:")
+    assert "RuntimeError: boom" in err
 
 
 def test_module_entry_point():

@@ -1,3 +1,7 @@
+import sys
+import time
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +14,7 @@ from kslide.lincheck import (
     stress,
 )
 from kslide.register import BOTTOM, LockedSlidingRegister, SlidingRegister, WindowShortRegister
+from oracles import FullSequenceRegister, brute_force_linearizable, padded_last_k
 
 
 def ev(kind, pid, op, ts, value=None, result=None):
@@ -149,6 +154,23 @@ def test_pending_read_never_blocks():
     assert all(not o.pending or o.op == "write" for o in witness)
 
 
+def test_memo_tells_windows_apart_by_their_oldest_slot():
+    # Three overlapping writes took effect as 2, 1, 3. The search first
+    # places them as 1, 2, 3 and reaches the same placed-set with window
+    # (2, 3); only the order ending in window (1, 3) explains the read.
+    events = [
+        ev("invoke", 1, "write", 0, value=1),
+        ev("invoke", 2, "write", 1, value=2),
+        ev("invoke", 3, "write", 2, value=3),
+        ev("respond", 1, "write", 3),
+        ev("respond", 2, "write", 4),
+        ev("respond", 3, "write", 5),
+        *completed_read(1, (1, 3), 6, 7),
+    ]
+    witness = check_linearizable(History(2, events))
+    assert [o.value for o in witness[:3]] == [2, 1, 3]
+
+
 def test_witness_replays_against_the_sequential_register():
     history = stress(4, 5, 2, seed=11)
     witness = check_linearizable(history)
@@ -164,6 +186,130 @@ def test_witness_replays_against_the_sequential_register():
 def test_malformed_history_raises_not_returns():
     with pytest.raises(MalformedHistoryError):
         check_linearizable(History(1, [ev("respond", 1, "write", 0)]))
+
+
+@st.composite
+def small_histories(draw):
+    """(k, events) of at most 7 operations by up to 3 processes.
+
+    Each operation takes three separately drawn steps: invoke, an effect on
+    a plain list of written values, and respond. The run may stop before
+    every step is taken, which leaves pending operations at the tails, and
+    a completed read may report a corrupted window. Written values come
+    from a small pool, so they can repeat."""
+    k = draw(st.integers(1, 3))
+    size = draw(st.integers(1, 7))
+    plan = draw(
+        st.lists(
+            st.tuples(st.integers(1, 3), st.sampled_from(("read", "write"))),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    todo = {}
+    for pid, op in plan:
+        todo.setdefault(pid, []).append(op)
+    steps = 3 * size - draw(st.integers(0, 3))  # cut short: pending tails
+    slot = st.sampled_from((BOTTOM, 1, 2, 3, 4))
+    written, events, phase, carried = [], [], {}, {}
+    clock = 0
+    for _ in range(steps):
+        pid = draw(st.sampled_from(sorted(todo)))
+        op = todo[pid][0]
+        step = phase.get(pid, 0)
+        if step == 0:
+            carried[pid] = draw(st.integers(1, 4)) if op == "write" else None
+            events.append(ev("invoke", pid, op, clock, value=carried[pid]))
+            clock += 1
+        elif step == 1:
+            if op == "write":
+                written.append(carried[pid])
+            else:
+                carried[pid] = padded_last_k(written, k)
+        else:
+            result = None
+            if op == "read":
+                result = carried[pid]
+                if draw(st.integers(0, 3)) == 0:
+                    result = draw(st.tuples(*[slot] * k))
+            events.append(ev("respond", pid, op, clock, result=result))
+            clock += 1
+            todo[pid].pop(0)
+            if not todo[pid]:
+                del todo[pid]
+        phase[pid] = (step + 1) % 3
+    return k, events
+
+
+def assert_witness(history, witness):
+    """The witness replays on the oracle register, places every completed
+    operation once, and keeps real-time order."""
+    reg = FullSequenceRegister(history.k)
+    for op in witness:
+        if op.op == "write":
+            reg.write(op.value)
+        else:
+            assert reg.read() == op.result
+    placed = Counter(witness)
+    assert all(placed[o] == 1 for o in history.operations() if not o.pending)
+    latest_invoked = -1
+    for op in witness:
+        assert op.pending or op.responded > latest_invoked
+        latest_invoked = max(latest_invoked, op.invoked)
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_histories())
+def test_checker_agrees_with_brute_force_oracle(case):
+    k, events = case
+    witness = check_linearizable(History(k, events))
+    assert (witness is not None) == brute_force_linearizable(k, events)
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_histories())
+def test_every_witness_replays_on_the_oracle_register(case):
+    history = History(*case)
+    witness = check_linearizable(history)
+    if witness is not None:
+        assert_witness(history, witness)
+
+
+def two_process_history(rounds, k, last_read=None):
+    """Each round, p1 writes the round number while p2 reads; the read
+    overlaps the write, seeing it in even rounds and missing it in odd
+    ones. last_read, if given, replaces the final read's window."""
+    events = []
+    for i in range(1, rounds + 1):
+        newest = i if i % 2 == 0 else i - 1
+        window = padded_last_k(list(range(max(1, newest - k + 1), newest + 1)), k)
+        if i == rounds and last_read is not None:
+            window = last_read
+        t = 4 * i
+        events += [
+            ev("invoke", 1, "write", t, value=i),
+            ev("invoke", 2, "read", t + 1),
+            ev("respond", 2, "read", t + 2, result=window),
+            ev("respond", 1, "write", t + 3),
+        ]
+    return History(k, events)
+
+
+def test_deep_history_is_checked_fast_without_recursion():
+    history = two_process_history(1500, 2)
+    assert len(history.events) // 2 > sys.getrecursionlimit()
+    started = time.perf_counter()
+    witness = check_linearizable(history)
+    elapsed = time.perf_counter() - started
+    assert witness is not None and len(witness) == 3000
+    assert_witness(history, witness)
+    assert elapsed < 1.0
+
+
+def test_deep_history_with_a_bad_last_read_is_rejected():
+    # 1500 is even, so the last read should see (1499, 1500)
+    history = two_process_history(1500, 2, last_read=(1498, 1500))
+    assert check_linearizable(history) is None
 
 
 # ---------------------------------------------------------------- stress
@@ -191,6 +337,14 @@ def test_stress_op_mixes_are_seeded():
     b = mixes(stress(3, 6, 2, seed=9))
     assert a == b
     assert mixes(stress(3, 6, 2, seed=10)) != a
+
+
+def test_stress_written_values_are_distinct_past_1000_ops():
+    # with seed 2, p1's op 1000 and p2's op 0 are both writes, which used
+    # to collide on the value 2000
+    history = stress(2, 1001, 2, seed=2)
+    written = [e.value for e in history.events if e.kind == "invoke" and e.op == "write"]
+    assert len(written) == len(set(written))
 
 
 def test_stress_rejects_tiny_setups():

@@ -11,6 +11,7 @@ from kslide.register import (
     SlidingRegister,
     WindowShortRegister,
     first_non_bottom,
+    slide,
 )
 from oracles import FullSequenceRegister, padded_last_k
 
@@ -88,6 +89,17 @@ def test_matches_full_sequence_oracle(writes, k):
         oracle.write(v)
         assert reg.read() == oracle.read()
     assert reg.writes == len(writes)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@given(write_lists)
+def test_slide_matches_register_and_oracle(k, writes):
+    window = (BOTTOM,) * k
+    reg = SlidingRegister(k)
+    for i, value in enumerate(writes):
+        window = slide(window, value)
+        reg.write(value)
+        assert window == reg.read() == padded_last_k(writes[: i + 1], k)
 
 
 @given(write_lists, sizes)

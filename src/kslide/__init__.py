@@ -53,7 +53,6 @@ from .sim import (
 )
 from .valence import (
     CriticalConfig,
-    ExplorationBoundError,
     Explorer,
     Valence,
     ValenceMap,

@@ -200,7 +200,7 @@ def cmd_valence(args) -> int:
     broken_edges = [
         (src, step, dst)
         for src, step, dst in vmap.edges
-        if not explorer.reachable_decisions(dst) <= explorer.reachable_decisions(src)
+        if not vmap.nodes[dst].values <= vmap.nodes[src].values
     ]
     if args.format == "json":
         records = _valence_records(vmap, critical)

@@ -4,14 +4,15 @@ For a protocol, proposals, and window size, every reachable configuration
 has a decision set: the values some process can still end up deciding in
 some schedule extension. A configuration is monovalent when that set is a
 singleton and bivalent when both outcomes remain possible. This module
-computes decision sets exhaustively with memoization, classifies
-configurations, finds critical ones (bivalent, but every next operation
-forces monovalence), exports the whole graph, and checks whether pending
-operations commute.
+builds the reachable graph once per Explorer, computes decision sets
+exhaustively over it, classifies configurations, finds critical ones
+(bivalent, but every next operation forces monovalence), exports the whole
+graph, and checks whether pending operations commute.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
@@ -28,10 +29,6 @@ from .sim import (
     initial_config,
     pending_op,
 )
-
-
-class ExplorationBoundError(RuntimeError):
-    """The protocol exceeds the explorer's per-process step bound."""
 
 
 def sorted_values(values) -> tuple:
@@ -109,12 +106,15 @@ class ValenceMap:
 class Explorer:
     """Exhaustive forward exploration of one protocol instance.
 
-    Decision sets and witness schedules are memoized per configuration, so
-    repeated classification queries over the same instance stay cheap. With
-    crash_aware=True the successor relation also includes crash steps;
-    decision sets do not change, because never scheduling a process reaches
-    the same decisions as crashing it, but the option exists to make that
-    checkable.
+    The configuration graph is built once. Each reachable configuration is
+    interned to an int node id the first time it is seen, its successors
+    are computed exactly once and stored as (step, node id) pairs, and its
+    decision set is filled in by one iterative pass in reverse topological
+    order. Every query reads that table, so repeated classification queries
+    over the same instance stay cheap. With crash_aware=True the successor
+    relation also includes crash steps; decision sets do not change,
+    because never scheduling a process reaches the same decisions as
+    crashing it, but the option exists to make that checkable.
     """
 
     def __init__(
@@ -123,19 +123,15 @@ class Explorer:
         inputs: Mapping[int, Value],
         k: int,
         crash_aware: bool = False,
-        step_bound: int = 16,
     ):
-        if protocol.steps_per_process > step_bound:
-            raise ExplorationBoundError(
-                f"protocol takes {protocol.steps_per_process} steps per process, "
-                f"bound is {step_bound}"
-            )
         self.protocol = protocol
         self.inputs = dict(inputs)
         self.k = k
         self.crash_aware = crash_aware
-        self._decisions: dict[Configuration, frozenset] = {}
-        self._witness: dict[Configuration, dict] = {}
+        self._ids: dict[Configuration, int] = {}
+        self._configs: list[Configuration] = []
+        self._succ: list[tuple] = []  # node id -> ((step, node id), ...)
+        self._decisions: list[frozenset] = []
 
     @property
     def initial(self) -> Configuration:
@@ -144,106 +140,147 @@ class Explorer:
     def pending(self, cfg: Configuration, pid: int):
         return pending_op(self.protocol, self.inputs, cfg, pid)
 
+    def _node(self, cfg: Optional[Configuration]) -> int:
+        """Node id of cfg (default: the initial configuration), building the
+        graph reachable from it first if it has not been seen."""
+        cfg = self.initial if cfg is None else cfg
+        node = self._ids.get(cfg)
+        return self._build(cfg) if node is None else node
+
+    def _build(self, start: Configuration) -> int:
+        ids, configs, succ = self._ids, self._configs, self._succ
+        first = len(configs)
+        ids[start] = first
+        configs.append(start)
+        # Breadth-first over the new nodes in id order. A node already in
+        # the table had its whole reachable graph built with it.
+        node = first
+        while node < len(configs):
+            cfg = configs[node]
+            node += 1
+            live = [
+                pid for pid in sorted(self.inputs) if self.pending(cfg, pid) is not None
+            ]
+            steps = [
+                (Exec(pid), apply_exec(self.protocol, self.inputs, self.k, cfg, pid))
+                for pid in live
+            ]
+            if self.crash_aware:
+                steps += [(Crash(pid), apply_crash(cfg, pid)) for pid in live]
+            out = []
+            for step, nxt in steps:
+                nxt_id = ids.setdefault(nxt, len(configs))
+                if nxt_id == len(configs):
+                    configs.append(nxt)
+                out.append((step, nxt_id))
+            succ.append(tuple(out))
+        # Every step adds one result to a process's locals or one process
+        # to the crashed set, so every path from start to a node has the
+        # same length and each edge leads to a higher node id: the graph is
+        # a DAG and id order is topological. Fill decision sets from the
+        # last new node back; values enter own decisions first, then each
+        # successor's in step order.
+        decisions = self._decisions
+        decisions.extend([frozenset()] * (len(configs) - first))
+        for node in range(len(configs) - 1, first - 1, -1):
+            values = {v: None for _, v in configs[node].decided}
+            for _, nxt in succ[node]:
+                values.update(dict.fromkeys(decisions[nxt]))
+            decisions[node] = frozenset(values)
+        return first
+
     def exec_successors(self, cfg: Configuration) -> list[tuple[int, Configuration]]:
-        out = []
-        for pid in sorted(self.inputs):
-            if self.pending(cfg, pid) is not None:
-                out.append(
-                    (pid, apply_exec(self.protocol, self.inputs, self.k, cfg, pid))
-                )
-        return out
+        return [
+            (step.pid, nxt)
+            for step, nxt in self.successors(cfg)
+            if isinstance(step, Exec)
+        ]
 
     def successors(self, cfg: Configuration) -> list[tuple[Step, Configuration]]:
-        out: list[tuple[Step, Configuration]] = [
-            (Exec(pid), nxt) for pid, nxt in self.exec_successors(cfg)
-        ]
-        if self.crash_aware:
-            for pid in sorted(self.inputs):
-                if self.pending(cfg, pid) is not None:
-                    out.append((Crash(pid), apply_crash(cfg, pid)))
-        return out
+        configs = self._configs
+        return [(step, configs[nxt]) for step, nxt in self._succ[self._node(cfg)]]
 
     def reachable_decisions(self, cfg: Optional[Configuration] = None) -> frozenset:
         """Exact set of values decidable by any process in any extension."""
-        cfg = self.initial if cfg is None else cfg
-        return self._explore(cfg)
-
-    def _explore(self, cfg: Configuration) -> frozenset:
-        cached = self._decisions.get(cfg)
-        if cached is not None:
-            return cached
-        witness: dict[Value, Schedule] = {v: () for _, v in cfg.decided}
-        for step, succ in self.successors(cfg):
-            for v in self._explore(succ):
-                if v not in witness:
-                    witness[v] = (step,) + self._witness[succ][v]
-        result = frozenset(witness)
-        self._decisions[cfg] = result
-        self._witness[cfg] = witness
-        return result
+        return self._decisions[self._node(cfg)]
 
     def witness(self, value: Value, cfg: Optional[Configuration] = None) -> Schedule:
-        """A schedule extension from cfg after which value has been decided."""
-        cfg = self.initial if cfg is None else cfg
-        self._explore(cfg)
-        try:
-            return self._witness[cfg][value]
-        except KeyError:
+        """A schedule extension from cfg after which value has been decided:
+        at each configuration that has not decided it yet, the first
+        successor in step order that can still decide it."""
+        node = self._node(cfg)
+        if value not in self._decisions[node]:
             raise KeyError(f"{value!r} is not decidable from this configuration")
+        steps = []
+        while value not in {v for _, v in self._configs[node].decided}:
+            step, node = next(
+                (step, nxt)
+                for step, nxt in self._succ[node]
+                if value in self._decisions[nxt]
+            )
+            steps.append(step)
+        return tuple(steps)
 
     def classify(self, cfg: Optional[Configuration] = None) -> Valence:
         return Valence(self.reachable_decisions(cfg))
 
+    def _bfs(self, start: Optional[Configuration]) -> Iterator[int]:
+        """Node ids reachable from start, breadth-first in step order."""
+        root = self._node(start)
+        queue = deque([root])
+        visited = {root}
+        while queue:
+            node = queue.popleft()
+            yield node
+            for _, nxt in self._succ[node]:
+                if nxt not in visited:
+                    visited.add(nxt)
+                    queue.append(nxt)
+
     def walk(self, start: Optional[Configuration] = None) -> Iterator[Configuration]:
         """Breadth-first pass over every reachable configuration."""
-        start = self.initial if start is None else start
-        queue = [start]
-        visited = {start}
-        while queue:
-            cfg = queue.pop(0)
-            yield cfg
-            for _, succ in self.successors(cfg):
-                if succ not in visited:
-                    visited.add(succ)
-                    queue.append(succ)
+        configs = self._configs
+        return (configs[node] for node in self._bfs(start))
 
     def find_critical(
         self, start: Optional[Configuration] = None
     ) -> list[CriticalConfig]:
         """All reachable bivalent configurations whose every Exec successor
         is monovalent, in discovery order."""
+        configs, decisions = self._configs, self._decisions
         out = []
-        for cfg in self.walk(start):
-            if not self.classify(cfg).bivalent:
+        for node in self._bfs(start):
+            if len(decisions[node]) < 2:
                 continue
-            succs = self.exec_successors(cfg)
-            valences = [self.classify(nxt) for _, nxt in succs]
-            if all(v.monovalent for v in valences):
+            succs = [
+                (step.pid, nxt)
+                for step, nxt in self._succ[node]
+                if isinstance(step, Exec)
+            ]
+            if all(len(decisions[nxt]) == 1 for _, nxt in succs):
                 out.append(
                     CriticalConfig(
-                        cfg,
+                        configs[node],
                         tuple(
-                            (pid, nxt, val)
-                            for (pid, nxt), val in zip(succs, valences)
+                            (pid, configs[nxt], Valence(decisions[nxt]))
+                            for pid, nxt in succs
                         ),
                     )
                 )
         return out
 
     def valence_map(self, start: Optional[Configuration] = None) -> ValenceMap:
-        start = self.initial if start is None else start
-        nodes: dict[Configuration, Valence] = {}
-        edges: list[tuple[Configuration, Step, Configuration]] = []
-        queue = [start]
-        nodes[start] = self.classify(start)
-        while queue:
-            cfg = queue.pop(0)
-            for step, succ in self.successors(cfg):
-                edges.append((cfg, step, succ))
-                if succ not in nodes:
-                    nodes[succ] = self.classify(succ)
-                    queue.append(succ)
-        return ValenceMap(start, nodes, edges)
+        configs, decisions, succ = self._configs, self._decisions, self._succ
+        order = list(self._bfs(start))
+        return ValenceMap(
+            configs[order[0]],
+            {configs[node]: Valence(decisions[node]) for node in order},
+            [
+                (configs[node], step, configs[nxt])
+                for node in order
+                for step, nxt in succ[node]
+            ],
+        )
 
 
 def check_commutation(
@@ -265,41 +302,3 @@ def check_commutation(
     ab = apply_exec(protocol, inputs, k, apply_exec(protocol, inputs, k, cfg, pid_a), pid_b)
     ba = apply_exec(protocol, inputs, k, apply_exec(protocol, inputs, k, cfg, pid_b), pid_a)
     return ab == ba
-
-
-def reachable_decisions(
-    protocol: Protocol,
-    inputs: Mapping[int, Value],
-    k: int,
-    cfg: Optional[Configuration] = None,
-    crash_aware: bool = False,
-) -> frozenset:
-    return Explorer(protocol, inputs, k, crash_aware).reachable_decisions(cfg)
-
-
-def classify(
-    protocol: Protocol,
-    inputs: Mapping[int, Value],
-    k: int,
-    cfg: Optional[Configuration] = None,
-    crash_aware: bool = False,
-) -> Valence:
-    return Explorer(protocol, inputs, k, crash_aware).classify(cfg)
-
-
-def find_critical(
-    protocol: Protocol,
-    inputs: Mapping[int, Value],
-    k: int,
-    start: Optional[Configuration] = None,
-) -> list[CriticalConfig]:
-    return Explorer(protocol, inputs, k).find_critical(start)
-
-
-def valence_map(
-    protocol: Protocol,
-    inputs: Mapping[int, Value],
-    k: int,
-    start: Optional[Configuration] = None,
-) -> ValenceMap:
-    return Explorer(protocol, inputs, k).valence_map(start)

@@ -129,3 +129,44 @@ def brute_force_linearizable(k: int, events) -> bool:
                 if _respects_real_time(order) and _replays(k, order):
                     return True
     return False
+
+
+def _completions(left: list) -> list:
+    """Every distinct interleaving of the remaining steps, left[i] of them
+    for process i + 1, as pid tuples."""
+    if not any(left):
+        return [()]
+    out = []
+    for i, count in enumerate(left):
+        if count:
+            left[i] -= 1
+            out.extend((i + 1,) + tail for tail in _completions(left))
+            left[i] += 1
+    return out
+
+
+def decision_set(k: int, proposals: list, prefix) -> set:
+    """Values some process decides in some crash-free completion of a pid
+    prefix, under write-then-read-oldest consensus.
+
+    Process i + 1 proposes proposals[i]: its first step writes the proposal,
+    its second reads the window and decides the oldest non-BOTTOM value in
+    it. Every completion of the prefix is replayed from the start on a
+    FullSequenceRegister. Crash extensions need no replay of their own: a
+    crashed process's remaining steps, moved to the end of the run, change
+    no decision taken before them.
+    """
+    left = [2] * len(proposals)
+    for pid in prefix:
+        left[pid - 1] -= 1
+    decided = set()
+    for tail in _completions(left):
+        reg = FullSequenceRegister(k)
+        taken = [0] * len(proposals)
+        for pid in tuple(prefix) + tail:
+            if taken[pid - 1] == 0:
+                reg.write(proposals[pid - 1])
+            else:
+                decided.add(next(v for v in reg.read() if v is not BOTTOM))
+            taken[pid - 1] += 1
+    return decided

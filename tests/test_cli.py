@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -204,6 +205,31 @@ def test_valence_json_export(capsys, tmp_path):
             assert step[0] in "EC"
             assert dst in by_node
     assert read_records(path) == records
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("--k", "3", "--n", "4"),
+            "b07b337556d76dee85d698e7beb40aea11a43b858dba4d9d23450905b4b84943",
+        ),
+        (
+            ("--k", "2", "--n", "3", "--crash-aware", "--format", "json"),
+            "a704de50fa2c9e2e55a157aded9477aafb456bdb483cd785b6ed355e4ee4ada2",
+        ),
+        (
+            ("--k", "2", "--n", "2", "--format", "dot"),
+            "0e93d5a4fe448fa04646be946ba95a906f3d6425de2fc32caae814d931dc1cd8",
+        ),
+    ],
+)
+def test_valence_output_matches_pinned_digest(capsys, argv, digest):
+    # SHA-256 of stdout as the recursive explorer printed it: node, edge and
+    # critical order and every valence label stay byte-identical
+    code, out, _ = run_cli(capsys, "valence", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_valence_crash_aware_adds_crash_edges(capsys):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kslide.register import first_non_bottom
 from kslide.sim import (
@@ -13,17 +15,8 @@ from kslide.sim import (
     default_inputs,
     initial_config,
 )
-from kslide.valence import (
-    CriticalConfig,
-    ExplorationBoundError,
-    Explorer,
-    Valence,
-    check_commutation,
-    classify,
-    find_critical,
-    reachable_decisions,
-    valence_map,
-)
+from kslide.valence import Explorer, Valence, check_commutation
+from oracles import decision_set
 
 PROTO = consensus_protocol()
 
@@ -271,27 +264,47 @@ def test_commutation_requires_pending_operations():
         check_commutation(PROTO, inputs, 2, done, 1, 2)
 
 
-# ------------------------------------------------------------ bounds, wrappers
+# ------------------------------------------------------------ oracle, depth
 
 
-def test_step_bound_is_enforced():
+@st.composite
+def prefix_cases(draw):
+    """Window size, proposals (repeats allowed) and a pid prefix of the
+    two-step protocol."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    proposals = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    steps = draw(st.permutations([pid for pid in range(1, n + 1) for _ in range(2)]))
+    return k, proposals, steps[: draw(st.integers(0, len(steps)))]
+
+
+@settings(deadline=None, max_examples=200)
+@given(prefix_cases(), st.booleans())
+def test_decision_sets_match_the_replay_oracle(case, crash_aware):
+    k, proposals, prefix = case
+    inputs = dict(enumerate(proposals, 1))
+    cfg = initial_config(PROTO, inputs, k)
+    for pid in prefix:
+        cfg = apply_exec(PROTO, inputs, k, cfg, pid)
+    expected = decision_set(k, proposals, prefix)
+    # once with the graph built from cfg itself, once from the root
+    fresh = Explorer(PROTO, inputs, k, crash_aware=crash_aware)
+    assert fresh.reachable_decisions(cfg) == expected
+    rooted = Explorer(PROTO, inputs, k, crash_aware=crash_aware)
+    rooted.reachable_decisions()
+    assert rooted.reachable_decisions(cfg) == expected
+
+
+def test_deep_protocol_is_classified_without_recursion():
     def next_op(pid, proposal, results):
         return ReadOp(0)
 
     def decide(pid, proposal, results):
         return proposal
 
-    deep = Protocol("deep", 1, 17, next_op, decide)
-    with pytest.raises(ExplorationBoundError):
-        Explorer(deep, {1: 0}, 1)
-    Explorer(deep, {1: 0}, 1, step_bound=17)  # explicit bound lifts it
-
-
-def test_module_level_wrappers_match_the_explorer():
-    inputs = default_inputs(2)
-    assert reachable_decisions(PROTO, inputs, 2) == frozenset({0, 1})
-    assert classify(PROTO, inputs, 2) == Valence(frozenset({0, 1}))
-    crit = find_critical(PROTO, inputs, 2)
-    assert [cc.config for cc in crit] == [initial_config(PROTO, inputs, 2)]
-    vmap = valence_map(PROTO, inputs, 2)
-    assert vmap.root == initial_config(PROTO, inputs, 2)
+    deep = Protocol("deep", 1, 1200, next_op, decide)
+    ex = Explorer(deep, {1: 0}, 1)
+    assert ex.classify() == Valence(frozenset({0}))
+    assert ex.witness(0) == (Exec(1),) * 1200
+    assert len(ex.valence_map().nodes) == 1201
+    assert ex.find_critical() == []

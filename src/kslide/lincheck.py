@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from .register import BOTTOM, LockedSlidingRegister, SlidingRegister, Value, Window, slide
+from .register import BOTTOM, LockedSlidingRegister, Value, Window, empty_window, slide
 
 
 class MalformedHistoryError(ValueError):
@@ -152,7 +152,7 @@ def check_linearizable(history: History) -> Optional[List[OpRecord]]:
             j += 1
         preds.append(mask)
 
-    start = SlidingRegister(history.k).read()  # also rejects a bad k
+    start = empty_window(history.k)
     if not must:
         return []
     seen = {(0, start)}

@@ -43,6 +43,14 @@ def first_non_bottom(window: Window) -> Optional[Value]:
     return None
 
 
+def empty_window(k: int) -> Window:
+    """Window of a size-k register nothing was written to: k BOTTOM slots.
+    Rejects a k that is not a positive integer."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"window size must be a positive integer, got {k!r}")
+    return (BOTTOM,) * k
+
+
 def slide(window: Window, value: Value) -> Window:
     """Window after writing value: the oldest slot drops out and value
     becomes the newest. Over the padded window this is the whole of write."""
@@ -58,8 +66,7 @@ class SlidingRegister:
     """
 
     def __init__(self, k: int):
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ValueError(f"window size must be a positive integer, got {k!r}")
+        empty_window(k)  # rejects a bad k
         self.k = k
         self._ring: deque = deque(maxlen=k)
         self._writes = 0
@@ -84,7 +91,7 @@ class SlidingRegister:
         """Size-k' view of this register, 1 <= k' <= k."""
         return NarrowView(self, k_prime)
 
-    # Snapshots let the simulator and explorer step over immutable states.
+    # Snapshots of the ring and the write counter.
     def state(self) -> tuple:
         return (self._writes, tuple(self._ring))
 
@@ -109,8 +116,7 @@ class NarrowView:
     """
 
     def __init__(self, base, k: int):
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ValueError(f"view size must be a positive integer, got {k!r}")
+        empty_window(k)  # rejects a bad k
         if k > base.k:
             raise ValueError(f"cannot widen a size-{base.k} register to {k}")
         self._base = base

@@ -9,13 +9,14 @@ for agreement counterexamples with one participant too many lives here too.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .consensus import check_outcome
 from .lincheck import Event, History
-from .register import SlidingRegister, Value, Window, first_non_bottom
+from .register import BOTTOM, Value, empty_window, first_non_bottom, slide
 
 
 class ScheduleError(ValueError):
@@ -115,13 +116,12 @@ def consensus_protocol() -> Protocol:
     )
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """Canonical global state, hashable for deduplication.
 
     locals[pid - 1] is the tuple of step results the process has collected;
-    registers[r] is a (write count, ring) pair; crashed and decided are kept
-    sorted so equal states compare and hash equal.
+    registers[r] is register r's padded window, oldest slot first; crashed
+    and decided are kept sorted so equal states compare and hash equal.
     """
 
     locals: tuple
@@ -142,23 +142,23 @@ def default_inputs(n: int) -> dict[int, int]:
     return {pid: pid - 1 for pid in range(1, n + 1)}
 
 
-def _check_inputs(inputs: Mapping[int, Value]) -> None:
+def initial_config(protocol: Protocol, inputs: Mapping[int, Value], k: int) -> Configuration:
+    """The configuration before any step: every register holds the empty window."""
     n = len(inputs)
     if n == 0:
         raise ValueError("at least one process is required")
     if set(inputs) != set(range(1, n + 1)):
         raise ValueError(f"process ids must be exactly 1..{n}, got {sorted(inputs)}")
+    return Configuration(((),) * n, (empty_window(k),) * protocol.registers, (), ())
 
 
-def initial_config(protocol: Protocol, inputs: Mapping[int, Value], k: int) -> Configuration:
-    _check_inputs(inputs)
-    empty = SlidingRegister(k).state()
-    return Configuration(
-        locals=((),) * len(inputs),
-        registers=(empty,) * protocol.registers,
-        crashed=(),
-        decided=(),
-    )
+def is_live(protocol: Protocol, cfg: Configuration, pid: int) -> bool:
+    """True while pid can take a step: it has neither crashed nor taken all
+    of its steps. An unknown pid raises ScheduleError."""
+    if not 1 <= pid <= len(cfg.locals):
+        raise ScheduleError(f"unknown process id {pid}")
+    taken = len(cfg.locals[pid - 1])
+    return pid not in cfg.crashed and taken < protocol.steps_per_process
 
 
 def pending_op(
@@ -166,12 +166,9 @@ def pending_op(
 ) -> Optional[RegisterOp]:
     """The register operation pid would take next, or None if it crashed or
     already finished."""
-    if pid in cfg.crashed:
+    if not is_live(protocol, cfg, pid):
         return None
-    results = cfg.locals[pid - 1]
-    if len(results) >= protocol.steps_per_process:
-        return None
-    return protocol.next_op(pid, inputs[pid], results)
+    return protocol.next_op(pid, inputs[pid], cfg.locals[pid - 1])
 
 
 def apply_exec(
@@ -181,31 +178,31 @@ def apply_exec(
     cfg: Configuration,
     pid: int,
 ) -> Configuration:
-    """Run one step of pid against an immutable configuration."""
-    if pid in cfg.crashed:
-        raise ScheduleError(f"process {pid} crashed and cannot take steps")
+    """Run one step of pid against an immutable configuration: a write
+    slides the register's window, a read returns it. This is the only
+    definition of a step; the window size k is carried by cfg's windows."""
+    if not is_live(protocol, cfg, pid):
+        state = "crashed and cannot take steps" if pid in cfg.crashed else "already finished"
+        raise ScheduleError(f"process {pid} {state}")
     results = cfg.locals[pid - 1]
-    if len(results) >= protocol.steps_per_process:
-        raise ScheduleError(f"process {pid} already finished")
     op = protocol.next_op(pid, inputs[pid], results)
-    if not 0 <= op.reg < len(cfg.registers):
+    registers = cfg.registers
+    if not 0 <= op.reg < len(registers):
         raise ValueError(f"protocol named unknown register {op.reg}")
-    reg = SlidingRegister.from_state(k, cfg.registers[op.reg])
     if isinstance(op, WriteOp):
-        reg.write(op.value)
-        result = None
+        if op.value is BOTTOM:
+            raise ValueError("BOTTOM marks missing values and cannot be written")
+        window = slide(registers[op.reg], op.value)
+        registers = registers[: op.reg] + (window,) + registers[op.reg + 1 :]
+        results += (None,)
     else:
-        result = reg.read()
-    new_results = results + (result,)
-    new_locals = cfg.locals[: pid - 1] + (new_results,) + cfg.locals[pid:]
-    new_registers = (
-        cfg.registers[: op.reg] + (reg.state(),) + cfg.registers[op.reg + 1 :]
-    )
+        results += (registers[op.reg],)
     decided = cfg.decided
-    if len(new_results) == protocol.steps_per_process:
-        value = protocol.decide(pid, inputs[pid], new_results)
-        decided = tuple(sorted(cfg.decided + ((pid, value),)))
-    return Configuration(new_locals, new_registers, cfg.crashed, decided)
+    if len(results) == protocol.steps_per_process:
+        value = protocol.decide(pid, inputs[pid], results)
+        decided = tuple(sorted(decided + ((pid, value),)))
+    locals_ = cfg.locals[: pid - 1] + (results,) + cfg.locals[pid:]
+    return Configuration(locals_, registers, cfg.crashed, decided)
 
 
 def apply_crash(cfg: Configuration, pid: int) -> Configuration:
@@ -216,6 +213,16 @@ def apply_crash(cfg: Configuration, pid: int) -> Configuration:
     return Configuration(
         cfg.locals, cfg.registers, tuple(sorted(cfg.crashed + (pid,))), cfg.decided
     )
+
+
+def _apply(
+    protocol: Protocol, inputs: Mapping[int, Value], k: int, cfg: Configuration, step: Step
+) -> Configuration:
+    if isinstance(step, Exec):
+        return apply_exec(protocol, inputs, k, cfg, step.pid)
+    if isinstance(step, Crash):
+        return apply_crash(cfg, step.pid)
+    raise TypeError(f"not a schedule step: {step!r}")
 
 
 @dataclass(frozen=True)
@@ -237,69 +244,36 @@ def run_schedule(
     sched: Iterable[Step],
     record_history: bool = False,
 ) -> Outcome:
-    """Execute a schedule deterministically against fresh registers.
+    """Execute a schedule deterministically from the initial configuration.
 
     Exec steps are atomic; a Crash step removes the process. Steps that are
     not applicable (an unknown pid, a crashed or finished process taking a
     step, a second crash) raise ScheduleError. Incomplete schedules are
-    fine: processes that never finish simply decide nothing.
+    fine: processes that never finish simply decide nothing. With
+    record_history, each Exec step becomes an invoke and a respond event
+    with consecutive timestamps.
     """
-    _check_inputs(inputs)
+    cfg = initial_config(protocol, inputs, k)
     if record_history and protocol.registers != 1:
         raise ValueError("history recording assumes a single shared register")
-    regs = [SlidingRegister(k) for _ in range(protocol.registers)]
-    results: dict[int, list] = {pid: [] for pid in inputs}
-    crashed: set[int] = set()
-    decided: dict[int, Value] = {}
     events: list[Event] = []
-    clock = 0
     for step in sched:
-        pid = step.pid
-        if pid not in results:
-            raise ScheduleError(f"unknown process id {pid}")
-        if isinstance(step, Crash):
-            if pid in crashed:
-                raise ScheduleError(f"process {pid} crashed twice")
-            crashed.add(pid)
+        op = None
+        if record_history and isinstance(step, Exec):
+            op = pending_op(protocol, inputs, cfg, step.pid)
+        cfg = _apply(protocol, inputs, k, cfg, step)
+        if op is None:
             continue
-        if not isinstance(step, Exec):
-            raise TypeError(f"not a schedule step: {step!r}")
-        if pid in crashed:
-            raise ScheduleError(f"process {pid} crashed and cannot take steps")
-        taken = results[pid]
-        if len(taken) >= protocol.steps_per_process:
-            raise ScheduleError(f"process {pid} already finished")
-        op = protocol.next_op(pid, inputs[pid], tuple(taken))
-        if not 0 <= op.reg < len(regs):
-            raise ValueError(f"protocol named unknown register {op.reg}")
+        clock = len(events)
         if isinstance(op, WriteOp):
-            if record_history:
-                events.append(Event("invoke", pid, "write", clock, value=op.value))
-                clock += 1
-            regs[op.reg].write(op.value)
-            result = None
-            if record_history:
-                events.append(Event("respond", pid, "write", clock))
-                clock += 1
+            events.append(Event("invoke", step.pid, "write", clock, value=op.value))
+            events.append(Event("respond", step.pid, "write", clock + 1))
         else:
-            if record_history:
-                events.append(Event("invoke", pid, "read", clock))
-                clock += 1
-            result = regs[op.reg].read()
-            if record_history:
-                events.append(Event("respond", pid, "read", clock, result=result))
-                clock += 1
-        taken.append(result)
-        if len(taken) == protocol.steps_per_process:
-            decided[pid] = protocol.decide(pid, inputs[pid], tuple(taken))
-    final = Configuration(
-        locals=tuple(tuple(results[pid]) for pid in sorted(results)),
-        registers=tuple(r.state() for r in regs),
-        crashed=tuple(sorted(crashed)),
-        decided=tuple(sorted(decided.items())),
-    )
+            result = cfg.locals[step.pid - 1][-1]
+            events.append(Event("invoke", step.pid, "read", clock))
+            events.append(Event("respond", step.pid, "read", clock + 1, result=result))
     history = History(k, events) if record_history else None
-    return Outcome(dict(decided), frozenset(crashed), final, history)
+    return Outcome(cfg.decisions(), frozenset(cfg.crashed), cfg, history)
 
 
 def _ops_map(n: int, ops_per_process) -> dict[int, int]:
@@ -387,6 +361,35 @@ class VerificationReport:
         return not self.violations
 
 
+def _final_configs(
+    protocol: Protocol,
+    inputs: Mapping[int, Value],
+    k: int,
+    schedules: Iterable[Schedule],
+) -> Iterator[tuple[Schedule, Configuration]]:
+    """(schedule, final configuration) for each schedule, in order.
+
+    path[i] is the configuration after the first i steps of the previous
+    schedule, so each schedule runs only the steps after the prefix it
+    shares with the one before; enumeration order makes those prefixes long.
+    """
+    path = [initial_config(protocol, inputs, k)]
+    prev: Schedule = ()
+    for sched in schedules:
+        shared = 0
+        for a, b in zip(sched, prev):
+            if a != b:
+                break
+            shared += 1
+        del path[shared + 1 :]
+        cfg = path[shared]
+        for step in sched[shared:]:
+            cfg = _apply(protocol, inputs, k, cfg, step)
+            path.append(cfg)
+        prev = sched
+        yield sched, cfg
+
+
 def verify_all(
     protocol: Protocol,
     k: int,
@@ -397,12 +400,11 @@ def verify_all(
     """Run every enumerated schedule and check the consensus properties on
     each outcome. Returns the total schedule count and all violations."""
     inputs = default_inputs(n) if inputs is None else dict(inputs)
-    _check_inputs(inputs)
     count = 0
     violations = []
-    for sched in enumerate_schedules(n, protocol.steps_per_process, with_crashes):
-        out = run_schedule(protocol, inputs, k, sched)
-        report = check_outcome(inputs, out.decisions, out.crashed)
+    schedules = enumerate_schedules(n, protocol.steps_per_process, with_crashes)
+    for sched, cfg in _final_configs(protocol, inputs, k, schedules):
+        report = check_outcome(inputs, cfg.decisions(), cfg.crashed)
         count += 1
         if not report.ok:
             violations.append((sched, report))
@@ -442,30 +444,19 @@ def find_violation(
     runs where every process decides.
     """
     inputs = default_inputs(n) if inputs is None else dict(inputs)
-    _check_inputs(inputs)
     found: list[Schedule] = []
-    seen: set[Schedule] = set()
-
-    def violates(sched: Schedule) -> bool:
-        try:
-            out = run_schedule(protocol, inputs, k, sched)
-        except ScheduleError:
-            return False
-        return not check_outcome(inputs, out.decisions, out.crashed).agreement
-
-    if n == k + 1 and n >= 2:
-        candidate = eviction_schedule(k, n)
-        if violates(candidate):
-            found.append(candidate)
-            seen.add(candidate)
-    for sched in enumerate_schedules(n, protocol.steps_per_process):
+    first: list[Schedule] = []
+    # The eviction run is a valid schedule exactly when every process has
+    # at least the two steps it uses.
+    if n == k + 1 and n >= 2 and protocol.steps_per_process >= 2:
+        first.append(eviction_schedule(k, n))
+    rest = enumerate_schedules(n, protocol.steps_per_process)
+    schedules = itertools.chain(first, (s for s in rest if s not in first))
+    for sched, cfg in _final_configs(protocol, inputs, k, schedules):
         if max_results is not None and len(found) >= max_results:
             break
-        if sched in seen:
-            continue
-        if violates(sched):
+        if not check_outcome(inputs, cfg.decisions(), cfg.crashed).agreement:
             found.append(sched)
-            seen.add(sched)
     if max_results is not None:
         return found[:max_results]
     return found

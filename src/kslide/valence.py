@@ -27,6 +27,7 @@ from .sim import (
     apply_crash,
     apply_exec,
     initial_config,
+    is_live,
     pending_op,
 )
 
@@ -149,6 +150,7 @@ class Explorer:
 
     def _build(self, start: Configuration) -> int:
         ids, configs, succ = self._ids, self._configs, self._succ
+        pids = sorted(self.inputs)
         first = len(configs)
         ids[start] = first
         configs.append(start)
@@ -158,9 +160,7 @@ class Explorer:
         while node < len(configs):
             cfg = configs[node]
             node += 1
-            live = [
-                pid for pid in sorted(self.inputs) if self.pending(cfg, pid) is not None
-            ]
+            live = [pid for pid in pids if is_live(self.protocol, cfg, pid)]
             steps = [
                 (Exec(pid), apply_exec(self.protocol, self.inputs, self.k, cfg, pid))
                 for pid in live

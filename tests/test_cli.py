@@ -232,6 +232,31 @@ def test_valence_output_matches_pinned_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("verify", "--k", "2", "--n", "3", "--crashes"),
+            "6e822763206958539fdfef5e7924eb7de4dfb4419e6eff501c0b60e56e5e1e00",
+        ),
+        (
+            ("verify", "--k", "1", "--n", "3", "--crashes"),
+            "cc8dce51472fcdc214893657b12e9a5a944dfd04d4762745f7e02fe591194b4c",
+        ),
+        (
+            ("violate", "--k", "3", "--max", "50"),
+            "f9d3d3edffc9efca5dbd72dccd48bd894b410e0817c6631014440c2040151696",
+        ),
+    ],
+)
+def test_violation_listing_matches_pinned_digest(capsys, argv, digest):
+    # SHA-256 of stdout as the per-schedule replay printed it: schedule
+    # counts, violation order and decisions stay byte-identical
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_valence_crash_aware_adds_crash_edges(capsys):
     code, out, _ = run_cli(
         capsys, "valence", "--k", "1", "--n", "2", "--format", "json", "--crash-aware"

@@ -10,6 +10,7 @@ from kslide.register import (
     NarrowView,
     SlidingRegister,
     WindowShortRegister,
+    empty_window,
     first_non_bottom,
     slide,
 )
@@ -22,7 +23,7 @@ sizes = st.integers(min_value=1, max_value=5)
 
 def test_empty_window_is_all_bottom():
     reg = SlidingRegister(3)
-    assert reg.read() == (BOTTOM, BOTTOM, BOTTOM)
+    assert reg.read() == (BOTTOM, BOTTOM, BOTTOM) == empty_window(3)
     assert reg.writes == 0
 
 
@@ -60,6 +61,8 @@ def test_k1_degenerates_to_plain_register():
 def test_rejects_bad_window_sizes(bad):
     with pytest.raises(ValueError):
         SlidingRegister(bad)
+    with pytest.raises(ValueError):
+        empty_window(bad)
 
 
 def test_bottom_is_not_writable():
@@ -94,7 +97,7 @@ def test_matches_full_sequence_oracle(writes, k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @given(write_lists)
 def test_slide_matches_register_and_oracle(k, writes):
-    window = (BOTTOM,) * k
+    window = empty_window(k)
     reg = SlidingRegister(k)
     for i, value in enumerate(writes):
         window = slide(window, value)

@@ -1,8 +1,10 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from kslide.lincheck import check_linearizable
+from kslide.consensus import check_outcome
+from kslide.lincheck import Event, check_linearizable
+from kslide.register import BOTTOM
 from kslide.sim import (
     Crash,
     Exec,
@@ -24,6 +26,7 @@ from kslide.sim import (
     run_schedule,
     verify_all,
 )
+from kslide.valence import Explorer, check_commutation
 from oracles import crash_free_count, with_crash_count
 
 PROTO = consensus_protocol()
@@ -78,7 +81,9 @@ def test_crash_removes_a_process():
 def test_incomplete_schedule_leaves_processes_undecided():
     out = run_schedule(PROTO, default_inputs(2), 2, sched("E1", "E2"))
     assert out.decisions == {}
-    assert out.final_config.registers[0] == (2, (0, 1))
+    assert out.final_config.registers[0] == (0, 1)
+    out = run_schedule(PROTO, default_inputs(2), 3, sched("E1", "E2"))
+    assert out.final_config.registers[0] == (BOTTOM, 0, 1)
 
 
 def test_step_after_completion_is_malformed():
@@ -118,6 +123,33 @@ def test_recorded_history_is_linearizable():
     assert check_linearizable(history) is not None
 
 
+def test_recorded_history_events_are_pinned():
+    out = run_schedule(
+        PROTO, default_inputs(2), 2, sched("E1", "E2", "C1", "E2"), record_history=True
+    )
+    assert out.history.events == [
+        Event("invoke", 1, "write", 0, value=0),
+        Event("respond", 1, "write", 1),
+        Event("invoke", 2, "write", 2, value=1),
+        Event("respond", 2, "write", 3),
+        Event("invoke", 2, "read", 4),
+        Event("respond", 2, "read", 5, result=(0, 1)),
+    ]
+
+
+@pytest.mark.parametrize("k", [0, -1, True])
+def test_bad_window_size_is_rejected(k):
+    inputs = default_inputs(2)
+    with pytest.raises(ValueError):
+        initial_config(PROTO, inputs, k)
+    with pytest.raises(ValueError):
+        run_schedule(PROTO, inputs, k, ())
+    with pytest.raises(ValueError):
+        verify_all(PROTO, k, 2)
+    with pytest.raises(ValueError):
+        Explorer(PROTO, inputs, k).classify()
+
+
 # ------------------------------------------------------- pure stepping path
 
 
@@ -146,6 +178,23 @@ def test_pending_op_reflects_protocol_position():
     assert pending_op(PROTO, inputs, cfg, 1) is None
     cfg = apply_crash(cfg, 2)
     assert pending_op(PROTO, inputs, cfg, 2) is None
+
+
+@pytest.mark.parametrize("pid", [0, 3])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cfg, pid: apply_exec(PROTO, default_inputs(2), 2, cfg, pid),
+        lambda cfg, pid: pending_op(PROTO, default_inputs(2), cfg, pid),
+        lambda cfg, pid: apply_crash(cfg, pid),
+        lambda cfg, pid: check_commutation(PROTO, default_inputs(2), 2, cfg, pid, 1),
+    ],
+    ids=["apply_exec", "pending_op", "apply_crash", "check_commutation"],
+)
+def test_out_of_range_pid_is_a_schedule_error(call, pid):
+    cfg = initial_config(PROTO, default_inputs(2), 2)
+    with pytest.raises(ScheduleError, match="unknown process id"):
+        call(cfg, pid)
 
 
 # ---------------------------------------------------------------- counting
@@ -213,6 +262,56 @@ def test_verify_k1_two_processes_finds_the_disagreements():
     assert bad == {("E1", "E1", "E2", "E2"), ("E2", "E2", "E1", "E1")}
     for _, prop in report.violations:
         assert not prop.agreement
+
+
+def replayed_verify(inputs, k, n, crashes):
+    """verify_all's answer, replaying every schedule from the start."""
+    violations = []
+    count = 0
+    for s in enumerate_schedules(n, 2, crashes):
+        out = run_schedule(PROTO, inputs, k, s)
+        report = check_outcome(inputs, out.decisions, out.crashed)
+        count += 1
+        if not report.ok:
+            violations.append((s, report))
+    return count, tuple(violations)
+
+
+def replayed_violations(inputs, k, n, max_results):
+    """find_violation's answer, replaying every schedule from the start."""
+    first = [eviction_schedule(k, n)] if n == k + 1 and n >= 2 else []
+    rest = [s for s in enumerate_schedules(n, 2) if s not in first]
+    found = []
+    for s in first + rest:
+        out = run_schedule(PROTO, inputs, k, s)
+        if not check_outcome(inputs, out.decisions, out.crashed).agreement:
+            found.append(s)
+    return found if max_results is None else found[:max_results]
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.booleans(),
+    st.lists(st.integers(0, 2), min_size=4, max_size=4),
+    st.sampled_from([None, 1, 3]),
+)
+@example(4, 3, False, [0, 1, 0, 2], None)
+@example(2, 1, False, [0, 1, 0, 0], None)
+@settings(max_examples=30, deadline=None)
+def test_shared_prefix_checks_match_per_schedule_replay(
+    n, k, crashes, proposals, max_results
+):
+    # n = 4 with crashes is 65,304 schedules, several seconds per example
+    assume(n < 4 or not crashes)
+    inputs = {pid: proposals[pid - 1] for pid in range(1, n + 1)}
+    report = verify_all(PROTO, k, n, inputs, with_crashes=crashes)
+    assert (report.schedules_checked, report.violations) == replayed_verify(
+        inputs, k, n, crashes
+    )
+    assert find_violation(PROTO, k, n, inputs, max_results) == replayed_violations(
+        inputs, k, n, max_results
+    )
 
 
 # ---------------------------------------------------------------- violation

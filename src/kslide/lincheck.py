@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from .register import BOTTOM, LockedSlidingRegister, Value, Window, empty_window, slide
 
@@ -21,8 +21,7 @@ class MalformedHistoryError(ValueError):
     """The event list is structurally broken, independent of linearizability."""
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One invocation or response boundary.
 
     kind is "invoke" or "respond"; op is "write" or "read". A write invoke
@@ -47,61 +46,47 @@ class History:
         """Raise MalformedHistoryError unless events form per-process
         alternating invoke/respond pairs with strictly increasing timestamps.
         Pending invocations at the end of the history are allowed."""
-        last_ts = None
-        open_ops: dict[int, Event] = {}
-        for ev in self.events:
-            if ev.kind not in ("invoke", "respond"):
-                raise MalformedHistoryError(f"unknown event kind {ev.kind!r}")
-            if ev.op not in ("write", "read"):
-                raise MalformedHistoryError(f"unknown operation {ev.op!r}")
-            if last_ts is not None and ev.timestamp <= last_ts:
-                raise MalformedHistoryError(
-                    f"timestamps must increase strictly, got {ev.timestamp} after {last_ts}"
-                )
-            last_ts = ev.timestamp
-            if ev.kind == "invoke":
-                if ev.pid in open_ops:
-                    raise MalformedHistoryError(
-                        f"process {ev.pid} invoked while an operation is open"
-                    )
-                if ev.op == "write" and (ev.value is None or ev.value is BOTTOM):
-                    raise MalformedHistoryError("write invocation needs a real value")
-                open_ops[ev.pid] = ev
-            else:
-                started = open_ops.pop(ev.pid, None)
-                if started is None or started.op != ev.op:
-                    raise MalformedHistoryError(
-                        f"response without matching invocation for process {ev.pid}"
-                    )
-                if ev.op == "read" and not isinstance(ev.result, tuple):
-                    raise MalformedHistoryError("read response needs a window tuple")
+        self.operations()
 
     def operations(self) -> "list[OpRecord]":
-        """Pair events into operation records, ordered by invocation time."""
-        self.validate()
-        invokes: list[Event] = []
-        responds: dict[int, Event] = {}
-        open_idx: dict[int, int] = {}
-        for ev in self.events:
-            if ev.kind == "invoke":
-                open_idx[ev.pid] = len(invokes)
-                invokes.append(ev)
-            else:
-                responds[open_idx.pop(ev.pid)] = ev
+        """Pair events into operation records, ordered by invocation time,
+        validating them on the way (see validate)."""
         ops: list[OpRecord] = []
-        for i, ev in enumerate(invokes):
-            end = responds.get(i)
-            if end is None:
-                ops.append(OpRecord(ev.pid, ev.op, ev.value, None, ev.timestamp, None))
-            else:
-                ops.append(
-                    OpRecord(ev.pid, ev.op, ev.value, end.result, ev.timestamp, end.timestamp)
+        open_ops: dict[int, int] = {}  # pid -> index of its open operation
+        last_ts = None
+        for kind, pid, op, ts, value, result in self.events:
+            if kind not in ("invoke", "respond"):
+                raise MalformedHistoryError(f"unknown event kind {kind!r}")
+            if op not in ("write", "read"):
+                raise MalformedHistoryError(f"unknown operation {op!r}")
+            if last_ts is not None and ts <= last_ts:
+                raise MalformedHistoryError(
+                    f"timestamps must increase strictly, got {ts} after {last_ts}"
                 )
+            last_ts = ts
+            if kind == "invoke":
+                if pid in open_ops:
+                    raise MalformedHistoryError(
+                        f"process {pid} invoked while an operation is open"
+                    )
+                if op == "write" and (value is None or value is BOTTOM):
+                    raise MalformedHistoryError("write invocation needs a real value")
+                open_ops[pid] = len(ops)
+                ops.append(OpRecord(pid, op, value, None, ts, None))
+            else:
+                i = open_ops.pop(pid, None)
+                if i is None or ops[i].op != op:
+                    raise MalformedHistoryError(
+                        f"response without matching invocation for process {pid}"
+                    )
+                if op == "read" and not isinstance(result, tuple):
+                    raise MalformedHistoryError("read response needs a window tuple")
+                started = ops[i]
+                ops[i] = OpRecord(pid, op, started.value, result, started.invoked, ts)
         return ops
 
 
-@dataclass(frozen=True)
-class OpRecord:
+class OpRecord(NamedTuple):
     pid: int
     op: str
     value: Value
@@ -135,15 +120,30 @@ def check_linearizable(history: History) -> Optional[List[OpRecord]]:
     in invocation order. Predecessor sets only grow along that order, so a
     node's candidate scan starts at its lowest unplaced operation and ends
     at the first one still waiting on a predecessor.
+
+    Dead reads are pruned. A completed read whose newest slot is v fits
+    only while v is the newest write. When every written value, pending
+    writes included, is distinct, v never becomes newest again once a
+    write lands on it, so no write is placed while an unplaced read still
+    expects the current newest value. A newest slot of BOTTOM means no write
+    yet, which holds even when values repeat. The cut subtrees hold no
+    linearization and the scan order is unchanged, so the witness is the
+    one the unpruned search finds.
     """
     ops = history.operations()
     usable = [o for o in ops if not o.pending or o.op == "write"]
+    written = [o.value for o in usable if o.op == "write"]
+    expect: dict = {}  # newest slot -> bitmask of the reads that return it
+    try:
+        distinct = len(set(written)) == len(written)
+        for i, o in enumerate(usable):
+            if o.op == "read" and o.result and (distinct or o.result[-1] is BOTTOM):
+                expect[o.result[-1]] = expect.get(o.result[-1], 0) | 1 << i
+    except TypeError:  # an unhashable value: search without pruning
+        expect = {}
     n = len(usable)
-    must = 0
-    for i, o in enumerate(usable):
-        if not o.pending:
-            must |= 1 << i
     done = sorted((o.responded, i) for i, o in enumerate(usable) if not o.pending)
+    must = sum(1 << i for _, i in done)
     preds = []
     mask = j = 0
     for o in usable:
@@ -163,6 +163,7 @@ def check_linearizable(history: History) -> Optional[List[OpRecord]]:
         frame = stack[-1]
         placed, window, resume = frame
         unplaced = ~placed
+        stranding = expect.get(window[-1], 0) & unplaced  # reads a write would kill
         for i in range(resume, n):
             bit = 1 << i
             if placed & bit:
@@ -171,6 +172,8 @@ def check_linearizable(history: History) -> Optional[List[OpRecord]]:
                 break
             op = usable[i]
             if op.op == "write":
+                if stranding:
+                    continue
                 after = slide(window, op.value)
             elif window == op.result:
                 after = window

@@ -11,8 +11,7 @@ serialization is byte-stable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .lincheck import Event, History
 from .register import BOTTOM, Value, Window
@@ -33,8 +32,7 @@ def decode_window(items: Iterable) -> Window:
     return tuple(BOTTOM if item is None else item for item in items)
 
 
-@dataclass(frozen=True)
-class ScheduleRecord:
+class ScheduleRecord(NamedTuple):
     steps: tuple  # step strings, "E1" form
 
     def to_payload(self) -> dict:
@@ -45,8 +43,7 @@ class ScheduleRecord:
         return cls(steps=tuple(payload["steps"]))
 
 
-@dataclass(frozen=True)
-class OutcomeRecord:
+class OutcomeRecord(NamedTuple):
     decisions: tuple  # sorted (pid, value) pairs
     crashed: tuple  # sorted pids
 
@@ -64,8 +61,7 @@ class OutcomeRecord:
         )
 
 
-@dataclass(frozen=True)
-class ViolationRecord:
+class ViolationRecord(NamedTuple):
     """A schedule together with the disagreeing outcome it produced, plus
     enough context (k, n, proposals) to replay it."""
 
@@ -98,8 +94,7 @@ class ViolationRecord:
         )
 
 
-@dataclass(frozen=True)
-class ValenceNodeRecord:
+class ValenceNodeRecord(NamedTuple):
     """One configuration-graph node: its discovery index, decision values,
     whether it is critical, decisions already taken, and outgoing edges as
     (step string, destination index) pairs."""
@@ -130,8 +125,7 @@ class ValenceNodeRecord:
         )
 
 
-@dataclass(frozen=True)
-class HistoryEventRecord:
+class HistoryEventRecord(NamedTuple):
     """One register-history event. k rides along on every event so a saved
     history is self-contained."""
 
@@ -188,9 +182,16 @@ def serialize(record) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def parse(line: str):
+    """The record on one trace line; surrounding whitespace is ignored."""
+    line = line.strip()
     try:
-        payload = json.loads(line)
+        payload, end = _raw_decode(line)
+        if end != len(line):
+            json.loads(line)  # raises json's own "Extra data" error
     except json.JSONDecodeError as exc:
         raise TraceError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -215,13 +216,8 @@ def write_records(path: str, records: Iterable) -> None:
 
 
 def read_records(path: str) -> list:
-    out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(parse(line))
-    return out
+        return [parse(line) for line in map(str.strip, fh) if line]
 
 
 def outcome_record(outcome: Outcome) -> OutcomeRecord:
@@ -264,8 +260,5 @@ def history_from_records(records: Iterable[HistoryEventRecord]) -> History:
     ks = {r.k for r in records}
     if len(ks) != 1:
         raise TraceError(f"history events disagree on k: {sorted(ks)}")
-    events = [
-        Event(r.kind, r.pid, r.op, r.timestamp, value=r.value, result=r.result)
-        for r in records
-    ]
-    return History(ks.pop(), events)
+    # An event is a history-event record without its leading k.
+    return History(ks.pop(), [Event._make(r[1:]) for r in records])

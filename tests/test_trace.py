@@ -96,6 +96,36 @@ def test_parse_rejects_bad_lines(line):
         parse(line)
 
 
+@pytest.mark.parametrize(
+    "line,expected",
+    [
+        (
+            '{"type": "schedule", "schema_version": 1, "steps": ["E1"]}  x',
+            "not valid JSON: Extra data: line 1 column 61 (char 60)",
+        ),
+        (
+            ' \t{"type": "schedule", "schema_version": 1, "steps": ["E1", "C2"]} \n',
+            ScheduleRecord(("E1", "C2")),
+        ),
+        ("[1, 2]", "trace lines must be JSON objects"),
+        (
+            '{"type": "schedule", "schema_version": 2, "steps": []}',
+            "unsupported schema version 2",
+        ),
+        ('{"type": "mystery", "schema_version": 1}', "unknown record type 'mystery'"),
+    ],
+    ids=["trailing-data", "surrounding-space", "array", "schema-version", "unknown-type"],
+)
+def test_parse_results_are_pinned(line, expected):
+    if isinstance(expected, str):
+        with pytest.raises(TraceError) as raised:
+            parse(line)
+        assert str(raised.value) == expected
+    else:
+        record = parse(line)
+        assert (type(record), record) == (type(expected), expected)
+
+
 def test_serialize_rejects_foreign_objects():
     with pytest.raises(TraceError):
         serialize({"type": "schedule"})

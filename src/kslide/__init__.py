@@ -4,7 +4,7 @@ The register keeps the last k written values and pads short windows with
 the reserved BOTTOM marker. On top of it sit: a two-step consensus protocol
 for up to k processes, a deterministic simulator with exhaustive schedule
 and crash enumeration, a configuration-graph explorer for valence analysis,
-a linearizability checker with a threaded stress driver, and a command-line
+a linearizability checker with a seeded stress driver, and a command-line
 harness with a line-delimited JSON trace format.
 """
 

@@ -2,7 +2,7 @@
 
 Subcommands: verify (exhaustive schedule checking, or replay of one
 schedule), violate (agreement counterexample with one participant too
-many), valence (configuration-graph export), and lincheck (threaded stress
+many), valence (configuration-graph export), and lincheck (seeded stress
 histories through the linearizability checker, or re-checking a saved
 history file). Exit codes: 0 when every checked property holds, 1 when a
 violation was found, 2 on usage or structural errors, 3 on an internal
@@ -19,7 +19,7 @@ from typing import Optional
 
 from .consensus import check_outcome
 from .lincheck import check_linearizable, stress
-from .register import LockedSlidingRegister, WindowShortRegister
+from .register import SlidingRegister, WindowShortRegister
 from .sim import (
     consensus_protocol,
     default_inputs,
@@ -51,7 +51,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 REGISTER_FACTORIES = {
-    None: LockedSlidingRegister,
+    None: SlidingRegister,
     "window-short": WindowShortRegister,
 }
 
@@ -114,7 +114,7 @@ def cmd_verify(args) -> int:
     )
     print(f"{report.schedules_checked} {label}, {len(report.violations)} violations")
     records = []
-    for sched, prop in report.violations:
+    for sched, prop, decided, crashed in report.violations:
         failed = [
             name
             for name, held in (
@@ -125,9 +125,7 @@ def cmd_verify(args) -> int:
             if not held
         ]
         print(f"violation: {','.join(format_schedule(sched))} breaks {','.join(failed)}")
-        records.append(
-            violation_record(k, n, inputs, sched, run_schedule(protocol, inputs, k, sched))
-        )
+        records.append(violation_record(k, n, inputs, sched, decided, crashed))
     _emit(records, args.output)
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
@@ -147,9 +145,10 @@ def cmd_violate(args) -> int:
     for sched in scheds:
         out = run_schedule(protocol, inputs, k, sched)
         print(f"schedule: {','.join(format_schedule(sched))}")
-        for pid, value in sorted(out.decisions.items()):
+        decided = sorted(out.decisions.items())
+        for pid, value in decided:
             print(f"  p{pid} decides {value}")
-        records.append(violation_record(k, n, inputs, sched, out))
+        records.append(violation_record(k, n, inputs, sched, decided, out.crashed))
     _emit(records, args.output)
     return EXIT_VIOLATION
 
@@ -321,10 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     lincheck_sub = p_lincheck.add_subparsers(dest="mode", required=True)
 
     p_stress = lincheck_sub.add_parser(
-        "stress", help="generate histories from real threads and check them"
+        "stress", help="generate seeded interleaved histories and check them"
     )
-    p_stress.add_argument("--threads", type=int, default=4)
-    p_stress.add_argument("--ops", type=int, default=5, help="operations per thread")
+    p_stress.add_argument("--threads", type=int, default=4, help="processes per history")
+    p_stress.add_argument("--ops", type=int, default=5, help="operations per process")
     p_stress.add_argument("--k", type=int, default=2, help="window size")
     p_stress.add_argument(
         "--seed", type=int, default=None, help="base seed (default: $KSLIDE_SEED or 0)"

@@ -1,20 +1,20 @@
 """Linearizability checking of concurrent register histories.
 
-A history is a timestamped list of invocation and response events collected
-from real threads. The checker searches for a total order of the completed
-operations that respects real-time precedence and replays correctly against
-the sequential sliding-register semantics. A threaded stress driver that
-produces such histories lives here as well.
+A history is a timestamped list of invocation and response events. The
+checker searches for a total order of the completed operations that
+respects real-time precedence and replays correctly against the sequential
+sliding-register semantics. A seeded stress driver that produces such
+histories, by interleaving the invoke, effect and respond steps of several
+processes on one register object, lives here as well.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional
 
-from .register import BOTTOM, LockedSlidingRegister, Value, Window, empty_window, slide
+from .register import BOTTOM, SlidingRegister, Value, Window, empty_window, slide
 
 
 class MalformedHistoryError(ValueError):
@@ -44,8 +44,9 @@ class History:
 
     def validate(self) -> None:
         """Raise MalformedHistoryError unless events form per-process
-        alternating invoke/respond pairs with strictly increasing timestamps.
-        Pending invocations at the end of the history are allowed."""
+        alternating invoke/respond pairs with strictly increasing timestamps,
+        hashable written values and hashable read windows. Pending
+        invocations at the end of the history are allowed."""
         self.operations()
 
     def operations(self) -> "list[OpRecord]":
@@ -71,6 +72,8 @@ class History:
                     )
                 if op == "write" and (value is None or value is BOTTOM):
                     raise MalformedHistoryError("write invocation needs a real value")
+                if op == "write" and not _hashable(value):
+                    raise MalformedHistoryError(f"written value {value!r} is not hashable")
                 open_ops[pid] = len(ops)
                 ops.append(OpRecord(pid, op, value, None, ts, None))
             else:
@@ -81,9 +84,19 @@ class History:
                     )
                 if op == "read" and not isinstance(result, tuple):
                     raise MalformedHistoryError("read response needs a window tuple")
+                if op == "read" and not _hashable(result):
+                    raise MalformedHistoryError(f"read window {result!r} is not hashable")
                 started = ops[i]
                 ops[i] = OpRecord(pid, op, started.value, result, started.invoked, ts)
         return ops
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
 
 
 class OpRecord(NamedTuple):
@@ -133,14 +146,11 @@ def check_linearizable(history: History) -> Optional[List[OpRecord]]:
     ops = history.operations()
     usable = [o for o in ops if not o.pending or o.op == "write"]
     written = [o.value for o in usable if o.op == "write"]
+    distinct = len(set(written)) == len(written)
     expect: dict = {}  # newest slot -> bitmask of the reads that return it
-    try:
-        distinct = len(set(written)) == len(written)
-        for i, o in enumerate(usable):
-            if o.op == "read" and o.result and (distinct or o.result[-1] is BOTTOM):
-                expect[o.result[-1]] = expect.get(o.result[-1], 0) | 1 << i
-    except TypeError:  # an unhashable value: search without pruning
-        expect = {}
+    for i, o in enumerate(usable):
+        if o.op == "read" and o.result and (distinct or o.result[-1] is BOTTOM):
+            expect[o.result[-1]] = expect.get(o.result[-1], 0) | 1 << i
     n = len(usable)
     done = sorted((o.responded, i) for i, o in enumerate(usable) if not o.pending)
     must = sum(1 << i for _, i in done)
@@ -197,68 +207,54 @@ def check_linearizable(history: History) -> Optional[List[OpRecord]]:
     return None
 
 
-class _TickCounter:
-    """Global monotonic order index shared by the stress threads. The lock
-    guards only the increment, never the register operation being timed."""
-
-    def __init__(self) -> None:
-        self._n = 0
-        self._lock = threading.Lock()
-
-    def tick(self) -> int:
-        with self._lock:
-            n = self._n
-            self._n += 1
-            return n
-
-
 def stress(
     threads: int,
     ops_per_thread: int,
     k: int,
     seed: int = 0,
-    register_factory: Callable[[int], object] = LockedSlidingRegister,
+    register_factory: Callable[[int], object] = SlidingRegister,
 ) -> History:
-    """Drive one shared register from real threads and record the history.
+    """History of seeded interleaved processes driving one shared register.
 
-    Each thread runs a seeded half-read half-write operation mix, so the
-    per-thread sequences are reproducible even though the interleaving is up
-    to the operating system scheduler. Operation i of process pid writes
-    i * threads + pid, so written values are distinct across the whole run
-    for any operation count, which keeps windows unambiguous for the checker.
+    Every operation takes three separately scheduled steps: invoke, effect
+    (one read() or write() call on the register under test) and respond.
+    One RNG seeded with seed picks which live process moves next, so
+    operations of different processes overlap, and the same arguments give
+    the same history. Each process draws its half-read half-write mix from
+    its own RNG. Operation i of process pid writes i * threads + pid, so
+    written values are distinct for any operation count, which keeps
+    windows unambiguous for the checker.
     """
     if threads < 2:
         raise ValueError("stress needs at least 2 threads")
     if ops_per_thread < 1:
         raise ValueError("each thread must run at least one operation")
     reg = register_factory(k)
-    clock = _TickCounter()
-    per_thread: dict[int, list[Event]] = {pid: [] for pid in range(1, threads + 1)}
-
-    def worker(pid: int) -> None:
-        rng = random.Random(seed * 1_000_003 + pid)
-        out = per_thread[pid]
-        for i in range(ops_per_thread):
-            if rng.random() < 0.5:
-                out.append(Event("invoke", pid, "read", clock.tick()))
-                window = reg.read()
-                out.append(Event("respond", pid, "read", clock.tick(), result=window))
+    pick = random.Random(seed)
+    mixes = {pid: random.Random(seed * 1_000_003 + pid) for pid in range(1, threads + 1)}
+    steps = dict.fromkeys(mixes, 0)  # steps each process has taken
+    opened: dict[int, Event] = {}  # pid -> its open operation, with a read's window
+    live = list(mixes)
+    events: list[Event] = []
+    while live:
+        pid = pick.choice(live)
+        i, phase = divmod(steps[pid], 3)
+        steps[pid] += 1
+        if phase == 0:
+            op = "write" if mixes[pid].random() >= 0.5 else "read"
+            value = i * threads + pid if op == "write" else None
+            opened[pid] = Event("invoke", pid, op, len(events), value)
+            events.append(opened[pid])
+        elif phase == 1:
+            if opened[pid].op == "read":
+                opened[pid] = opened[pid]._replace(result=reg.read())
             else:
-                value = i * threads + pid
-                out.append(Event("invoke", pid, "write", clock.tick(), value=value))
-                reg.write(value)
-                out.append(Event("respond", pid, "write", clock.tick()))
-
-    workers = [
-        threading.Thread(target=worker, args=(pid,)) for pid in per_thread
-    ]
-    for t in workers:
-        t.start()
-    for t in workers:
-        t.join()
-    events = sorted(
-        (ev for evs in per_thread.values() for ev in evs), key=lambda e: e.timestamp
-    )
+                reg.write(opened[pid].value)
+        else:
+            ev = opened.pop(pid)
+            events.append(Event("respond", pid, ev.op, len(events), result=ev.result))
+            if i == ops_per_thread - 1:
+                live.remove(pid)
     history = History(k, events)
     history.validate()
     return history

@@ -153,7 +153,7 @@ class LockedSlidingRegister(SlidingRegister):
             return super().read()
 
 
-class WindowShortRegister(LockedSlidingRegister):
+class WindowShortRegister(SlidingRegister):
     """Deliberately broken register used to calibrate the history checker.
 
     The ring is one slot too small, so once more than k - 1 values have been

@@ -354,7 +354,9 @@ def enumerate_schedules(
 @dataclass(frozen=True)
 class VerificationReport:
     schedules_checked: int
-    violations: tuple  # ((schedule, PropertyReport), ...)
+    # ((schedule, PropertyReport, decided, crashed), ...), where decided and
+    # crashed are the final configuration's sorted tuples
+    violations: tuple
 
     @property
     def ok(self) -> bool:
@@ -407,7 +409,7 @@ def verify_all(
         report = check_outcome(inputs, cfg.decisions(), cfg.crashed)
         count += 1
         if not report.ok:
-            violations.append((sched, report))
+            violations.append((sched, report, cfg.decided, cfg.crashed))
     return VerificationReport(count, tuple(violations))
 
 

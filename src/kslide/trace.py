@@ -227,14 +227,15 @@ def outcome_record(outcome: Outcome) -> OutcomeRecord:
     )
 
 
-def violation_record(k, n, inputs, sched, outcome: Outcome) -> ViolationRecord:
+def violation_record(k, n, inputs, sched, decisions, crashed) -> ViolationRecord:
+    """decisions are (pid, value) pairs and crashed are pids, in any order."""
     return ViolationRecord(
         k=k,
         n=n,
         inputs=tuple(sorted(inputs.items())),
         schedule=tuple(format_schedule(sched)),
-        decisions=tuple(sorted(outcome.decisions.items())),
-        crashed=tuple(sorted(outcome.crashed)),
+        decisions=tuple(sorted(decisions)),
+        crashed=tuple(sorted(crashed)),
     )
 
 

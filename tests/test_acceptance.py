@@ -11,12 +11,13 @@ independent combinatorial oracles in tests/oracles.py (multinomial
 interleaving formulas) or were derived by hand before the code under
 test existed. Tolerances: counts and register windows are exact (zero
 tolerance), wall-clock limits are 5 s for the exhaustive sweeps and
-60 s for the threaded stress run, and the deliberately broken register
+60 s for the seeded stress run, and the deliberately broken register
 must be rejected in at least 1 of 1000 histories.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import time
 from contextlib import redirect_stdout
@@ -64,6 +65,14 @@ CRASH_TRUNCATION_COUNTS = {1: 3, 2: 38, 3: 1158, 4: 65304}
 # window and 2 processes: whoever reads second sees only the other
 # process's later write.
 K1_VIOLATING_SET = {("E1", "E1", "E2", "E2"), ("E2", "E2", "E1", "E1")}
+
+# SHA-256 of stdout and of the saved history of `lincheck stress --threads 2
+# --ops 3 --histories 1 --seed 11 --save history.jsonl`, pinned when the
+# stress driver became a seeded step scheduler.
+STRESS_SEED_11_SHA256 = (
+    "b7a204736e732831c689df334ee8a5ad7c1d094e97c963b46344b6a2d760c462",
+    "091aeb7e7c33cbb5272a24c87f0485e231b88c49e476a2ca0125a48f0e4b9146",
+)
 
 TREE_VALUES = (0, 1, 2)
 TREE_DEPTH = 8
@@ -343,8 +352,8 @@ def test_criterion_6_distinct_register_steps_commute():
 
 
 def test_criterion_7_stress_histories_are_linearizable_and_mutant_is_caught():
-    """1000 seeded four-thread histories (5 operations per thread,
-    window size 2) against the lock-protected register all pass the
+    """1000 seeded histories of four interleaved processes (5 operations
+    each, window size 2) against the correct register all pass the
     exhaustive linearizability checker; the window-short register is
     rejected in at least one of 1000 histories. Limit 60 s."""
     problems = []
@@ -373,7 +382,7 @@ def test_criterion_7_stress_histories_are_linearizable_and_mutant_is_caught():
         problems.append(f"took {elapsed:.1f}s, limit 60s")
     report(
         7,
-        "1000 threaded histories linearizable, broken register caught",
+        "1000 seeded histories linearizable, broken register caught",
         not problems,
         "; ".join(problems)
         or f"1000/1000 clean, mutant rejected {mutant_rejected}/1000, {elapsed:.1f}s",
@@ -387,14 +396,15 @@ def _run_cli(argv: list) -> tuple:
     return code, buf.getvalue()
 
 
-def test_criterion_8_reruns_are_byte_identical_and_schedules_replay(tmp_path):
+def test_criterion_8_reruns_are_byte_identical_and_schedules_replay(tmp_path, monkeypatch):
     """Re-running each trace-emitting command with the same arguments and
     seed produces byte-identical standard output and trace files, and
     every schedule found in an emitted trace replays to the identical
-    outcome. For the threaded stress command the seed pins each
-    thread's operation mix (asserted on the saved histories); the
-    interleaving itself is real concurrency, and replaying a saved
-    history through the file checker is deterministic."""
+    outcome. The stress command is seeded end to end: its standard output
+    and saved history are byte-identical across reruns and pinned by
+    SHA-256, the seed pins each process's operation mix (asserted on the
+    saved histories), and replaying a saved history through the file
+    checker is deterministic."""
     protocol = consensus_protocol()
     problems = []
     deterministic = {
@@ -440,15 +450,25 @@ def test_criterion_8_reruns_are_byte_identical_and_schedules_replay(tmp_path):
                 problems.append(f"{name}: replayed outcome differs from the recorded one")
 
     saved = []
+    stress_outputs = []
     for attempt in ("a", "b"):
-        path = tmp_path / f"stress-{attempt}.jsonl"
+        # same relative --save path in each run, so stdout can match byte for byte
+        workdir = tmp_path / f"stress-{attempt}"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
         code, stdout = _run_cli(
             ["lincheck", "stress", "--threads", "2", "--ops", "3",
-             "--histories", "1", "--seed", "11", "--save", str(path)]
+             "--histories", "1", "--seed", "11", "--save", "history.jsonl"]
         )
         if code != 0:
             problems.append("stress run failed on a correct register")
-        saved.append(read_records(str(path)))
+        stress_outputs.append((stdout.encode(), (workdir / "history.jsonl").read_bytes()))
+        saved.append(read_records(str(workdir / "history.jsonl")))
+    if stress_outputs[0] != stress_outputs[1]:
+        problems.append("stress: standard output or saved history differs between reruns")
+    digests = tuple(hashlib.sha256(b).hexdigest() for b in stress_outputs[0])
+    if digests != STRESS_SEED_11_SHA256:
+        problems.append(f"stress: stdout and saved history digests {digests} moved")
     mixes = []
     for records in saved:
         per_pid = {}
@@ -457,9 +477,9 @@ def test_criterion_8_reruns_are_byte_identical_and_schedules_replay(tmp_path):
                 per_pid.setdefault(r.pid, []).append((r.op, r.value))
         mixes.append(per_pid)
     if mixes[0] != mixes[1]:
-        problems.append("same seed produced different thread operation mixes")
+        problems.append("same seed produced different process operation mixes")
     recheck = {
-        _run_cli(["lincheck", "file", "--path", str(tmp_path / "stress-a.jsonl")])
+        _run_cli(["lincheck", "file", "--path", str(tmp_path / "stress-a" / "history.jsonl")])
         for _ in range(2)
     }
     if len(recheck) != 1:

@@ -336,6 +336,28 @@ def test_lincheck_file_rejects_garbage(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "op, invoke, respond",
+    [
+        ("write", '"value":[1],"result":null', '"value":null,"result":null'),
+        ("read", '"value":null,"result":null', '"value":null,"result":[{"a":1},null]'),
+    ],
+    ids=["list-written-value", "object-in-read-window"],
+)
+def test_lincheck_file_rejects_unhashable_values(capsys, tmp_path, op, invoke, respond):
+    head = f'{{"type":"history-event","schema_version":1,"k":2,"pid":1,"op":"{op}",'
+    path = tmp_path / "unhashable.jsonl"
+    path.write_text(
+        f'{head}"kind":"invoke","timestamp":0,{invoke}}}\n'
+        f'{head}"kind":"respond","timestamp":1,{respond}}}\n',
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "lincheck", "file", "--path", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "not hashable" in err
+
+
 def test_lincheck_file_missing_path(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "lincheck", "file", "--path", str(tmp_path / "nope.jsonl")

@@ -17,6 +17,7 @@ from kslide.lincheck import (
     stress,
 )
 from kslide.register import BOTTOM, LockedSlidingRegister, SlidingRegister, WindowShortRegister
+from histories import overlap
 from oracles import FullSequenceRegister, brute_force_linearizable, padded_last_k
 
 
@@ -347,11 +348,17 @@ def test_read_of_nothing_goes_before_every_write():
 
 
 def test_unhashable_value_that_is_never_placed_does_not_crash():
-    # a history file can hold a list as a written value; the pending write
-    # is never needed, so the distinct-values check must not raise on it
+    # a history file can hold a list as a written value; even when the
+    # pending write is never needed, the history is malformed, not a crash
     events = completed_read(1, (BOTTOM,), 0, 1) + [ev("invoke", 2, "write", 2, value=[1])]
-    witness = check_linearizable(History(1, events))
-    assert [(o.pid, o.op) for o in witness] == [(1, "read")]
+    with pytest.raises(MalformedHistoryError, match=r"written value \[1\] is not hashable"):
+        check_linearizable(History(1, events))
+
+
+def test_unhashable_read_window_is_malformed():
+    events = completed_read(1, (BOTTOM, [1]), 0, 1)
+    with pytest.raises(MalformedHistoryError, match="read window .* is not hashable"):
+        History(2, events).validate()
 
 
 def test_witnesses_are_pinned():
@@ -431,6 +438,38 @@ def test_stress_op_mixes_are_seeded():
     b = mixes(stress(3, 6, 2, seed=9))
     assert a == b
     assert mixes(stress(3, 6, 2, seed=10)) != a
+
+
+# sha256 of repr(sorted({pid: [(op, value), ...]}.items())) over the invoke
+# events, taken when stress still ran one OS thread per process: the
+# scheduler must keep every process's operation mix and written values.
+PINNED_MIXES = {
+    (2, 5, 0): "9bd39c01a0ed1a80b1d19fcec6a403d357524f6c145aebc1d48975097619419c",
+    (4, 5, 11): "a1c2b365cdc1ed200112000c557a45912e2c3e975637cd249ed6f0fa7bffdeab",
+    (3, 6, 9): "04676d4ae57d50f3564a0dff8532f1d9a9772e3fe88be8339cd7681c556b7cf7",
+    (4, 300, 7): "4e8b69fd480f747929833e223aa4ee1f0f746037a8bab8b7a117f9c63e6beb8d",
+    (8, 50, 123): "1887649e83b43815719dd52eaf889c2e5b6d25b86f12e060ebea6b69ad0946a0",
+}
+
+
+def mix_digest(history):
+    per_pid = {}
+    for e in history.events:
+        if e.kind == "invoke":
+            per_pid.setdefault(e.pid, []).append((e.op, e.value))
+    return hashlib.sha256(repr(sorted(per_pid.items())).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("threads, ops, seed", sorted(PINNED_MIXES))
+def test_stress_op_mixes_are_pinned(threads, ops, seed):
+    history = stress(threads, ops, 2, seed=seed)
+    assert mix_digest(history) == PINNED_MIXES[threads, ops, seed]
+
+
+def test_stress_histories_overlap():
+    # an operation overlaps when another is open while it is invoked
+    overlapping = [overlap(stress(4, 5, 2, seed=seed).events)[0] for seed in range(100)]
+    assert sum(1 for n in overlapping if n) >= 95
 
 
 def test_stress_written_values_are_distinct_past_1000_ops():

@@ -258,10 +258,11 @@ def test_verify_within_capacity_has_no_violations():
 
 def test_verify_k1_two_processes_finds_the_disagreements():
     report = verify_all(PROTO, 1, 2)
-    bad = {tuple(format_schedule(s)) for s, _ in report.violations}
+    bad = {tuple(format_schedule(s)) for s, *_ in report.violations}
     assert bad == {("E1", "E1", "E2", "E2"), ("E2", "E2", "E1", "E1")}
-    for _, prop in report.violations:
+    for _, prop, decided, crashed in report.violations:
         assert not prop.agreement
+        assert len(set(dict(decided).values())) == 2 and crashed == ()
 
 
 def replayed_verify(inputs, k, n, crashes):
@@ -273,7 +274,8 @@ def replayed_verify(inputs, k, n, crashes):
         report = check_outcome(inputs, out.decisions, out.crashed)
         count += 1
         if not report.ok:
-            violations.append((s, report))
+            final = out.final_config
+            violations.append((s, report, final.decided, final.crashed))
     return count, tuple(violations)
 
 

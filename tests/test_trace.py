@@ -143,7 +143,7 @@ def test_violation_record_keeps_replay_context():
     proto = consensus_protocol()
     sched = parse_schedule(["E1", "E1", "E2", "E3", "E2"])
     out = run_schedule(proto, default_inputs(3), 2, sched)
-    record = violation_record(2, 3, default_inputs(3), sched, out)
+    record = violation_record(2, 3, default_inputs(3), sched, out.decisions.items(), out.crashed)
     assert record.schedule == ("E1", "E1", "E2", "E3", "E2")
     assert record.inputs == ((1, 0), (2, 1), (3, 2))
     assert record.decisions == ((1, 0), (2, 1))

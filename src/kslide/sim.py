@@ -436,8 +436,9 @@ def find_violation(
     n: int,
     inputs: Optional[Mapping[int, Value]] = None,
     max_results: Optional[int] = None,
-) -> list[Schedule]:
-    """Schedules whose outcome breaks agreement, eviction run first.
+) -> list[tuple[Schedule, tuple, tuple]]:
+    """(schedule, decided, crashed) per agreement violation, eviction run
+    first; decided and crashed are the final configuration's sorted tuples.
 
     The canonical eviction schedule is tried first when n == k + 1; after
     that every complete crash-free schedule is checked in enumeration order.
@@ -446,7 +447,7 @@ def find_violation(
     runs where every process decides.
     """
     inputs = default_inputs(n) if inputs is None else dict(inputs)
-    found: list[Schedule] = []
+    found = []
     first: list[Schedule] = []
     # The eviction run is a valid schedule exactly when every process has
     # at least the two steps it uses.
@@ -458,9 +459,7 @@ def find_violation(
         if max_results is not None and len(found) >= max_results:
             break
         if not check_outcome(inputs, cfg.decisions(), cfg.crashed).agreement:
-            found.append(sched)
-    if max_results is not None:
-        return found[:max_results]
+            found.append((sched, cfg.decided, cfg.crashed))
     return found
 
 

@@ -32,6 +32,12 @@ def decode_window(items: Iterable) -> Window:
     return tuple(BOTTOM if item is None else item for item in items)
 
 
+def _int(value, name: str) -> int:
+    if type(value) is not int:  # bools, floats and numeric strings are refused
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 class ScheduleRecord(NamedTuple):
     steps: tuple  # step strings, "E1" form
 
@@ -56,8 +62,8 @@ class OutcomeRecord(NamedTuple):
     @classmethod
     def from_payload(cls, payload: dict) -> "OutcomeRecord":
         return cls(
-            decisions=tuple((int(p), v) for p, v in payload["decisions"]),
-            crashed=tuple(int(p) for p in payload["crashed"]),
+            decisions=tuple((_int(p, "pid"), v) for p, v in payload["decisions"]),
+            crashed=tuple(_int(p, "pid") for p in payload["crashed"]),
         )
 
 
@@ -85,12 +91,12 @@ class ViolationRecord(NamedTuple):
     @classmethod
     def from_payload(cls, payload: dict) -> "ViolationRecord":
         return cls(
-            k=int(payload["k"]),
-            n=int(payload["n"]),
-            inputs=tuple((int(p), v) for p, v in payload["inputs"]),
+            k=_int(payload["k"], "k"),
+            n=_int(payload["n"], "n"),
+            inputs=tuple((_int(p, "pid"), v) for p, v in payload["inputs"]),
             schedule=tuple(payload["schedule"]),
-            decisions=tuple((int(p), v) for p, v in payload["decisions"]),
-            crashed=tuple(int(p) for p in payload["crashed"]),
+            decisions=tuple((_int(p, "pid"), v) for p, v in payload["decisions"]),
+            crashed=tuple(_int(p, "pid") for p in payload["crashed"]),
         )
 
 
@@ -117,11 +123,11 @@ class ValenceNodeRecord(NamedTuple):
     @classmethod
     def from_payload(cls, payload: dict) -> "ValenceNodeRecord":
         return cls(
-            node=int(payload["node"]),
+            node=_int(payload["node"], "node"),
             values=tuple(payload["values"]),
             critical=bool(payload["critical"]),
-            decided=tuple((int(p), v) for p, v in payload["decided"]),
-            edges=tuple((step, int(dst)) for step, dst in payload["edges"]),
+            decided=tuple((_int(p, "pid"), v) for p, v in payload["decided"]),
+            edges=tuple((step, _int(dst, "node")) for step, dst in payload["edges"]),
         )
 
 
@@ -150,16 +156,18 @@ class HistoryEventRecord(NamedTuple):
 
     @classmethod
     def from_payload(cls, payload: dict) -> "HistoryEventRecord":
-        result = payload["result"]
-        return cls(
-            k=int(payload["k"]),
-            kind=payload["kind"],
-            pid=int(payload["pid"]),
-            op=payload["op"],
-            timestamp=int(payload["timestamp"]),
-            value=payload["value"],
-            result=None if result is None else decode_window(result),
-        )
+        k, event = _history_event(payload)
+        return cls(k, *event)
+
+
+def _history_event(payload: dict) -> tuple[int, Event]:
+    """(k, event) of a history-event payload: the one decoder of its fields."""
+    result = payload["result"]
+    return _int(payload["k"], "k"), Event._make((
+        payload["kind"], _int(payload["pid"], "pid"), payload["op"],
+        _int(payload["timestamp"], "timestamp"), payload["value"],
+        None if result is None else decode_window(result),
+    ))
 
 
 _RECORD_TYPES = {
@@ -187,7 +195,11 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 def parse(line: str):
     """The record on one trace line; surrounding whitespace is ignored."""
-    line = line.strip()
+    payload, cls = _payload(line.strip())
+    return _decoded(cls.from_payload, payload)
+
+
+def _payload(line: str) -> tuple[dict, type]:
     try:
         payload, end = _raw_decode(line)
         if end != len(line):
@@ -203,8 +215,12 @@ def parse(line: str):
     cls = _RECORD_TYPES.get(payload.get("type"))
     if cls is None:
         raise TraceError(f"unknown record type {payload.get('type')!r}")
+    return payload, cls
+
+
+def _decoded(decode, payload: dict):
     try:
-        return cls.from_payload(payload)
+        return decode(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceError(f"malformed {payload.get('type')} record: {exc}") from exc
 
@@ -218,6 +234,20 @@ def write_records(path: str, records: Iterable) -> None:
 def read_records(path: str) -> list:
     with open(path, "r", encoding="utf-8") as fh:
         return [parse(line) for line in map(str.strip, fh) if line]
+
+
+def read_history(path: str) -> History:
+    """The history in a history-event file, each line decoded straight to an event."""
+    pairs, foreign = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for payload, cls in map(_payload, filter(None, map(str.strip, fh))):
+            if cls is HistoryEventRecord:
+                pairs.append(_decoded(_history_event, payload))
+            else:
+                foreign.append(_decoded(cls.from_payload, payload))
+    if foreign:
+        raise TraceError(f"history files hold history-event records, got {foreign[0]!r}")
+    return _history(pairs)
 
 
 def outcome_record(outcome: Outcome) -> OutcomeRecord:
@@ -255,11 +285,14 @@ def history_to_records(history: History) -> list[HistoryEventRecord]:
 
 
 def history_from_records(records: Iterable[HistoryEventRecord]) -> History:
-    records = list(records)
-    if not records:
+    # An event is a history-event record without its leading k.
+    return _history([(r.k, Event._make(r[1:])) for r in records])
+
+
+def _history(pairs: list) -> History:
+    if not pairs:
         raise TraceError("history file holds no events")
-    ks = {r.k for r in records}
+    ks = {k for k, _ in pairs}
     if len(ks) != 1:
         raise TraceError(f"history events disagree on k: {sorted(ks)}")
-    # An event is a history-event record without its leading k.
-    return History(ks.pop(), [Event._make(r[1:]) for r in records])
+    return History(ks.pop(), [event for _, event in pairs])

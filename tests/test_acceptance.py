@@ -139,7 +139,7 @@ def test_criterion_2_one_extra_participant_breaks_agreement():
         if not found:
             problems.append(f"k={k}: no violating schedule found")
             continue
-        lead = found[0]
+        lead = found[0][0]
         if lead != eviction_schedule(k, n):
             problems.append(
                 f"k={k}: leading schedule {','.join(format_schedule(lead))} is not the eviction schedule"
@@ -150,7 +150,7 @@ def test_criterion_2_one_extra_participant_breaks_agreement():
     exhaustive = find_violation(protocol, 1, 2)
     if not exhaustive:
         problems.append("k=1 exhaustive search found nothing")
-    got = {tuple(format_schedule(s)) for s in exhaustive}
+    got = {tuple(format_schedule(s)) for s, _, _ in exhaustive}
     if got != K1_VIOLATING_SET:
         problems.append(f"k=1 violating set {sorted(got)} != {sorted(K1_VIOLATING_SET)}")
     elapsed = time.monotonic() - start

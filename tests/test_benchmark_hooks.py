@@ -33,3 +33,26 @@ def test_verify_builds_violation_records_without_replaying(tmp_path, capsys):
     calls = tracer.summary().calls
     assert calls["trace.violation_record"] == 1944
     assert calls["sim.run_schedule"] == 0
+
+
+def test_lincheck_file_decodes_without_per_line_parse(tmp_path):
+    # the benchmark's lincheck job: one pass from lines to events
+    path = str(tmp_path / "h.jsonl")
+    argv = ["lincheck", "stress", "--threads", "3", "--ops", "4", "--histories", "1"]
+    assert cli.main(argv + ["--save", path]) == 0
+    with Tracer() as tracer:
+        layers.install(tracer)
+        assert cli.main(["lincheck", "file", "--path", path]) == 0
+    calls = tracer.summary().calls
+    assert calls["lincheck.check_linearizable"] == 1
+    assert calls["trace.parse"] == 0
+    assert calls["trace.read_records"] == 0
+
+
+def test_violate_builds_violation_records_without_replaying():
+    with Tracer() as tracer:
+        layers.install(tracer)
+        assert cli.main(["violate", "--k", "3", "--max", "50"]) == 1
+    calls = tracer.summary().calls
+    assert calls["trace.violation_record"] == 50
+    assert calls["sim.run_schedule"] == 0

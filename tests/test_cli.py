@@ -1,4 +1,5 @@
 import hashlib
+import json
 import subprocess
 import sys
 
@@ -356,6 +357,76 @@ def test_lincheck_file_rejects_unhashable_values(capsys, tmp_path, op, invoke, r
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "not hashable" in err
+
+
+def event_line(**fields):
+    payload = {
+        "type": "history-event", "schema_version": 1, "k": 2, "kind": "invoke",
+        "pid": 1, "op": "write", "timestamp": 0, "value": 5, "result": None,
+    }
+    payload.update(fields)
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+WRITE = [event_line(), event_line(kind="respond", timestamp=1, value=None)]
+READ = [
+    event_line(pid=2, op="read", timestamp=2, value=None),
+    event_line(kind="respond", pid=2, op="read", timestamp=3, value=None, result=[None, 5]),
+]
+OUTCOME = '{"crashed":[],"decisions":[[1,0]],"schema_version":1,"type":"outcome"}'
+NOT_OBJECT_KEY = (
+    "error: not valid JSON: Expecting property name enclosed in double quotes: "
+    "line 1 column 2 (char 1)"
+)
+
+
+@pytest.mark.parametrize(
+    "lines, code, first_err",
+    [
+        (WRITE + READ, 0, ""),
+        (["", "  " + WRITE[0], "", "\t" + WRITE[1], *READ, " "], 0, ""),
+        (WRITE + [READ[0], event_line(**{**json.loads(READ[1]), "result": [None, 6]})], 1, ""),
+        (WRITE + ["{not json"], 2, NOT_OBJECT_KEY),
+        (WRITE[:1] + [WRITE[1] + " x"], 2, "error: not valid JSON: Extra data: line 1 column 130 (char 129)"),
+        (WRITE[:1] + ["[1, 2]"], 2, "error: trace lines must be JSON objects"),
+        (WRITE[:1] + [event_line(schema_version=2)], 2, "error: unsupported schema version 2"),
+        (WRITE[:1] + [event_line(type="mystery")], 2, "error: unknown record type 'mystery'"),
+        ([OUTCOME], 2, "error: history files hold history-event records, got "
+         "OutcomeRecord(decisions=((1, 0),), crashed=())"),
+        ([OUTCOME, WRITE[0], "{not json"], 2, NOT_OBJECT_KEY),
+        (WRITE[:1] + [WRITE[1].replace(',"pid":1', "")], 2,
+         "error: malformed history-event record: 'pid'"),
+        (WRITE[:1] + [event_line(pid="x")], 2,
+         "error: malformed history-event record: pid must be an integer, got 'x'"),
+        (WRITE[:1] + [event_line(k=3, kind="respond", timestamp=1, value=None)], 2,
+         "error: history events disagree on k: [2, 3]"),
+        ([], 2, "error: history file holds no events"),
+        (["", "   ", "\t"], 2, "error: history file holds no events"),
+        ([event_line(value=[1]), WRITE[1]], 2, "error: written value [1] is not hashable"),
+        (WRITE[:1] + ['{"crashed":[],"schema_version":1,"type":"outcome"}'], 2,
+         "error: malformed outcome record: 'decisions'"),
+        ([event_line(k=True)] + [line.replace('"k":2', '"k":true') for line in WRITE], 2,
+         "error: malformed history-event record: k must be an integer, got True"),
+        (WRITE[:1] + [event_line(kind="respond", pid=1.5, timestamp=1, value=None)], 2,
+         "error: malformed history-event record: pid must be an integer, got 1.5"),
+        ([event_line(timestamp=1.2)], 2,
+         "error: malformed history-event record: timestamp must be an integer, got 1.2"),
+    ],
+    ids=[
+        "valid", "blank-and-padded", "not-linearizable", "bad-json", "extra-data",
+        "non-object", "wrong-schema", "unknown-type", "wrong-record-type",
+        "wrong-record-type-then-bad-line", "missing-key", "bad-int", "mixed-k", "empty",
+        "blank-only", "unhashable-value", "malformed-outcome", "bool-k", "float-pid",
+        "float-timestamp",
+    ],
+)
+def test_lincheck_file_exit_code_and_first_error_line(capsys, tmp_path, lines, code, first_err):
+    # integer fields are never coerced: 1.5, true and "2" are refused, not read as ints
+    path = tmp_path / "history.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    got, out, err = run_cli(capsys, "lincheck", "file", "--path", str(path))
+    assert (got, (err.splitlines() or [""])[0]) == (code, first_err)
+    assert (out == "") == (code == 2)
 
 
 def test_lincheck_file_missing_path(capsys, tmp_path):

@@ -287,7 +287,9 @@ def replayed_violations(inputs, k, n, max_results):
     for s in first + rest:
         out = run_schedule(PROTO, inputs, k, s)
         if not check_outcome(inputs, out.decisions, out.crashed).agreement:
-            found.append(s)
+            found.append(
+                (s, tuple(sorted(out.decisions.items())), tuple(sorted(out.crashed)))
+            )
     return found if max_results is None else found[:max_results]
 
 
@@ -327,14 +329,15 @@ def test_eviction_schedule_shape():
 
 def test_find_violation_k2_leads_with_the_eviction_run():
     found = find_violation(PROTO, 2, 3, max_results=1)
-    assert [format_schedule(s) for s in found] == [["E1", "E1", "E2", "E3", "E2"]]
-    out = run_schedule(PROTO, default_inputs(3), 2, found[0])
+    assert [format_schedule(s) for s, _, _ in found] == [["E1", "E1", "E2", "E3", "E2"]]
+    assert found[0][1:] == (((1, 0), (2, 1)), ())
+    out = run_schedule(PROTO, default_inputs(3), 2, found[0][0])
     assert out.decisions == {1: 0, 2: 1}
 
 
 def test_find_violation_k1_is_exhaustive():
     found = find_violation(PROTO, 1, 2)
-    assert [format_schedule(s) for s in found] == [
+    assert [format_schedule(s) for s, _, _ in found] == [
         ["E1", "E1", "E2", "E2"],
         ["E2", "E2", "E1", "E1"],
     ]

@@ -1,5 +1,9 @@
+import json
+import os
+import tempfile
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kslide.lincheck import Event, History
@@ -18,6 +22,7 @@ from kslide.trace import (
     history_to_records,
     outcome_record,
     parse,
+    read_history,
     read_records,
     serialize,
     violation_record,
@@ -189,3 +194,141 @@ def test_file_round_trip(tmp_path):
     ]
     write_records(path, originals)
     assert read_records(path) == originals
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (
+            '{"type":"history-event","schema_version":1,"k":true,"kind":"invoke",'
+            '"pid":1,"op":"read","timestamp":0,"value":null,"result":null}',
+            "malformed history-event record: k must be an integer, got True",
+        ),
+        (
+            '{"type":"history-event","schema_version":1,"k":2,"kind":"invoke",'
+            '"pid":1.5,"op":"read","timestamp":0,"value":null,"result":null}',
+            "malformed history-event record: pid must be an integer, got 1.5",
+        ),
+        (
+            '{"type":"history-event","schema_version":1,"k":2,"kind":"invoke",'
+            '"pid":1,"op":"read","timestamp":1.2,"value":null,"result":null}',
+            "malformed history-event record: timestamp must be an integer, got 1.2",
+        ),
+        (
+            '{"type":"history-event","schema_version":1,"k":"2","kind":"invoke",'
+            '"pid":1,"op":"read","timestamp":0,"value":null,"result":null}',
+            "malformed history-event record: k must be an integer, got '2'",
+        ),
+        (
+            '{"type":"outcome","schema_version":1,"decisions":[[true,0]],"crashed":[]}',
+            "malformed outcome record: pid must be an integer, got True",
+        ),
+        (
+            '{"type":"outcome","schema_version":1,"decisions":[],"crashed":["2"]}',
+            "malformed outcome record: pid must be an integer, got '2'",
+        ),
+        (
+            '{"type":"violation","schema_version":1,"k":2.0,"n":3,"inputs":[],'
+            '"schedule":[],"decisions":[],"crashed":[]}',
+            "malformed violation record: k must be an integer, got 2.0",
+        ),
+        (
+            '{"type":"violation","schema_version":1,"k":2,"n":3,"inputs":[[1.0,0]],'
+            '"schedule":[],"decisions":[],"crashed":[]}',
+            "malformed violation record: pid must be an integer, got 1.0",
+        ),
+        (
+            '{"type":"valence-node","schema_version":1,"node":false,"values":[],'
+            '"critical":false,"decided":[],"edges":[]}',
+            "malformed valence-node record: node must be an integer, got False",
+        ),
+        (
+            '{"type":"valence-node","schema_version":1,"node":0,"values":[],'
+            '"critical":false,"decided":[],"edges":[["E1",1.5]]}',
+            "malformed valence-node record: node must be an integer, got 1.5",
+        ),
+    ],
+    ids=[
+        "bool-k", "float-pid", "float-timestamp", "string-k", "bool-decision-pid",
+        "string-crashed-pid", "float-violation-k", "float-input-pid", "bool-node",
+        "float-edge-destination",
+    ],
+)
+def test_integer_fields_must_be_json_integers(line, message):
+    with pytest.raises(TraceError) as raised:
+        parse(line)
+    assert str(raised.value) == message
+
+
+def reference_history(path):
+    """What lincheck file decoded before read_history: every record, then a
+    record-type check, then history_from_records."""
+    records = read_records(path)
+    for record in records:
+        if not isinstance(record, HistoryEventRecord):
+            raise TraceError(f"history files hold history-event records, got {record!r}")
+    return history_from_records(records)
+
+
+def alter(line, how):
+    """One history-event line changed the way `how` names."""
+    payload = json.loads(line)
+    if how == "bad-json":
+        return line[:-1]
+    if how == "outcome":
+        return serialize(OutcomeRecord(((1, 0),), ()))
+    if how == "missing-key":
+        del payload["op"]
+    elif how == "schema":
+        payload["schema_version"] = 2
+    elif how == "other-k":
+        payload["k"] += 1
+    elif how == "float-pid":
+        payload["pid"] += 0.5
+    elif how == "blank":
+        return "  "
+    elif how == "padded":
+        return f" \t{line}  "
+    return json.dumps(payload)
+
+
+history_lines = st.lists(
+    st.tuples(
+        st.sampled_from(["invoke", "respond"]), st.integers(1, 3),
+        st.sampled_from(["read", "write"]), st.one_of(st.none(), st.integers(0, 9)),
+        st.one_of(st.none(), windows),
+    ),
+    max_size=6,
+).map(
+    lambda events: [
+        serialize(HistoryEventRecord(2, kind, pid, op, ts, value, result))
+        for ts, (kind, pid, op, value, result) in enumerate(events)
+    ]
+)
+alterations = st.sampled_from(
+    [None, "bad-json", "outcome", "missing-key", "schema", "other-k", "float-pid",
+     "blank", "padded"]
+)
+
+
+@given(history_lines, alterations, st.integers(0, 5), st.booleans())
+@example(["{}", "{}"], "outcome", 0, False)  # a record of another type, then a bad line
+@settings(deadline=None)
+def test_read_history_matches_records_then_history(lines, how, where, blank_lines):
+    if how is not None and lines:
+        where %= len(lines)
+        lines = lines[:where] + [alter(lines[where], how)] + lines[where + 1 :]
+    if blank_lines:
+        lines = ["", *lines, "   ", ""]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "history.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        try:
+            expected = reference_history(path)
+        except TraceError as exc:
+            with pytest.raises(TraceError) as raised:
+                read_history(path)
+            assert str(raised.value) == str(exc)
+        else:
+            assert read_history(path) == expected

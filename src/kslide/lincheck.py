@@ -52,8 +52,8 @@ class History:
     def operations(self) -> "list[OpRecord]":
         """Pair events into operation records, ordered by invocation time,
         validating them on the way (see validate)."""
-        ops: list[OpRecord] = []
-        open_ops: dict[int, int] = {}  # pid -> index of its open operation
+        ops: list = []  # OpRecord per operation, None while it is open
+        open_ops: dict = {}  # pid -> (index, op, value, invoked) of its open operation
         last_ts = None
         for kind, pid, op, ts, value, result in self.events:
             if kind not in ("invoke", "respond"):
@@ -74,11 +74,11 @@ class History:
                     raise MalformedHistoryError("write invocation needs a real value")
                 if op == "write" and not _hashable(value):
                     raise MalformedHistoryError(f"written value {value!r} is not hashable")
-                open_ops[pid] = len(ops)
-                ops.append(OpRecord(pid, op, value, None, ts, None))
+                open_ops[pid] = (len(ops), op, value, ts)
+                ops.append(None)
             else:
-                i = open_ops.pop(pid, None)
-                if i is None or ops[i].op != op:
+                started = open_ops.pop(pid, None)
+                if started is None or started[1] != op:
                     raise MalformedHistoryError(
                         f"response without matching invocation for process {pid}"
                     )
@@ -86,8 +86,10 @@ class History:
                     raise MalformedHistoryError("read response needs a window tuple")
                 if op == "read" and not _hashable(result):
                     raise MalformedHistoryError(f"read window {result!r} is not hashable")
-                started = ops[i]
-                ops[i] = OpRecord(pid, op, started.value, result, started.invoked, ts)
+                i, _, invoked_value, invoked = started
+                ops[i] = OpRecord(pid, op, invoked_value, result, invoked, ts)
+        for pid, (i, op, value, invoked) in open_ops.items():
+            ops[i] = OpRecord(pid, op, value, None, invoked, None)
         return ops
 
 

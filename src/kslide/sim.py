@@ -3,18 +3,20 @@
 Protocols are described as bounded step functions over shared sliding
 registers. A schedule is a sequence of Exec and Crash steps; running one is
 fully deterministic, so interleavings can be enumerated and checked
-exhaustively at small scale, including every crash truncation. The search
+exhaustively at small scale, including every crash truncation, by one
+depth-first walk that keeps each depth's configuration on a stack. The search
 for agreement counterexamples with one participant too many lives here too.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
-from .consensus import check_outcome
+from .consensus import PropertyReport, check_outcome
 from .lincheck import Event, History
 from .register import BOTTOM, Value, empty_window, first_non_bottom, slide
 
@@ -215,16 +217,6 @@ def apply_crash(cfg: Configuration, pid: int) -> Configuration:
     )
 
 
-def _apply(
-    protocol: Protocol, inputs: Mapping[int, Value], k: int, cfg: Configuration, step: Step
-) -> Configuration:
-    if isinstance(step, Exec):
-        return apply_exec(protocol, inputs, k, cfg, step.pid)
-    if isinstance(step, Crash):
-        return apply_crash(cfg, step.pid)
-    raise TypeError(f"not a schedule step: {step!r}")
-
-
 @dataclass(frozen=True)
 class Outcome:
     """What a schedule produced: decisions of the processes that completed,
@@ -261,7 +253,12 @@ def run_schedule(
         op = None
         if record_history and isinstance(step, Exec):
             op = pending_op(protocol, inputs, cfg, step.pid)
-        cfg = _apply(protocol, inputs, k, cfg, step)
+        if isinstance(step, Exec):
+            cfg = apply_exec(protocol, inputs, k, cfg, step.pid)
+        elif isinstance(step, Crash):
+            cfg = apply_crash(cfg, step.pid)
+        else:
+            raise TypeError(f"not a schedule step: {step!r}")
         if op is None:
             continue
         clock = len(events)
@@ -285,26 +282,52 @@ def _ops_map(n: int, ops_per_process) -> dict[int, int]:
     return ops
 
 
-def _interleavings(sequences: list[tuple[int, tuple]]) -> Iterator[Schedule]:
-    """All distinct interleavings of the per-process step sequences, choosing
-    the smallest available pid first at every branch."""
-    total = sum(len(steps) for _, steps in sequences)
-    taken = [0] * len(sequences)
-    prefix: list[Step] = []
+def _no_state(state: None, pid: int) -> None:
+    return None
 
-    def rec() -> Iterator[Schedule]:
-        if len(prefix) == total:
-            yield tuple(prefix)
-            return
-        for i, (_, steps) in enumerate(sequences):
-            if taken[i] < len(steps):
-                prefix.append(steps[taken[i]])
+
+def _walk(
+    ops: Mapping[int, int], with_crashes: bool, root, exec_step: Callable, crash_step: Callable
+) -> Iterator[list[tuple]]:
+    """Depth-first over every schedule in enumerate_schedules' order. stack[d]
+    is the (state, process index, step) frame after d steps, stack[0] holds
+    root, and each tree edge is one exec_step(state, pid) or crash_step(state,
+    pid) call, so no prefix is replayed. The live stack is yielded at each
+    leaf; build its schedule (_schedule) only where one is needed."""
+    variants = []
+    for pid in sorted(ops):
+        execs = ((Exec(pid), exec_step),) * ops[pid]
+        crash_after = range(ops[pid]) if with_crashes else ()
+        variants.append([execs] + [execs[:b] + ((Crash(pid), crash_step),) for b in crash_after])
+    for sequences in itertools.product(*variants):
+        lengths = [len(moves) for moves in sequences]
+        total = sum(lengths)
+        width = len(sequences)
+        taken = [0] * width
+        stack = [(root, -1, None)]
+        i = 0
+        while True:
+            if len(stack) > total:
+                yield stack
+                i = width
+            else:
+                while i < width and taken[i] == lengths[i]:
+                    i += 1
+            if i < width:
+                step, apply = sequences[i][taken[i]]
                 taken[i] += 1
-                yield from rec()
-                taken[i] -= 1
-                prefix.pop()
+                stack.append((apply(stack[-1][0], step.pid), i, step))
+                i = 0
+                continue
+            if len(stack) == 1:
+                break
+            i = stack.pop()[1]
+            taken[i] -= 1
+            i += 1
 
-    return rec()
+
+def _schedule(stack: list[tuple]) -> Schedule:
+    return tuple(step for _, _, step in stack[1:])
 
 
 def enumerate_schedules(
@@ -318,37 +341,14 @@ def enumerate_schedules(
     process that crashes after b of its m steps contributes b Exec steps
     followed by one Crash marker. Crashing after the last step is omitted
     because it is observationally the same as completing. Order is
-    deterministic: crash variants in boundary order per process, smallest
-    pid first at every interleaving branch.
+    deterministic: crash variants in boundary order per process (pid 1 most
+    significant), smallest pid first at every interleaving branch.
     """
     if n < 1:
         raise ValueError("need at least one process")
     ops = _ops_map(n, ops_per_process)
-    pids = sorted(ops)
-    if not with_crashes:
-        yield from _interleavings(
-            [(pid, (Exec(pid),) * ops[pid]) for pid in pids]
-        )
-        return
-    variant_lists = []
-    for pid in pids:
-        m = ops[pid]
-        variants = [(Exec(pid),) * m]
-        variants.extend(
-            (Exec(pid),) * b + (Crash(pid),) for b in range(m)
-        )
-        variant_lists.append(variants)
-
-    def combos(i: int, chosen: list) -> Iterator[Schedule]:
-        if i == len(pids):
-            yield from _interleavings(list(zip(pids, chosen)))
-            return
-        for variant in variant_lists[i]:
-            chosen.append(variant)
-            yield from combos(i + 1, chosen)
-            chosen.pop()
-
-    yield from combos(0, [])
+    for stack in _walk(ops, with_crashes, None, _no_state, _no_state):
+        yield _schedule(stack)
 
 
 @dataclass(frozen=True)
@@ -363,33 +363,10 @@ class VerificationReport:
         return not self.violations
 
 
-def _final_configs(
-    protocol: Protocol,
-    inputs: Mapping[int, Value],
-    k: int,
-    schedules: Iterable[Schedule],
-) -> Iterator[tuple[Schedule, Configuration]]:
-    """(schedule, final configuration) for each schedule, in order.
-
-    path[i] is the configuration after the first i steps of the previous
-    schedule, so each schedule runs only the steps after the prefix it
-    shares with the one before; enumeration order makes those prefixes long.
-    """
-    path = [initial_config(protocol, inputs, k)]
-    prev: Schedule = ()
-    for sched in schedules:
-        shared = 0
-        for a, b in zip(sched, prev):
-            if a != b:
-                break
-            shared += 1
-        del path[shared + 1 :]
-        cfg = path[shared]
-        for step in sched[shared:]:
-            cfg = _apply(protocol, inputs, k, cfg, step)
-            path.append(cfg)
-        prev = sched
-        yield sched, cfg
+def _judge(inputs: Mapping[int, Value]) -> Callable[[tuple, tuple], PropertyReport]:
+    """check_outcome of a final (decided, crashed) pair, memoized: the report
+    is a pure function of the pair, so each distinct one is judged once."""
+    return functools.cache(lambda decided, crashed: check_outcome(inputs, dict(decided), crashed))
 
 
 def verify_all(
@@ -399,17 +376,23 @@ def verify_all(
     inputs: Optional[Mapping[int, Value]] = None,
     with_crashes: bool = False,
 ) -> VerificationReport:
-    """Run every enumerated schedule and check the consensus properties on
-    each outcome. Returns the total schedule count and all violations."""
+    """Check the consensus properties on every enumerated schedule, walked
+    depth first with each depth's configuration on a stack (_walk) and each
+    distinct outcome judged once (_judge). Returns the total schedule count
+    and all violations, in enumeration order."""
     inputs = default_inputs(n) if inputs is None else dict(inputs)
+    root = initial_config(protocol, inputs, k)
+    exec_step = functools.partial(apply_exec, protocol, inputs, k)
+    ops = _ops_map(n, protocol.steps_per_process)
+    judge = _judge(inputs)
     count = 0
     violations = []
-    schedules = enumerate_schedules(n, protocol.steps_per_process, with_crashes)
-    for sched, cfg in _final_configs(protocol, inputs, k, schedules):
-        report = check_outcome(inputs, cfg.decisions(), cfg.crashed)
+    for stack in _walk(ops, with_crashes, root, exec_step, apply_crash):
+        cfg = stack[-1][0]
+        report = judge(cfg.decided, cfg.crashed)
         count += 1
         if not report.ok:
-            violations.append((sched, report, cfg.decided, cfg.crashed))
+            violations.append((_schedule(stack), report, cfg.decided, cfg.crashed))
     return VerificationReport(count, tuple(violations))
 
 
@@ -440,26 +423,41 @@ def find_violation(
     """(schedule, decided, crashed) per agreement violation, eviction run
     first; decided and crashed are the final configuration's sorted tuples.
 
-    The canonical eviction schedule is tried first when n == k + 1; after
-    that every complete crash-free schedule is checked in enumeration order.
-    Crash markers cannot create disagreement on their own (they only remove
-    future steps), so the complete crash-free set is the exhaustive one for
-    runs where every process decides.
+    The canonical eviction schedule is run first when n == k + 1; after
+    that every other complete crash-free schedule is checked in enumeration
+    order, by verify_all's walk, until max_results are found. Crash markers
+    cannot create disagreement on their own (they only remove future
+    steps), so the complete crash-free set is the exhaustive one for runs
+    where every process decides.
     """
     inputs = default_inputs(n) if inputs is None else dict(inputs)
-    found = []
-    first: list[Schedule] = []
+    root = initial_config(protocol, inputs, k)
+    exec_step = functools.partial(apply_exec, protocol, inputs, k)
+    ops = _ops_map(n, protocol.steps_per_process)
+    judge = _judge(inputs)
+    found: list[tuple[Schedule, tuple, tuple]] = []
+    if max_results is not None and max_results <= 0:
+        return found
+    evict = None
     # The eviction run is a valid schedule exactly when every process has
     # at least the two steps it uses.
     if n == k + 1 and n >= 2 and protocol.steps_per_process >= 2:
-        first.append(eviction_schedule(k, n))
-    rest = enumerate_schedules(n, protocol.steps_per_process)
-    schedules = itertools.chain(first, (s for s in rest if s not in first))
-    for sched, cfg in _final_configs(protocol, inputs, k, schedules):
-        if max_results is not None and len(found) >= max_results:
-            break
-        if not check_outcome(inputs, cfg.decisions(), cfg.crashed).agreement:
-            found.append((sched, cfg.decided, cfg.crashed))
+        evict = eviction_schedule(k, n)
+        cfg = root
+        for step in evict:
+            cfg = exec_step(cfg, step.pid)
+        if not judge(cfg.decided, cfg.crashed).agreement:
+            found.append((evict, cfg.decided, cfg.crashed))
+            if len(found) == max_results:
+                return found
+    for stack in _walk(ops, False, root, exec_step, apply_crash):
+        cfg = stack[-1][0]
+        if not judge(cfg.decided, cfg.crashed).agreement:
+            sched = _schedule(stack)
+            if sched != evict:
+                found.append((sched, cfg.decided, cfg.crashed))
+                if len(found) == max_results:
+                    break
     return found
 
 

@@ -11,6 +11,7 @@ import math
 from typing import NamedTuple, Optional
 
 from kslide.register import BOTTOM
+from kslide.sim import Crash, Exec
 
 
 def padded_last_k(values: list, k: int) -> tuple:
@@ -67,6 +68,30 @@ def with_crash_count(n: int, ops: int) -> int:
 
     rec(0, [])
     return total
+
+
+def schedule_order(n: int, m: int, crashes: bool) -> list:
+    """Every schedule of n processes with m steps each, in enumeration order.
+
+    Crash-free, these are the distinct permutations of the multiset of Exec
+    steps, sorted by their pid sequences. With crashes, a process runs
+    either all m steps or b < m steps and a Crash marker; the same sorted
+    permutations are listed for each combination of those variants, the
+    combinations in itertools.product order (pid 1 most significant).
+    """
+    variants = []
+    for pid in range(1, n + 1):
+        options = [[Exec(pid)] * m]
+        if crashes:
+            options.extend([Exec(pid)] * b + [Crash(pid)] for b in range(m))
+        variants.append(options)
+    order = []
+    for combo in itertools.product(*variants):
+        pids = [pid for pid, steps in enumerate(combo, 1) for _ in steps]
+        for pid_order in sorted(set(itertools.permutations(pids))):
+            rest = [iter(steps) for steps in combo]
+            order.append(tuple(next(rest[pid - 1]) for pid in pid_order))
+    return order
 
 
 class _Op(NamedTuple):

@@ -33,6 +33,18 @@ def test_verify_builds_violation_records_without_replaying(tmp_path, capsys):
     calls = tracer.summary().calls
     assert calls["trace.violation_record"] == 1944
     assert calls["sim.run_schedule"] == 0
+    # one check per distinct (decided, crashed) outcome, not per schedule
+    assert calls["consensus.check_outcome"] == 88
+
+
+def test_verify_judges_each_distinct_outcome_once():
+    # the benchmark's first verify job: 2,520 schedules, 4 distinct outcomes
+    with Tracer() as tracer:
+        layers.install(tracer)
+        assert cli.main(["verify", "--k", "4", "--n", "4"]) == 0
+    calls = tracer.summary().calls
+    assert calls["consensus.check_outcome"] == 4
+    assert calls["sim.run_schedule"] == 0
 
 
 def test_lincheck_file_decodes_without_per_line_parse(tmp_path):

@@ -13,6 +13,7 @@ from kslide.lincheck import (
     Event,
     History,
     MalformedHistoryError,
+    OpRecord,
     check_linearizable,
     stress,
 )
@@ -105,6 +106,24 @@ def test_operations_pairs_events():
         (3, "write", True),
     ]
     assert ops[1].result == (BOTTOM,)
+
+
+def test_pending_operations_keep_their_invocation_slot():
+    # p1's write and p3's read never respond; records stay in invocation order
+    events = [
+        ev("invoke", 1, "write", 0, value=7),
+        ev("invoke", 2, "write", 1, value=5),
+        ev("invoke", 3, "read", 2),
+        ev("respond", 2, "write", 3),
+        ev("invoke", 2, "read", 4),
+        ev("respond", 2, "read", 5, result=(5,)),
+    ]
+    assert History(1, events).operations() == [
+        OpRecord(1, "write", 7, None, 0, None),
+        OpRecord(2, "write", 5, None, 1, 3),
+        OpRecord(3, "read", None, None, 2, None),
+        OpRecord(2, "read", None, (5,), 4, 5),
+    ]
 
 
 # ---------------------------------------------------------------- checking

@@ -8,6 +8,8 @@ from kslide.register import BOTTOM
 from kslide.sim import (
     Crash,
     Exec,
+    Protocol,
+    ReadOp,
     ScheduleError,
     apply_crash,
     apply_exec,
@@ -27,7 +29,7 @@ from kslide.sim import (
     verify_all,
 )
 from kslide.valence import Explorer, check_commutation
-from oracles import crash_free_count, with_crash_count
+from oracles import crash_free_count, schedule_order, with_crash_count
 
 PROTO = consensus_protocol()
 
@@ -224,6 +226,13 @@ def test_counts_match_factorial_oracle(n, ops):
     )
 
 
+@pytest.mark.parametrize("crashes", [False, True])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_enumeration_order_matches_oracle(n, m, crashes):
+    assert list(enumerate_schedules(n, m, crashes)) == schedule_order(n, m, crashes)
+
+
 def test_crash_enumeration_shape():
     seen = set()
     for s in enumerate_schedules(2, 2, with_crashes=True):
@@ -263,6 +272,36 @@ def test_verify_k1_two_processes_finds_the_disagreements():
     for _, prop, decided, crashed in report.violations:
         assert not prop.agreement
         assert len(set(dict(decided).values())) == 2 and crashed == ()
+
+
+@pytest.mark.parametrize("crashes", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2])
+def test_verify_violations_follow_oracle_order(k, n, crashes):
+    inputs = default_inputs(n)
+    schedules = schedule_order(n, 2, crashes)
+    violating = []
+    for s in schedules:
+        out = run_schedule(PROTO, inputs, k, s)
+        if not check_outcome(inputs, out.decisions, out.crashed).ok:
+            violating.append(s)
+    report = verify_all(PROTO, k, n, with_crashes=crashes)
+    assert report.schedules_checked == len(schedules)
+    assert [s for s, *_ in report.violations] == violating
+
+
+def test_deep_protocol_is_walked_without_recursion():
+    def next_op(pid, proposal, results):
+        return ReadOp(0)
+
+    def decide(pid, proposal, results):
+        return proposal
+
+    deep = Protocol("deep", 1, 1200, next_op, decide)
+    report = verify_all(deep, 1, 1)
+    assert report.schedules_checked == 1 and report.ok
+    assert find_violation(deep, 1, 1) == []
+    assert list(enumerate_schedules(1, 1200)) == [(Exec(1),) * 1200]
 
 
 def replayed_verify(inputs, k, n, crashes):

@@ -124,8 +124,8 @@ def cmd_verify(args) -> int:
             )
             if not held
         ]
-        print(f"violation: {','.join(format_schedule(sched))} breaks {','.join(failed)}")
         records.append(violation_record(k, n, inputs, sched, decided, crashed))
+        print(f"violation: {','.join(records[-1].schedule)} breaks {','.join(failed)}")
     _emit(records, args.output)
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
@@ -143,10 +143,10 @@ def cmd_violate(args) -> int:
         return EXIT_OK
     records = []
     for sched, decided, crashed in found:
-        print(f"schedule: {','.join(format_schedule(sched))}")
+        records.append(violation_record(k, n, inputs, sched, decided, crashed))
+        print(f"schedule: {','.join(records[-1].schedule)}")
         for pid, value in decided:
             print(f"  p{pid} decides {value}")
-        records.append(violation_record(k, n, inputs, sched, decided, crashed))
     _emit(records, args.output)
     return EXIT_VIOLATION
 

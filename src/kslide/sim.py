@@ -99,12 +99,19 @@ class Protocol:
 
 def consensus_protocol() -> Protocol:
     """The built-in two-step protocol: write the proposal, read the window,
-    decide the oldest visible value."""
+    decide the oldest visible value. Operations are built once; a process's
+    write is reused while it proposes the same object, so 1, 1.0 and True
+    stay distinct."""
+    read = ReadOp(0)
+    writes: dict[int, WriteOp] = {}
 
     def next_op(pid: int, proposal: Value, results: tuple) -> RegisterOp:
-        if not results:
-            return WriteOp(0, proposal)
-        return ReadOp(0)
+        if results:
+            return read
+        op = writes.get(pid)
+        if op is None or op.value is not proposal:
+            op = writes[pid] = WriteOp(0, proposal)
+        return op
 
     def decide(pid: int, proposal: Value, results: tuple) -> Value:
         return first_non_bottom(results[-1])
@@ -186,25 +193,25 @@ def apply_exec(
     if not is_live(protocol, cfg, pid):
         state = "crashed and cannot take steps" if pid in cfg.crashed else "already finished"
         raise ScheduleError(f"process {pid} {state}")
-    results = cfg.locals[pid - 1]
-    op = protocol.next_op(pid, inputs[pid], results)
-    registers = cfg.registers
-    if not 0 <= op.reg < len(registers):
-        raise ValueError(f"protocol named unknown register {op.reg}")
+    locals_, registers, crashed, decided = cfg
+    results = locals_[pid - 1]
+    proposal = inputs[pid]
+    op = protocol.next_op(pid, proposal, results)
+    reg = op.reg
+    if not 0 <= reg < len(registers):
+        raise ValueError(f"protocol named unknown register {reg}")
     if isinstance(op, WriteOp):
         if op.value is BOTTOM:
             raise ValueError("BOTTOM marks missing values and cannot be written")
-        window = slide(registers[op.reg], op.value)
-        registers = registers[: op.reg] + (window,) + registers[op.reg + 1 :]
+        registers = registers[:reg] + (slide(registers[reg], op.value),) + registers[reg + 1 :]
         results += (None,)
     else:
-        results += (registers[op.reg],)
-    decided = cfg.decided
+        results += (registers[reg],)
     if len(results) == protocol.steps_per_process:
-        value = protocol.decide(pid, inputs[pid], results)
-        decided = tuple(sorted(decided + ((pid, value),)))
-    locals_ = cfg.locals[: pid - 1] + (results,) + cfg.locals[pid:]
-    return Configuration(locals_, registers, cfg.crashed, decided)
+        decided = tuple(sorted(decided + ((pid, protocol.decide(pid, proposal, results)),)))
+    locals_ = locals_[: pid - 1] + (results,) + locals_[pid:]
+    # the same Configuration, without NamedTuple's Python-level __new__ call
+    return tuple.__new__(Configuration, (locals_, registers, crashed, decided))
 
 
 def apply_crash(cfg: Configuration, pid: int) -> Configuration:

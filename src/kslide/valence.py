@@ -12,6 +12,7 @@ graph, and checks whether pending operations commute.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
@@ -150,7 +151,9 @@ class Explorer:
 
     def _build(self, start: Configuration) -> int:
         ids, configs, succ = self._ids, self._configs, self._succ
-        pids = sorted(self.inputs)
+        # bound per build, so that a rebinding of valence.apply_exec is used
+        exec_step = functools.partial(apply_exec, self.protocol, self.inputs, self.k)
+        labels = [(pid, Exec(pid), Crash(pid)) for pid in sorted(self.inputs)]
         first = len(configs)
         ids[start] = first
         configs.append(start)
@@ -160,13 +163,10 @@ class Explorer:
         while node < len(configs):
             cfg = configs[node]
             node += 1
-            live = [pid for pid in pids if is_live(self.protocol, cfg, pid)]
-            steps = [
-                (Exec(pid), apply_exec(self.protocol, self.inputs, self.k, cfg, pid))
-                for pid in live
-            ]
+            movers = [label for label in labels if is_live(self.protocol, cfg, label[0])]
+            steps = [(exec_, exec_step(cfg, pid)) for pid, exec_, _ in movers]
             if self.crash_aware:
-                steps += [(Crash(pid), apply_crash(cfg, pid)) for pid in live]
+                steps += [(crash, apply_crash(cfg, pid)) for pid, _, crash in movers]
             out = []
             for step, nxt in steps:
                 nxt_id = ids.setdefault(nxt, len(configs))
@@ -188,13 +188,6 @@ class Explorer:
                 values.update(dict.fromkeys(decisions[nxt]))
             decisions[node] = frozenset(values)
         return first
-
-    def exec_successors(self, cfg: Configuration) -> list[tuple[int, Configuration]]:
-        return [
-            (step.pid, nxt)
-            for step, nxt in self.successors(cfg)
-            if isinstance(step, Exec)
-        ]
 
     def successors(self, cfg: Configuration) -> list[tuple[Step, Configuration]]:
         configs = self._configs

@@ -170,6 +170,32 @@ def _completions(left: list) -> list:
     return out
 
 
+def replay_consensus(k: int, proposals: list, schedule) -> tuple:
+    """(final window, decisions, crashed set) of a schedule with crashes,
+    under write-then-read-oldest consensus.
+
+    Process i + 1 proposes proposals[i]: its first Exec writes the proposal
+    to a FullSequenceRegister, its second reads the window and decides the
+    oldest non-BOTTOM value in it. A Crash step only marks the process;
+    the schedule is assumed valid.
+    """
+    reg = FullSequenceRegister(k)
+    taken = [0] * len(proposals)
+    decisions = {}
+    crashed = set()
+    for step in schedule:
+        if isinstance(step, Crash):
+            crashed.add(step.pid)
+            continue
+        assert isinstance(step, Exec)
+        if taken[step.pid - 1] == 0:
+            reg.write(proposals[step.pid - 1])
+        else:
+            decisions[step.pid] = next(v for v in reg.read() if v is not BOTTOM)
+        taken[step.pid - 1] += 1
+    return reg.read(), decisions, frozenset(crashed)
+
+
 def decision_set(k: int, proposals: list, prefix) -> set:
     """Values some process decides in some crash-free completion of a pid
     prefix, under write-then-read-oldest consensus.

@@ -68,3 +68,21 @@ def test_violate_builds_violation_records_without_replaying():
     calls = tracer.summary().calls
     assert calls["trace.violation_record"] == 50
     assert calls["sim.run_schedule"] == 0
+
+
+def test_valence_step_counts(tmp_path):
+    # the benchmark's valence jobs: the step gets cheaper, not rarer, and
+    # every call still goes through the names the tracer patches
+    with Tracer() as tracer:
+        layers.install(tracer)
+        assert cli.main(["valence", "--k", "3", "--n", "4"]) == 0
+    calls = tracer.summary().calls
+    assert calls["sim.apply_exec"] == 5132
+    assert calls["sim.apply_crash"] == 0
+    with Tracer() as tracer:
+        layers.install(tracer)
+        argv = ["valence", "--k", "2", "--n", "3", "--crash-aware", "--format", "json"]
+        assert cli.main(argv + ["--output", str(tmp_path / "g.json")]) == 0
+    calls = tracer.summary().calls
+    assert calls["sim.apply_exec"] == 498
+    assert calls["sim.apply_crash"] == 498

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -6,11 +8,13 @@ from kslide.consensus import check_outcome
 from kslide.lincheck import Event, check_linearizable
 from kslide.register import BOTTOM
 from kslide.sim import (
+    Configuration,
     Crash,
     Exec,
     Protocol,
     ReadOp,
     ScheduleError,
+    WriteOp,
     apply_crash,
     apply_exec,
     consensus_protocol,
@@ -29,7 +33,7 @@ from kslide.sim import (
     verify_all,
 )
 from kslide.valence import Explorer, check_commutation
-from oracles import crash_free_count, schedule_order, with_crash_count
+from oracles import crash_free_count, replay_consensus, schedule_order, with_crash_count
 
 PROTO = consensus_protocol()
 
@@ -197,6 +201,125 @@ def test_out_of_range_pid_is_a_schedule_error(call, pid):
     cfg = initial_config(PROTO, default_inputs(2), 2)
     with pytest.raises(ScheduleError, match="unknown process id"):
         call(cfg, pid)
+
+
+def _writes(reg, value):
+    """A one-step protocol whose only operation is WriteOp(reg, value)."""
+    return Protocol("bad", 1, 1, lambda pid, p, r: WriteOp(reg, value), lambda *a: None)
+
+
+def _after(*names):
+    return run_schedule(PROTO, default_inputs(2), 2, sched(*names)).final_config
+
+
+@pytest.mark.parametrize(
+    "proto,cfg,pid,error,message",
+    [
+        # a crashed set naming a pid out of range is still an unknown pid
+        (PROTO, Configuration(((), ()), ((BOTTOM,) * 2,), (3,), ()), 3,
+         ScheduleError, "unknown process id 3"),
+        (PROTO, _after("E1", "E1", "C1"), 1,
+         ScheduleError, "process 1 crashed and cannot take steps"),
+        (PROTO, _after("E1", "E1"), 1, ScheduleError, "process 1 already finished"),
+        # liveness is checked before the protocol names an operation
+        (_writes(5, BOTTOM), _after("C1"), 1,
+         ScheduleError, "process 1 crashed and cannot take steps"),
+        (_writes(5, BOTTOM), _after(), 1, ValueError, "protocol named unknown register 5"),
+        (_writes(0, BOTTOM), _after(), 1,
+         ValueError, "BOTTOM marks missing values and cannot be written"),
+    ],
+    ids=["unknown-pid", "crashed", "finished", "crashed-before-op", "unknown-register",
+         "bottom-write"],
+)
+def test_step_errors_in_precedence_order(proto, cfg, pid, error, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        apply_exec(proto, default_inputs(2), 2, cfg, pid)
+    assert type(info.value) is error
+
+
+# Proposals that compare (and hash) equal but are distinct objects of
+# distinct types; a step must write and decide each process's own object.
+EQUAL_PROPOSALS = [
+    {1: True, 2: 1, 3: 1.0},
+    {1: 1.0, 2: True, 3: 1},
+    {1: 1, 2: 1.0, 3: True},
+    {1: True, 2: 0, 3: 1.0},
+    {1: 0.0, 2: False, 3: 1},
+]
+
+
+def _same_objects(got, want):
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+def test_equal_proposals_keep_their_own_objects():
+    # one protocol object across every proposal vector, as the CLI uses it
+    for inputs in EQUAL_PROPOSALS:
+        own = [inputs[pid] for pid in (1, 2, 3)]
+        out = run_schedule(PROTO, inputs, 3, sched("E1", "E2", "E3"))
+        assert _same_objects(out.final_config.registers[0], own)
+        out = run_schedule(PROTO, inputs, 1, sched("E1", "E1", "E2", "E2", "E3", "E3"))
+        assert _same_objects([out.decisions[pid] for pid in (1, 2, 3)], own)
+
+
+def test_equal_proposals_keep_their_own_objects_in_violations():
+    for inputs in EQUAL_PROPOSALS:
+        own = [inputs[pid] for pid in (1, 2, 3)]
+        report = verify_all(PROTO, 1, 3, inputs, with_crashes=True)
+        if len(set(own)) > 1:
+            assert report.violations
+        for s, _, decided, _ in report.violations:
+            _, want, _ = replay_consensus(1, own, s)
+            assert [pid for pid, _ in decided] == sorted(want)
+            assert _same_objects([v for _, v in decided], [want[p] for p, _ in decided])
+
+
+def test_equal_proposals_keep_their_own_objects_in_decision_sets():
+    for inputs in EQUAL_PROPOSALS:
+        explorer = Explorer(PROTO, inputs, 3)
+        for pid in (1, 2, 3):
+            # pid writes and reads alone first, so everyone decides its object
+            solo = run_schedule(PROTO, inputs, 3, (Exec(pid), Exec(pid))).final_config
+            (value,) = explorer.reachable_decisions(solo)
+            assert value is inputs[pid]
+
+
+def _valid_schedule(n, picks):
+    """A valid schedule from raw picks: pick i names process i % n + 1, with
+    an Exec step when i % (2 * n) < n and a Crash step otherwise. Picks
+    naming a crashed or finished process are skipped."""
+    taken = [0] * n
+    crashed = set()
+    steps = []
+    for i in picks:
+        pid = i % n + 1
+        if pid in crashed or taken[pid - 1] == 2:
+            continue
+        if i % (2 * n) < n:
+            steps.append(Exec(pid))
+            taken[pid - 1] += 1
+        else:
+            steps.append(Crash(pid))
+            crashed.add(pid)
+    return tuple(steps)
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.lists(st.sampled_from([0, 1, 2, True, 1.0]), min_size=4, max_size=4),
+    st.lists(st.integers(0, 7), max_size=12),
+)
+@settings(max_examples=200, deadline=None)
+def test_run_schedule_matches_independent_replay(n, k, proposals, picks):
+    proposals = proposals[:n]
+    schedule = _valid_schedule(n, picks)
+    out = run_schedule(PROTO, dict(enumerate(proposals, 1)), k, schedule)
+    window, decisions, crashed = replay_consensus(k, proposals, schedule)
+    assert _same_objects(out.final_config.registers[0], window)
+    assert out.decisions == decisions
+    assert all(out.decisions[pid] is decisions[pid] for pid in decisions)
+    assert out.crashed == crashed
 
 
 # ---------------------------------------------------------------- counting

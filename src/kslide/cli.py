@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--schedule", help="replay one schedule (comma-separated steps like E1,E2)"
     )
     p_verify.add_argument("--output", help="write trace records to this file")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(handler="cmd_verify")
 
     p_violate = sub.add_parser(
         "violate", help="produce an agreement violation with k + 1 processes"
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max", type=int, default=1, help="how many violating schedules to report"
     )
     p_violate.add_argument("--output", help="write trace records to this file")
-    p_violate.set_defaults(func=cmd_violate)
+    p_violate.set_defaults(handler="cmd_violate")
 
     p_valence = sub.add_parser(
         "valence", help="explore and export the configuration graph"
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--crash-aware", action="store_true", help="include crash steps as edges"
     )
     p_valence.add_argument("--output", help="write the export to this file")
-    p_valence.set_defaults(func=cmd_valence)
+    p_valence.set_defaults(handler="cmd_valence")
 
     p_lincheck = sub.add_parser(
         "lincheck", help="linearizability checking of register histories"
@@ -329,20 +329,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="stress a deliberately broken register instead",
     )
     p_stress.add_argument("--save", help="write one history (first failing, else last)")
-    p_stress.set_defaults(func=cmd_lincheck_stress)
+    p_stress.set_defaults(handler="cmd_lincheck_stress")
 
     p_file = lincheck_sub.add_parser("file", help="re-check a saved history")
     p_file.add_argument("--path", required=True)
-    p_file.set_defaults(func=cmd_lincheck_file)
+    p_file.set_defaults(handler="cmd_lincheck_file")
 
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None  # built by the first main() call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name on each call, so a rebound cmd_* function is the one run
+        return globals()[args.handler](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

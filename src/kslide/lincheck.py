@@ -45,8 +45,8 @@ class History:
     def validate(self) -> None:
         """Raise MalformedHistoryError unless events form per-process
         alternating invoke/respond pairs with strictly increasing timestamps,
-        hashable written values and hashable read windows. Pending
-        invocations at the end of the history are allowed."""
+        hashable written values and hashable read windows of exactly k
+        slots. Pending invocations at the end of the history are allowed."""
         self.operations()
 
     def operations(self) -> "list[OpRecord]":
@@ -86,6 +86,10 @@ class History:
                     raise MalformedHistoryError("read response needs a window tuple")
                 if op == "read" and not _hashable(result):
                     raise MalformedHistoryError(f"read window {result!r} is not hashable")
+                if op == "read" and len(result) != self.k:
+                    raise MalformedHistoryError(
+                        f"read window {result!r} has {len(result)} slots, expected {self.k}"
+                    )
                 i, _, invoked_value, invoked = started
                 ops[i] = OpRecord(pid, op, invoked_value, result, invoked, ts)
         for pid, (i, op, value, invoked) in open_ops.items():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -437,6 +438,17 @@ def test_lincheck_file_missing_path(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("window", [[5], [None, None, 5]], ids=["too-short", "too-long"])
+def test_lincheck_file_refuses_a_read_window_of_another_length(capsys, tmp_path, window):
+    read = event_line(kind="respond", pid=2, op="read", timestamp=3, value=None, result=window)
+    path = tmp_path / "history.jsonl"
+    path.write_text("".join(line + "\n" for line in WRITE + [READ[0], read]), encoding="utf-8")
+    code, out, err = run_cli(capsys, "lincheck", "file", "--path", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: read window ")
+    assert f"has {len(window)} slots, expected 2" in err
+
+
 def test_lincheck_seed_env_var(capsys, monkeypatch, tmp_path):
     a = str(tmp_path / "a.jsonl")
     b = str(tmp_path / "b.jsonl")
@@ -497,3 +509,86 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "1 crash-free schedules, 0 violations" in proc.stdout
+
+
+# parser reuse
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    for _ in range(3):
+        assert run_cli(capsys, "verify", "--k", "1", "--n", "1")[0] == 0
+    assert run_cli(capsys, "lincheck", "stress", "--threads", "2", "--histories", "2")[0] == 0
+    assert len(builds) == 1
+
+
+def test_a_usage_error_leaves_the_parser_reusable(capsys, monkeypatch, tmp_path):
+    def stress_run(save):
+        code, out, err = run_cli(
+            capsys, "lincheck", "stress", "--threads", "2", "--histories", "3",
+            "--save", str(save),
+        )
+        return code, out.replace(str(save), "SAVED"), err, save.read_bytes()
+
+    def usage_error(*argv):
+        with pytest.raises(SystemExit) as exited:
+            main(list(argv))
+        assert exited.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    monkeypatch.setattr(cli, "_parser", None)
+    first = stress_run(tmp_path / "first.jsonl")
+    monkeypatch.setattr(cli, "_parser", None)
+    usage_error("verify", "--n", "2")
+    # --k is parsed before the bad --histories; the next call must not see it
+    usage_error("lincheck", "stress", "--k", "3", "--histories", "x")
+    assert stress_run(tmp_path / "again.jsonl") == first
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=["top", "verify"])
+def test_help_is_the_same_from_a_reused_parser(capsys, monkeypatch, argv):
+    def help_text(columns):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit) as exited:
+            main(list(argv))
+        assert exited.value.code == 0
+        return capsys.readouterr().out.encode()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    wide = help_text(100)
+    assert help_text(100) == wide
+    narrow = help_text(40)  # argparse reads the width when it formats
+    assert narrow != wide
+    monkeypatch.setattr(cli, "_parser", None)
+    assert help_text(40) == narrow
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (
+        "import argparse, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import kslide.cli\n"
+        "on_import = len(built)\n"
+        "kslide.cli.build_parser()\n"
+        "print(on_import, len(built))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    # the second count shows the hook sees a build: 7 parsers, subparsers included
+    assert proc.stdout.split() == ["0", "7"]

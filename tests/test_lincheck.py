@@ -380,6 +380,18 @@ def test_unhashable_read_window_is_malformed():
         History(2, events).validate()
 
 
+@pytest.mark.parametrize(
+    "window", [(5,), (BOTTOM, BOTTOM, 5)], ids=["too-short", "too-long"]
+)
+def test_read_window_of_another_length_is_malformed(window):
+    events = completed_write(1, 5, 0, 1) + completed_read(2, window, 2, 3)
+    with pytest.raises(MalformedHistoryError) as raised:
+        check_linearizable(History(2, events))
+    assert str(raised.value) == (
+        f"read window {window!r} has {len(window)} slots, expected 2"
+    )
+
+
 def test_witnesses_are_pinned():
     # Every witness, or None, over a seeded set of small histories with
     # repeated and with fresh values: a search change that prunes or

@@ -12,7 +12,9 @@ error (an unexpected exception, reported with its traceback on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
+import shutil
 import sys
 from collections import defaultdict
 from typing import Optional
@@ -258,11 +260,16 @@ def cmd_lincheck_file(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # argparse makes a HelpFormatter per add_argument call, and each asks the
+    # terminal for its size: ask once per build, for the width argparse picks.
+    width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
+    new_parser = functools.partial(argparse.ArgumentParser, formatter_class=formatter)
+    parser = new_parser(
         prog="kslide",
         description="Sliding-window register verification harness.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=new_parser)
 
     p_verify = sub.add_parser(
         "verify", help="check consensus properties over exhaustive schedules"
@@ -277,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--schedule", help="replay one schedule (comma-separated steps like E1,E2)"
     )
     p_verify.add_argument("--output", help="write trace records to this file")
-    p_verify.set_defaults(handler="cmd_verify")
+    p_verify.set_defaults(func=cmd_verify)
 
     p_violate = sub.add_parser(
         "violate", help="produce an agreement violation with k + 1 processes"
@@ -290,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max", type=int, default=1, help="how many violating schedules to report"
     )
     p_violate.add_argument("--output", help="write trace records to this file")
-    p_violate.set_defaults(handler="cmd_violate")
+    p_violate.set_defaults(func=cmd_violate)
 
     p_valence = sub.add_parser(
         "valence", help="explore and export the configuration graph"
@@ -305,12 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--crash-aware", action="store_true", help="include crash steps as edges"
     )
     p_valence.add_argument("--output", help="write the export to this file")
-    p_valence.set_defaults(handler="cmd_valence")
+    p_valence.set_defaults(func=cmd_valence)
 
     p_lincheck = sub.add_parser(
         "lincheck", help="linearizability checking of register histories"
     )
-    lincheck_sub = p_lincheck.add_subparsers(dest="mode", required=True)
+    lincheck_sub = p_lincheck.add_subparsers(
+        dest="mode", required=True, parser_class=new_parser
+    )
 
     p_stress = lincheck_sub.add_parser(
         "stress", help="generate seeded interleaved histories and check them"
@@ -329,26 +338,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="stress a deliberately broken register instead",
     )
     p_stress.add_argument("--save", help="write one history (first failing, else last)")
-    p_stress.set_defaults(handler="cmd_lincheck_stress")
+    p_stress.set_defaults(func=cmd_lincheck_stress)
 
     p_file = lincheck_sub.add_parser("file", help="re-check a saved history")
     p_file.add_argument("--path", required=True)
-    p_file.set_defaults(handler="cmd_lincheck_file")
+    p_file.set_defaults(func=cmd_lincheck_file)
 
     return parser
 
 
-_parser: Optional[argparse.ArgumentParser] = None  # built by the first main() call
-
-
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        # looked up by name on each call, so a rebound cmd_* function is the one run
-        return globals()[args.handler](args)
+        return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,6 +1,6 @@
+import argparse
 import hashlib
 import json
-import os
 import subprocess
 import sys
 
@@ -387,6 +387,10 @@ NOT_OBJECT_KEY = (
         (WRITE + READ, 0, ""),
         (["", "  " + WRITE[0], "", "\t" + WRITE[1], *READ, " "], 0, ""),
         (WRITE + [READ[0], event_line(**{**json.loads(READ[1]), "result": [None, 6]})], 1, ""),
+        (WRITE + [READ[0], event_line(**{**json.loads(READ[1]), "result": [5]})], 2,
+         "error: read window (5,) has 1 slots, expected 2"),
+        (WRITE + [READ[0], event_line(**{**json.loads(READ[1]), "result": [None, None, 5]})], 2,
+         "error: read window (⊥, ⊥, 5) has 3 slots, expected 2"),
         (WRITE + ["{not json"], 2, NOT_OBJECT_KEY),
         (WRITE[:1] + [WRITE[1] + " x"], 2, "error: not valid JSON: Extra data: line 1 column 130 (char 129)"),
         (WRITE[:1] + ["[1, 2]"], 2, "error: trace lines must be JSON objects"),
@@ -414,7 +418,8 @@ NOT_OBJECT_KEY = (
          "error: malformed history-event record: timestamp must be an integer, got 1.2"),
     ],
     ids=[
-        "valid", "blank-and-padded", "not-linearizable", "bad-json", "extra-data",
+        "valid", "blank-and-padded", "not-linearizable", "window-too-short",
+        "window-too-long", "bad-json", "extra-data",
         "non-object", "wrong-schema", "unknown-type", "wrong-record-type",
         "wrong-record-type-then-bad-line", "missing-key", "bad-int", "mixed-k", "empty",
         "blank-only", "unhashable-value", "malformed-outcome", "bool-k", "float-pid",
@@ -436,17 +441,6 @@ def test_lincheck_file_missing_path(capsys, tmp_path):
     )
     assert code == 2
     assert "error:" in err
-
-
-@pytest.mark.parametrize("window", [[5], [None, None, 5]], ids=["too-short", "too-long"])
-def test_lincheck_file_refuses_a_read_window_of_another_length(capsys, tmp_path, window):
-    read = event_line(kind="respond", pid=2, op="read", timestamp=3, value=None, result=window)
-    path = tmp_path / "history.jsonl"
-    path.write_text("".join(line + "\n" for line in WRITE + [READ[0], read]), encoding="utf-8")
-    code, out, err = run_cli(capsys, "lincheck", "file", "--path", str(path))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: read window ")
-    assert f"has {len(window)} slots, expected 2" in err
 
 
 def test_lincheck_seed_env_var(capsys, monkeypatch, tmp_path):
@@ -511,84 +505,18 @@ def test_module_entry_point():
     assert "1 crash-free schedules, 0 violations" in proc.stdout
 
 
-# parser reuse
-
-
-def test_main_builds_the_parser_once(capsys, monkeypatch):
-    builds = []
-    build_parser = cli.build_parser
-
-    def counting_build():
-        builds.append(1)
-        return build_parser()
-
-    monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "build_parser", counting_build)
-    for _ in range(3):
-        assert run_cli(capsys, "verify", "--k", "1", "--n", "1")[0] == 0
-    assert run_cli(capsys, "lincheck", "stress", "--threads", "2", "--histories", "2")[0] == 0
-    assert len(builds) == 1
-
-
-def test_a_usage_error_leaves_the_parser_reusable(capsys, monkeypatch, tmp_path):
-    def stress_run(save):
-        code, out, err = run_cli(
-            capsys, "lincheck", "stress", "--threads", "2", "--histories", "3",
-            "--save", str(save),
-        )
-        return code, out.replace(str(save), "SAVED"), err, save.read_bytes()
-
-    def usage_error(*argv):
-        with pytest.raises(SystemExit) as exited:
-            main(list(argv))
-        assert exited.value.code == 2
-        assert "error:" in capsys.readouterr().err
-
-    monkeypatch.setattr(cli, "_parser", None)
-    first = stress_run(tmp_path / "first.jsonl")
-    monkeypatch.setattr(cli, "_parser", None)
-    usage_error("verify", "--n", "2")
-    # --k is parsed before the bad --histories; the next call must not see it
-    usage_error("lincheck", "stress", "--k", "3", "--histories", "x")
-    assert stress_run(tmp_path / "again.jsonl") == first
-
-
-@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=["top", "verify"])
-def test_help_is_the_same_from_a_reused_parser(capsys, monkeypatch, argv):
-    def help_text(columns):
-        monkeypatch.setenv("COLUMNS", str(columns))
-        with pytest.raises(SystemExit) as exited:
-            main(list(argv))
-        assert exited.value.code == 0
-        return capsys.readouterr().out.encode()
-
-    monkeypatch.setattr(cli, "_parser", None)
-    wide = help_text(100)
-    assert help_text(100) == wide
-    narrow = help_text(40)  # argparse reads the width when it formats
-    assert narrow != wide
-    monkeypatch.setattr(cli, "_parser", None)
-    assert help_text(40) == narrow
-
-
-def test_importing_the_cli_builds_no_parser():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    code = (
-        "import argparse, sys\n"
-        f"sys.path.insert(0, {src!r})\n"
-        "built = []\n"
-        "init = argparse.ArgumentParser.__init__\n"
-        "def counting_init(self, *args, **kwargs):\n"
-        "    built.append(1)\n"
-        "    init(self, *args, **kwargs)\n"
-        "argparse.ArgumentParser.__init__ = counting_init\n"
-        "import kslide.cli\n"
-        "on_import = len(built)\n"
-        "kslide.cli.build_parser()\n"
-        "print(on_import, len(built))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
-    )
-    # the second count shows the hook sees a build: 7 parsers, subparsers included
-    assert proc.stdout.split() == ["0", "7"]
+@pytest.mark.parametrize("columns", [40, 100])
+def test_help_is_what_argparse_formats(monkeypatch, columns):
+    # build_parser reads the terminal width once per build; every parser's
+    # help must still be what argparse's formatter, reading it per call, gives
+    monkeypatch.setenv("COLUMNS", str(columns))
+    parsers = [cli.build_parser()]
+    for parser in parsers:  # grows as subcommand parsers are found
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    assert len(parsers) == 7
+    for parser in parsers:
+        built = parser.format_help()
+        parser.formatter_class = argparse.HelpFormatter
+        assert parser.format_help() == built

@@ -86,6 +86,41 @@ def test_serialized_lines_carry_type_and_version():
 
 
 @pytest.mark.parametrize(
+    "record, line",
+    [
+        (
+            ScheduleRecord(("E1", "C2")),
+            '{"schema_version":1,"steps":["E1","C2"],"type":"schedule"}',
+        ),
+        (
+            OutcomeRecord(((1, 0), (3, 1)), (2,)),
+            '{"crashed":[2],"decisions":[[1,0],[3,1]],"schema_version":1,"type":"outcome"}',
+        ),
+        (
+            ViolationRecord(
+                2, 3, ((1, 0), (2, 1), (3, 2)), ("E1", "E2", "E3"), ((1, 0), (2, 1)), ()
+            ),
+            '{"crashed":[],"decisions":[[1,0],[2,1]],"inputs":[[1,0],[2,1],[3,2]],'
+            '"k":2,"n":3,"schedule":["E1","E2","E3"],"schema_version":1,"type":"violation"}',
+        ),
+        (
+            ValenceNodeRecord(4, (0, 1), True, ((1, 0),), (("E2", 7), ("C2", 8))),
+            '{"critical":true,"decided":[[1,0]],"edges":[["E2",7],["C2",8]],"node":4,'
+            '"schema_version":1,"type":"valence-node","values":[0,1]}',
+        ),
+        (
+            HistoryEventRecord(2, "respond", 1, "read", 5, None, (BOTTOM, 7)),
+            '{"k":2,"kind":"respond","op":"read","pid":1,"result":[null,7],'
+            '"schema_version":1,"timestamp":5,"type":"history-event","value":null}',
+        ),
+    ],
+    ids=["schedule", "outcome", "violation", "valence-node", "history-event"],
+)
+def test_serialized_bytes_are_pinned(record, line):
+    assert serialize(record) == line
+
+
+@pytest.mark.parametrize(
     "line",
     [
         "not json",

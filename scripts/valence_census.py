@@ -3,12 +3,14 @@
 then report valence counts and every critical configuration."""
 
 import argparse
+import sys
 
-from kslide.sim import consensus_protocol, default_inputs
+from kslide.cli import EXIT_OK, EXIT_USAGE, _parse_inputs, _require_positive
+from kslide.sim import consensus_protocol
 from kslide.valence import Explorer
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--k", type=int, default=2, help="window size")
     parser.add_argument("--n", type=int, default=2, help="process count")
@@ -17,14 +19,13 @@ def main() -> None:
         "--crash-aware", action="store_true", help="also follow crash steps"
     )
     args = parser.parse_args()
-    if args.inputs:
-        values = [int(part) for part in args.inputs.split(",")]
-        inputs = {pid: values[pid - 1] for pid in range(1, args.n + 1)}
-    else:
-        inputs = default_inputs(args.n)
-    explorer = Explorer(
-        consensus_protocol(), inputs, args.k, crash_aware=args.crash_aware
-    )
+    try:  # the checks and messages of `kslide valence`
+        k = _require_positive("--k", args.k)
+        inputs = _parse_inputs(args.inputs, _require_positive("--n", args.n))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    explorer = Explorer(consensus_protocol(), inputs, k, crash_aware=args.crash_aware)
     vmap = explorer.valence_map()
     print(f"root: {explorer.classify()!r}")
     print(
@@ -45,7 +46,8 @@ def main() -> None:
             f"  [{i}] decided={cc.config.decided} "
             f"pending[{pend or 'none'}] successors[{succ or 'none'}]"
         )
+    return EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -16,7 +16,6 @@ import functools
 import os
 import shutil
 import sys
-from collections import defaultdict
 from typing import Optional
 
 from .consensus import check_outcome
@@ -86,9 +85,13 @@ def _require_positive(name: str, value: int) -> int:
     return value
 
 
-def _emit(records, output: Optional[str]) -> None:
+def _export(lines: list[str], output: Optional[str]) -> None:
+    """Print lines, and write the same lines to output when one is given."""
+    text = "".join(line + "\n" for line in lines)
+    print(text, end="")
     if output:
-        write_records(output, records)
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def cmd_verify(args) -> int:
@@ -100,9 +103,7 @@ def cmd_verify(args) -> int:
         sched = parse_schedule(args.schedule.split(","))
         out = run_schedule(protocol, inputs, k, sched)
         records = [ScheduleRecord(tuple(format_schedule(sched))), outcome_record(out)]
-        for record in records:
-            print(serialize(record))
-        _emit(records, args.output)
+        _export([serialize(record) for record in records], args.output)
         report = check_outcome(inputs, out.decisions, out.crashed)
         print(
             "properties: "
@@ -128,7 +129,8 @@ def cmd_verify(args) -> int:
         ]
         records.append(violation_record(k, n, inputs, sched, decided, crashed))
         print(f"violation: {','.join(records[-1].schedule)} breaks {','.join(failed)}")
-    _emit(records, args.output)
+    if args.output:
+        write_records(args.output, records)
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
@@ -149,44 +151,32 @@ def cmd_violate(args) -> int:
         print(f"schedule: {','.join(records[-1].schedule)}")
         for pid, value in decided:
             print(f"  p{pid} decides {value}")
-    _emit(records, args.output)
+    if args.output:
+        write_records(args.output, records)
     return EXIT_VIOLATION
 
 
-def _valence_records(vmap, critical_configs) -> list[ValenceNodeRecord]:
-    ids = vmap.node_ids()
-    edges_by_src = defaultdict(list)
+def _valence_json(vmap, critical: set) -> list[str]:
+    edges_by_src = [[] for _ in vmap.nodes]
     for src, step, dst in vmap.edges:
-        edges_by_src[ids[src]].append((format_step(step), ids[dst]))
-    critical_ids = {ids[cc.config] for cc in critical_configs}
-    records = []
-    for cfg, i in ids.items():
-        valence = vmap.nodes[cfg]
-        records.append(
-            ValenceNodeRecord(
-                node=i,
-                values=sorted_values(valence.values),
-                critical=i in critical_ids,
-                decided=cfg.decided,
-                edges=tuple(edges_by_src.get(i, ())),
-            )
-        )
-    return records
+        edges_by_src[src].append((format_step(step), dst))
+    return [
+        serialize(ValenceNodeRecord(
+            i, sorted_values(valence.values), cfg in critical, cfg.decided, tuple(edges)
+        ))
+        for i, (cfg, valence, edges) in enumerate(zip(vmap.nodes, vmap.valences, edges_by_src))
+    ]
 
 
-def _valence_dot(vmap, critical_configs) -> str:
-    ids = vmap.node_ids()
-    critical_ids = {ids[cc.config] for cc in critical_configs}
+def _valence_dot(vmap, critical: set) -> list[str]:
     lines = ["digraph valence {"]
-    for cfg, i in ids.items():
-        attrs = [f'label="{vmap.nodes[cfg]!r}"']
-        if i in critical_ids:
-            attrs.append("peripheries=2")
-        lines.append(f"  n{i} [{', '.join(attrs)}];")
+    for i, (cfg, valence) in enumerate(zip(vmap.nodes, vmap.valences)):
+        peripheries = ", peripheries=2" if cfg in critical else ""
+        lines.append(f'  n{i} [label="{valence!r}"{peripheries}];')
     for src, step, dst in vmap.edges:
-        lines.append(f'  n{ids[src]} -> n{ids[dst]} [label="{format_step(step)}"];')
+        lines.append(f'  n{src} -> n{dst} [label="{format_step(step)}"];')
     lines.append("}")
-    return "\n".join(lines)
+    return lines
 
 
 def cmd_valence(args) -> int:
@@ -196,31 +186,22 @@ def cmd_valence(args) -> int:
     explorer = Explorer(consensus_protocol(), inputs, k, crash_aware=args.crash_aware)
     vmap = explorer.valence_map()
     critical = explorer.find_critical()
-    broken_edges = [
-        (src, step, dst)
-        for src, step, dst in vmap.edges
-        if not vmap.nodes[dst].values <= vmap.nodes[src].values
-    ]
-    if args.format == "json":
-        records = _valence_records(vmap, critical)
-        for record in records:
-            print(serialize(record))
-        _emit(records, args.output)
-    elif args.format == "dot":
-        text = _valence_dot(vmap, critical)
-        print(text)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-    else:
+    valences = vmap.valences
+    broken_edges = sum(
+        not valences[dst].values <= valences[src].values for src, _, dst in vmap.edges
+    )
+    if args.format == "text":
         print(f"root: {explorer.classify()!r}")
         print(
             f"nodes: {len(vmap.nodes)} "
             f"({vmap.bivalent_count} bivalent, {vmap.monovalent_count} monovalent)"
         )
         print(f"critical configurations: {len(critical)}")
+    else:
+        export = _valence_json if args.format == "json" else _valence_dot
+        _export(export(vmap, {cc.config for cc in critical}), args.output)
     if broken_edges:
-        print(f"error: {len(broken_edges)} edges gained decision values", file=sys.stderr)
+        print(f"error: {broken_edges} edges gained decision values", file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .consensus import PropertyReport, check_outcome
-from .lincheck import Event, History
 from .register import BOTTOM, Value, empty_window, first_non_bottom, slide
 
 
@@ -227,13 +226,11 @@ def apply_crash(cfg: Configuration, pid: int) -> Configuration:
 @dataclass(frozen=True)
 class Outcome:
     """What a schedule produced: decisions of the processes that completed,
-    the crashed set, the final configuration, and optionally the register
-    history of the run."""
+    the crashed set, and the final configuration."""
 
     decisions: dict
     crashed: frozenset
     final_config: Configuration
-    history: Optional[History] = None
 
 
 def run_schedule(
@@ -241,43 +238,23 @@ def run_schedule(
     inputs: Mapping[int, Value],
     k: int,
     sched: Iterable[Step],
-    record_history: bool = False,
 ) -> Outcome:
     """Execute a schedule deterministically from the initial configuration.
 
     Exec steps are atomic; a Crash step removes the process. Steps that are
     not applicable (an unknown pid, a crashed or finished process taking a
     step, a second crash) raise ScheduleError. Incomplete schedules are
-    fine: processes that never finish simply decide nothing. With
-    record_history, each Exec step becomes an invoke and a respond event
-    with consecutive timestamps.
+    fine: processes that never finish simply decide nothing.
     """
     cfg = initial_config(protocol, inputs, k)
-    if record_history and protocol.registers != 1:
-        raise ValueError("history recording assumes a single shared register")
-    events: list[Event] = []
     for step in sched:
-        op = None
-        if record_history and isinstance(step, Exec):
-            op = pending_op(protocol, inputs, cfg, step.pid)
         if isinstance(step, Exec):
             cfg = apply_exec(protocol, inputs, k, cfg, step.pid)
         elif isinstance(step, Crash):
             cfg = apply_crash(cfg, step.pid)
         else:
             raise TypeError(f"not a schedule step: {step!r}")
-        if op is None:
-            continue
-        clock = len(events)
-        if isinstance(op, WriteOp):
-            events.append(Event("invoke", step.pid, "write", clock, value=op.value))
-            events.append(Event("respond", step.pid, "write", clock + 1))
-        else:
-            result = cfg.locals[step.pid - 1][-1]
-            events.append(Event("invoke", step.pid, "read", clock))
-            events.append(Event("respond", step.pid, "read", clock + 1, result=result))
-    history = History(k, events) if record_history else None
-    return Outcome(cfg.decisions(), frozenset(cfg.crashed), cfg, history)
+    return Outcome(cfg.decisions(), frozenset(cfg.crashed), cfg)
 
 
 def _ops_map(n: int, ops_per_process) -> dict[int, int]:

@@ -4,8 +4,10 @@ Every line is one JSON object with a "type" field (schedule, outcome,
 violation, valence-node, or history-event) and a "schema_version" field.
 Conventions: the missing-value marker encodes as JSON null inside window
 arrays, schedule steps are strings like "E1" or "C2", and map-like payloads
-are sorted key/value pair lists. Keys are sorted and separators fixed, so
-serialization is byte-stable.
+are sorted key/value pair lists. A record encodes as its own fields, keys
+sorted and separators fixed, so serialization is byte-stable. Decoding
+checks each field's JSON type: integers, arrays and booleans must be just
+that.
 """
 
 from __future__ import annotations
@@ -32,38 +34,43 @@ def decode_window(items: Iterable) -> Window:
     return tuple(BOTTOM if item is None else item for item in items)
 
 
-def _int(value, name: str) -> int:
-    if type(value) is not int:  # bools, floats and numeric strings are refused
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+_JSON_TYPES = {int: "an integer", list: "an array", bool: "a boolean"}
+
+
+def _of(kind: type, value, name: str):
+    """value, when its type is exactly kind: true, 1.5 and "2" are not
+    integers, and "E1" and {"a": 1} are not arrays."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
     return value
+
+
+def _pairs(items, name: str) -> tuple:
+    """The (pid, value) pairs of a JSON array of pairs."""
+    return tuple((_of(int, pid, "pid"), value) for pid, value in _of(list, items, name))
+
+
+def _crashed(items) -> tuple:
+    return tuple(_of(int, pid, "pid") for pid in _of(list, items, "crashed"))
 
 
 class ScheduleRecord(NamedTuple):
     steps: tuple  # step strings, "E1" form
 
-    def to_payload(self) -> dict:
-        return {"steps": list(self.steps)}
-
     @classmethod
     def from_payload(cls, payload: dict) -> "ScheduleRecord":
-        return cls(steps=tuple(payload["steps"]))
+        return cls(steps=tuple(_of(list, payload["steps"], "steps")))
 
 
 class OutcomeRecord(NamedTuple):
     decisions: tuple  # sorted (pid, value) pairs
     crashed: tuple  # sorted pids
 
-    def to_payload(self) -> dict:
-        return {
-            "decisions": [list(pair) for pair in self.decisions],
-            "crashed": list(self.crashed),
-        }
-
     @classmethod
     def from_payload(cls, payload: dict) -> "OutcomeRecord":
         return cls(
-            decisions=tuple((_int(p, "pid"), v) for p, v in payload["decisions"]),
-            crashed=tuple(_int(p, "pid") for p in payload["crashed"]),
+            decisions=_pairs(payload["decisions"], "decisions"),
+            crashed=_crashed(payload["crashed"]),
         )
 
 
@@ -78,25 +85,15 @@ class ViolationRecord(NamedTuple):
     decisions: tuple  # sorted (pid, value) pairs
     crashed: tuple
 
-    def to_payload(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "inputs": [list(pair) for pair in self.inputs],
-            "schedule": list(self.schedule),
-            "decisions": [list(pair) for pair in self.decisions],
-            "crashed": list(self.crashed),
-        }
-
     @classmethod
     def from_payload(cls, payload: dict) -> "ViolationRecord":
         return cls(
-            k=_int(payload["k"], "k"),
-            n=_int(payload["n"], "n"),
-            inputs=tuple((_int(p, "pid"), v) for p, v in payload["inputs"]),
-            schedule=tuple(payload["schedule"]),
-            decisions=tuple((_int(p, "pid"), v) for p, v in payload["decisions"]),
-            crashed=tuple(_int(p, "pid") for p in payload["crashed"]),
+            k=_of(int, payload["k"], "k"),
+            n=_of(int, payload["n"], "n"),
+            inputs=_pairs(payload["inputs"], "inputs"),
+            schedule=tuple(_of(list, payload["schedule"], "schedule")),
+            decisions=_pairs(payload["decisions"], "decisions"),
+            crashed=_crashed(payload["crashed"]),
         )
 
 
@@ -111,23 +108,17 @@ class ValenceNodeRecord(NamedTuple):
     decided: tuple
     edges: tuple
 
-    def to_payload(self) -> dict:
-        return {
-            "node": self.node,
-            "values": list(self.values),
-            "critical": self.critical,
-            "decided": [list(pair) for pair in self.decided],
-            "edges": [list(pair) for pair in self.edges],
-        }
-
     @classmethod
     def from_payload(cls, payload: dict) -> "ValenceNodeRecord":
         return cls(
-            node=_int(payload["node"], "node"),
-            values=tuple(payload["values"]),
-            critical=bool(payload["critical"]),
-            decided=tuple((_int(p, "pid"), v) for p, v in payload["decided"]),
-            edges=tuple((step, _int(dst, "node")) for step, dst in payload["edges"]),
+            node=_of(int, payload["node"], "node"),
+            values=tuple(_of(list, payload["values"], "values")),
+            critical=_of(bool, payload["critical"], "critical"),
+            decided=_pairs(payload["decided"], "decided"),
+            edges=tuple(
+                (step, _of(int, dst, "node"))
+                for step, dst in _of(list, payload["edges"], "edges")
+            ),
         )
 
 
@@ -143,17 +134,6 @@ class HistoryEventRecord(NamedTuple):
     value: Value = None
     result: Optional[Window] = None
 
-    def to_payload(self) -> dict:
-        return {
-            "k": self.k,
-            "kind": self.kind,
-            "pid": self.pid,
-            "op": self.op,
-            "timestamp": self.timestamp,
-            "value": self.value,
-            "result": None if self.result is None else encode_window(self.result),
-        }
-
     @classmethod
     def from_payload(cls, payload: dict) -> "HistoryEventRecord":
         k, event = _history_event(payload)
@@ -163,10 +143,10 @@ class HistoryEventRecord(NamedTuple):
 def _history_event(payload: dict) -> tuple[int, Event]:
     """(k, event) of a history-event payload: the one decoder of its fields."""
     result = payload["result"]
-    return _int(payload["k"], "k"), Event._make((
-        payload["kind"], _int(payload["pid"], "pid"), payload["op"],
-        _int(payload["timestamp"], "timestamp"), payload["value"],
-        None if result is None else decode_window(result),
+    return _of(int, payload["k"], "k"), Event._make((
+        payload["kind"], _of(int, payload["pid"], "pid"), payload["op"],
+        _of(int, payload["timestamp"], "timestamp"), payload["value"],
+        None if result is None else decode_window(_of(list, result, "result")),
     ))
 
 
@@ -181,12 +161,16 @@ _TYPE_NAMES = {cls: name for name, cls in _RECORD_TYPES.items()}
 
 
 def serialize(record) -> str:
-    """One JSON line for a record, byte-stable for equal records."""
+    """One JSON line for a record, byte-stable for equal records. The
+    payload is the record's own fields, tuples encoding as arrays; only a
+    history event's result window is encoded (BOTTOM becomes null)."""
     name = _TYPE_NAMES.get(type(record))
     if name is None:
         raise TraceError(f"not a trace record: {record!r}")
-    payload = {"type": name, "schema_version": SCHEMA_VERSION}
-    payload.update(record.to_payload())
+    payload = record._asdict()
+    if name == "history-event" and record.result is not None:
+        payload["result"] = encode_window(record.result)
+    payload.update(type=name, schema_version=SCHEMA_VERSION)
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 

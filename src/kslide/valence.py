@@ -86,23 +86,21 @@ class CriticalConfig:
 
 @dataclass
 class ValenceMap:
-    """Exported configuration graph: nodes in discovery order with their
-    valences, and edges labeled by the step that produced them."""
+    """Exported configuration graph by node id. Ids number the
+    configurations breadth-first from the root, node 0, and edges are
+    labeled by the step that produced them, in source id and step order."""
 
-    root: Configuration
-    nodes: dict  # Configuration -> Valence
-    edges: list  # (source Configuration, Step, destination Configuration)
+    nodes: list  # node id -> Configuration
+    valences: list  # node id -> Valence
+    edges: list  # (source id, Step, destination id)
 
     @property
     def bivalent_count(self) -> int:
-        return sum(1 for v in self.nodes.values() if v.bivalent)
+        return sum(1 for v in self.valences if v.bivalent)
 
     @property
     def monovalent_count(self) -> int:
-        return sum(1 for v in self.nodes.values() if v.monovalent)
-
-    def node_ids(self) -> dict:
-        return {cfg: i for i, cfg in enumerate(self.nodes)}
+        return sum(1 for v in self.valences if v.monovalent)
 
 
 class Explorer:
@@ -265,14 +263,11 @@ class Explorer:
     def valence_map(self, start: Optional[Configuration] = None) -> ValenceMap:
         configs, decisions, succ = self._configs, self._decisions, self._succ
         order = list(self._bfs(start))
+        ids = {node: i for i, node in enumerate(order)}
         return ValenceMap(
-            configs[order[0]],
-            {configs[node]: Valence(decisions[node]) for node in order},
-            [
-                (configs[node], step, configs[nxt])
-                for node in order
-                for step, nxt in succ[node]
-            ],
+            [configs[node] for node in order],
+            [Valence(decisions[node]) for node in order],
+            [(i, step, ids[nxt]) for i, node in enumerate(order) for step, nxt in succ[node]],
         )
 
 

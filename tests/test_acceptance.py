@@ -263,12 +263,13 @@ def test_criterion_5_valence_classification_and_critical_configurations():
         vmap = explorer.valence_map()
         if not vmap.edges:
             problems.append(f"k={k}: exported graph has no edges")
-        for src, step, dst in vmap.edges:
+        for src_id, step, dst_id in vmap.edges:
+            src, dst = vmap.nodes[src_id], vmap.nodes[dst_id]
             if not explorer.reachable_decisions(dst) <= explorer.reachable_decisions(src):
                 problems.append(
                     f"k={k}: step {format_step(step)} gained decision values"
                 )
-        for cfg, valence in vmap.nodes.items():
+        for cfg, valence in zip(vmap.nodes, vmap.valences):
             if valence.bivalent and not explorer.find_critical(cfg):
                 problems.append(f"k={k}: bivalent configuration with no critical below it")
         criticals = explorer.find_critical()

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -71,15 +72,20 @@ def test_verify_rejects_bad_inputs(capsys):
     assert "comma-separated integers" in err
 
 
-def test_verify_replays_one_schedule(capsys):
+def test_verify_replays_one_schedule(capsys, tmp_path):
+    path = str(tmp_path / "replay.jsonl")
     code, out, _ = run_cli(
-        capsys, "verify", "--k", "2", "--n", "2", "--schedule", "E1,E1,E2,E2"
+        capsys, "verify", "--k", "2", "--n", "2", "--schedule", "E1,E1,E2,E2",
+        "--output", path,
     )
     assert code == 0
     lines = out.strip().splitlines()
     assert parse(lines[0]) == ScheduleRecord(("E1", "E1", "E2", "E2"))
     assert parse(lines[1]) == OutcomeRecord(((1, 0), (2, 0)), ())
     assert lines[2] == "properties: validity=True agreement=True termination=True"
+    # the file holds the bytes of the two record lines printed above
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == "".join(line + "\n" for line in lines[:2])
 
 
 def test_verify_replay_flags_violating_schedule(capsys):
@@ -189,7 +195,7 @@ def test_valence_dot_export(capsys, tmp_path):
     assert "->" in out
     assert "peripheries=2" in out
     with open(path, encoding="utf-8") as fh:
-        assert fh.read().strip() == out.strip()
+        assert fh.read() == out
 
 
 def test_valence_json_export(capsys, tmp_path):
@@ -207,6 +213,8 @@ def test_valence_json_export(capsys, tmp_path):
             assert step[0] in "EC"
             assert dst in by_node
     assert read_records(path) == records
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == out
 
 
 @pytest.mark.parametrize(
@@ -416,6 +424,10 @@ NOT_OBJECT_KEY = (
          "error: malformed history-event record: pid must be an integer, got 1.5"),
         ([event_line(timestamp=1.2)], 2,
          "error: malformed history-event record: timestamp must be an integer, got 1.2"),
+        (WRITE + [READ[0], event_line(**{**json.loads(READ[1]), "result": "ab"})], 2,
+         "error: malformed history-event record: result must be an array, got 'ab'"),
+        (WRITE + [READ[0], event_line(**{**json.loads(READ[1]), "result": {"a": 5}})], 2,
+         "error: malformed history-event record: result must be an array, got {'a': 5}"),
     ],
     ids=[
         "valid", "blank-and-padded", "not-linearizable", "window-too-short",
@@ -423,7 +435,7 @@ NOT_OBJECT_KEY = (
         "non-object", "wrong-schema", "unknown-type", "wrong-record-type",
         "wrong-record-type-then-bad-line", "missing-key", "bad-int", "mixed-k", "empty",
         "blank-only", "unhashable-value", "malformed-outcome", "bool-k", "float-pid",
-        "float-timestamp",
+        "float-timestamp", "string-window", "object-window",
     ],
 )
 def test_lincheck_file_exit_code_and_first_error_line(capsys, tmp_path, lines, code, first_err):
@@ -503,6 +515,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "1 crash-free schedules, 0 violations" in proc.stdout
+
+
+CENSUS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "valence_census.py")
+
+
+@pytest.mark.parametrize(
+    "argv, code, first_line",
+    [
+        (["--k", "2", "--n", "2"], 0, "root: Bivalent({0, 1})"),
+        (["--n", "3", "--inputs", "1"], 2, "error: --inputs needs 3 values, got 1"),
+        (["--n", "2", "--inputs", "1,2,3"], 2, "error: --inputs needs 2 values, got 3"),
+        (["--k", "0"], 2, "error: --k must be at least 1, got 0"),
+    ],
+    ids=["good", "short-inputs", "long-inputs", "zero-k"],
+)
+def test_valence_census_checks_arguments_as_the_cli_does(argv, code, first_line):
+    proc = subprocess.run([sys.executable, CENSUS, *argv], capture_output=True, text=True)
+    output, silent = (proc.stdout, proc.stderr) if code == 0 else (proc.stderr, proc.stdout)
+    assert (proc.returncode, output.splitlines()[0], silent) == (code, first_line, "")
 
 
 @pytest.mark.parametrize("columns", [40, 100])

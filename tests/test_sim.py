@@ -5,7 +5,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kslide.consensus import check_outcome
-from kslide.lincheck import Event, check_linearizable
 from kslide.register import BOTTOM
 from kslide.sim import (
     Configuration,
@@ -117,30 +116,6 @@ def test_inputs_must_be_dense():
         run_schedule(PROTO, {1: 0, 3: 1}, 2, sched("E1"))
     with pytest.raises(ValueError):
         run_schedule(PROTO, {}, 2, ())
-
-
-def test_recorded_history_is_linearizable():
-    out = run_schedule(
-        PROTO, default_inputs(2), 2, sched("E1", "E2", "E1", "E2"), record_history=True
-    )
-    history = out.history
-    assert history is not None
-    assert len(history.events) == 8
-    assert check_linearizable(history) is not None
-
-
-def test_recorded_history_events_are_pinned():
-    out = run_schedule(
-        PROTO, default_inputs(2), 2, sched("E1", "E2", "C1", "E2"), record_history=True
-    )
-    assert out.history.events == [
-        Event("invoke", 1, "write", 0, value=0),
-        Event("respond", 1, "write", 1),
-        Event("invoke", 2, "write", 2, value=1),
-        Event("respond", 2, "write", 3),
-        Event("invoke", 2, "read", 4),
-        Event("respond", 2, "read", 5, result=(0, 1)),
-    ]
 
 
 @pytest.mark.parametrize("k", [0, -1, True])

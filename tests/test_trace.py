@@ -282,11 +282,45 @@ def test_file_round_trip(tmp_path):
             '"critical":false,"decided":[],"edges":[["E1",1.5]]}',
             "malformed valence-node record: node must be an integer, got 1.5",
         ),
+        (
+            '{"type":"schedule","schema_version":1,"steps":"E1"}',
+            "malformed schedule record: steps must be an array, got 'E1'",
+        ),
+        (
+            '{"type":"history-event","schema_version":1,"k":2,"kind":"respond",'
+            '"pid":1,"op":"read","timestamp":1,"value":null,"result":"ab"}',
+            "malformed history-event record: result must be an array, got 'ab'",
+        ),
+        (
+            '{"type":"valence-node","schema_version":1,"node":0,"values":[],'
+            '"critical":"false","decided":[],"edges":[]}',
+            "malformed valence-node record: critical must be a boolean, got 'false'",
+        ),
+        (
+            '{"type":"outcome","schema_version":1,"decisions":[],"crashed":{"2":true}}',
+            "malformed outcome record: crashed must be an array, got {'2': True}",
+        ),
+        (
+            '{"type":"violation","schema_version":1,"k":2,"n":3,"inputs":[],'
+            '"schedule":"E1,E2","decisions":[],"crashed":[]}',
+            "malformed violation record: schedule must be an array, got 'E1,E2'",
+        ),
+        (
+            '{"type":"valence-node","schema_version":1,"node":0,"values":"01",'
+            '"critical":false,"decided":[],"edges":[]}',
+            "malformed valence-node record: values must be an array, got '01'",
+        ),
+        (
+            '{"type":"valence-node","schema_version":1,"node":0,"values":[],'
+            '"critical":false,"decided":[],"edges":{"E1":1}}',
+            "malformed valence-node record: edges must be an array, got {'E1': 1}",
+        ),
     ],
     ids=[
         "bool-k", "float-pid", "float-timestamp", "string-k", "bool-decision-pid",
         "string-crashed-pid", "float-violation-k", "float-input-pid", "bool-node",
-        "float-edge-destination",
+        "float-edge-destination", "string-steps", "string-result", "string-critical",
+        "object-crashed", "string-schedule", "string-values", "object-edges",
     ],
 )
 def test_integer_fields_must_be_json_integers(line, message):

@@ -103,7 +103,9 @@ def test_monotonicity_on_every_edge():
         ex = explorer(k, 2)
         vmap = ex.valence_map()
         for src, _, dst in vmap.edges:
-            assert ex.reachable_decisions(dst) <= ex.reachable_decisions(src)
+            assert ex.reachable_decisions(vmap.nodes[dst]) <= ex.reachable_decisions(
+                vmap.nodes[src]
+            )
 
 
 def test_crash_aware_reaches_the_same_decisions():
@@ -203,25 +205,38 @@ def test_bivalent_root_always_yields_a_critical_config():
 def test_valence_map_is_deterministic():
     a = explorer(2, 2).valence_map()
     b = explorer(2, 2).valence_map()
-    assert list(a.nodes) == list(b.nodes)
-    assert list(a.nodes.values()) == list(b.nodes.values())
+    assert a.nodes == b.nodes
+    assert a.valences == b.valences
     assert a.edges == b.edges
-    assert a.root == b.root
 
 
 def test_valence_map_counts():
-    vmap = explorer(2, 2).valence_map()
+    ex = explorer(2, 2)
+    vmap = ex.valence_map()
     assert vmap.bivalent_count + vmap.monovalent_count == len(vmap.nodes)
     assert vmap.bivalent_count == 1  # only the root is undetermined
-    ids = vmap.node_ids()
-    assert ids[vmap.root] == 0
+    assert vmap.nodes[0] == ex.initial
 
 
 def test_map_edges_connect_known_nodes():
     vmap = explorer(1, 2).valence_map()
     for src, step, dst in vmap.edges:
-        assert src in vmap.nodes and dst in vmap.nodes
+        assert 0 <= src < len(vmap.nodes) and 0 <= dst < len(vmap.nodes)
         assert isinstance(step, (Exec, Crash))
+
+
+def test_map_ids_number_breadth_first_from_the_start():
+    ex = explorer(2, 2, crash_aware=True)
+    ex.valence_map()  # the explorer's own ids now number from the root
+    start = ex.successors(ex.initial)[1][1]
+    vmap = ex.valence_map(start)
+    assert vmap.nodes == list(ex.walk(start))
+    assert vmap.valences == [ex.classify(cfg) for cfg in vmap.nodes]
+    assert vmap.edges == [
+        (src, step, vmap.nodes.index(nxt))
+        for src, cfg in enumerate(vmap.nodes)
+        for step, nxt in ex.successors(cfg)
+    ]
 
 
 # ------------------------------------------------------------ commutation

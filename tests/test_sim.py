@@ -51,6 +51,19 @@ def test_step_formatting_round_trip():
     assert parse_step(" C2 ") == Crash(2)
 
 
+def test_steps_compare_by_type():
+    # schedules and step sets rely on an Exec and a Crash of one pid differing
+    assert Exec(1) != Crash(1)
+    assert not Exec(1) == Crash(1)
+    assert len({Exec(1), Crash(1)}) == 2
+    assert Exec(1) != (1,)
+    assert [repr(Exec(1)), repr(Crash(2)), repr(WriteOp(0, 5)), repr(ReadOp(0))] == [
+        "Exec(pid=1)", "Crash(pid=2)", "WriteOp(reg=0, value=5)", "ReadOp(reg=0)",
+    ]
+    schedules = list(enumerate_schedules(3, with_crashes=True))
+    assert len(set(schedules)) == len(schedules)
+
+
 @pytest.mark.parametrize("bad", ["", "E", "X1", "E0", "E-1", "1", "EE1"])
 def test_bad_step_strings(bad):
     with pytest.raises(ValueError):

@@ -85,39 +85,66 @@ def test_serialized_lines_carry_type_and_version():
     assert '"schema_version":1' in line
 
 
-@pytest.mark.parametrize(
-    "record, line",
-    [
-        (
-            ScheduleRecord(("E1", "C2")),
-            '{"schema_version":1,"steps":["E1","C2"],"type":"schedule"}',
+PINNED = {
+    "schedule": (
+        ScheduleRecord(("E1", "C2")),
+        '{"schema_version":1,"steps":["E1","C2"],"type":"schedule"}',
+    ),
+    "outcome": (
+        OutcomeRecord(((1, 0), (3, 1)), (2,)),
+        '{"crashed":[2],"decisions":[[1,0],[3,1]],"schema_version":1,"type":"outcome"}',
+    ),
+    "violation": (
+        ViolationRecord(
+            2, 3, ((1, 0), (2, 1), (3, 2)), ("E1", "E2", "E3"), ((1, 0), (2, 1)), ()
         ),
-        (
-            OutcomeRecord(((1, 0), (3, 1)), (2,)),
-            '{"crashed":[2],"decisions":[[1,0],[3,1]],"schema_version":1,"type":"outcome"}',
-        ),
-        (
-            ViolationRecord(
-                2, 3, ((1, 0), (2, 1), (3, 2)), ("E1", "E2", "E3"), ((1, 0), (2, 1)), ()
-            ),
-            '{"crashed":[],"decisions":[[1,0],[2,1]],"inputs":[[1,0],[2,1],[3,2]],'
-            '"k":2,"n":3,"schedule":["E1","E2","E3"],"schema_version":1,"type":"violation"}',
-        ),
-        (
-            ValenceNodeRecord(4, (0, 1), True, ((1, 0),), (("E2", 7), ("C2", 8))),
-            '{"critical":true,"decided":[[1,0]],"edges":[["E2",7],["C2",8]],"node":4,'
-            '"schema_version":1,"type":"valence-node","values":[0,1]}',
-        ),
-        (
-            HistoryEventRecord(2, "respond", 1, "read", 5, None, (BOTTOM, 7)),
-            '{"k":2,"kind":"respond","op":"read","pid":1,"result":[null,7],'
-            '"schema_version":1,"timestamp":5,"type":"history-event","value":null}',
-        ),
-    ],
-    ids=["schedule", "outcome", "violation", "valence-node", "history-event"],
-)
+        '{"crashed":[],"decisions":[[1,0],[2,1]],"inputs":[[1,0],[2,1],[3,2]],'
+        '"k":2,"n":3,"schedule":["E1","E2","E3"],"schema_version":1,"type":"violation"}',
+    ),
+    "valence-node": (
+        ValenceNodeRecord(4, (0, 1), True, ((1, 0),), (("E2", 7), ("C2", 8))),
+        '{"critical":true,"decided":[[1,0]],"edges":[["E2",7],["C2",8]],"node":4,'
+        '"schema_version":1,"type":"valence-node","values":[0,1]}',
+    ),
+    "history-event": (
+        HistoryEventRecord(2, "respond", 1, "read", 5, None, (BOTTOM, 7)),
+        '{"k":2,"kind":"respond","op":"read","pid":1,"result":[null,7],'
+        '"schema_version":1,"timestamp":5,"type":"history-event","value":null}',
+    ),
+}
+
+
+@pytest.mark.parametrize("record, line", PINNED.values(), ids=PINNED)
 def test_serialized_bytes_are_pinned(record, line):
     assert serialize(record) == line
+
+
+def _without(name, field):
+    payload = json.loads(PINNED[name][1])
+    del payload[field]
+    return json.dumps(payload)
+
+
+MISSING = [(name, field) for name, (record, _) in PINNED.items() for field in record._fields]
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [(_without(name, field), f"malformed {name} record: {field!r}") for name, field in MISSING]
+    + [
+        (
+            PINNED["violation"][1].replace('"k":2', '"k":true').replace('"n":3', '"n":1.5'),
+            "malformed violation record: k must be an integer, got True",
+        )
+    ],
+    ids=[f"no-{field}-in-{name}" for name, field in MISSING] + ["bad-k-and-n"],
+)
+def test_decoding_names_the_first_bad_field(line, message):
+    # fields are decoded in declaration order, so the first missing or
+    # mistyped one is the one the error names
+    with pytest.raises(TraceError) as raised:
+        parse(line)
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize(

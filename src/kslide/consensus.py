@@ -10,8 +10,7 @@ without loops or waiting.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import AbstractSet, Mapping, Optional
+from typing import AbstractSet, Mapping, NamedTuple, Optional
 
 from .register import LockedSlidingRegister, Value, first_non_bottom
 
@@ -24,14 +23,12 @@ class CapacityError(RuntimeError):
     """More distinct processes joined than the instance supports."""
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     value: Value
     decider: int
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     """Which of the three consensus properties an outcome satisfies."""
 
     validity: bool

@@ -11,7 +11,6 @@ processes on one register object, lives here as well.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional
 
 from .register import BOTTOM, SlidingRegister, Value, Window, empty_window, slide
@@ -37,10 +36,9 @@ class Event(NamedTuple):
     result: Optional[Window] = None
 
 
-@dataclass
-class History:
+class History(NamedTuple):
     k: int
-    events: List[Event] = field(default_factory=list)
+    events: List[Event]
 
     def validate(self) -> None:
         """Raise MalformedHistoryError unless events form per-process

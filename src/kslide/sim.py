@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .consensus import PropertyReport, check_outcome
@@ -24,18 +23,30 @@ class ScheduleError(ValueError):
     """A schedule step is not applicable to the current run state."""
 
 
-@dataclass(frozen=True)
-class Exec:
+class _PidStep(NamedTuple):
+    pid: int
+
+    # Steps compare by type, so Exec(1) != Crash(1) != (1,). tuple's own !=
+    # ignores an overridden __eq__, and defining __eq__ clears __hash__.
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class Exec(_PidStep):
     """One atomic shared-register operation by process pid."""
 
-    pid: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Crash:
+class Crash(_PidStep):
     """Permanent removal of process pid; its remaining steps never run."""
 
-    pid: int
+    __slots__ = ()
 
 
 Step = Union[Exec, Crash]
@@ -63,22 +74,19 @@ def parse_schedule(items: Iterable[str]) -> Schedule:
     return tuple(parse_step(s) for s in items)
 
 
-@dataclass(frozen=True)
-class WriteOp:
+class WriteOp(NamedTuple):
     reg: int
     value: Value
 
 
-@dataclass(frozen=True)
-class ReadOp:
+class ReadOp(NamedTuple):
     reg: int
 
 
 RegisterOp = Union[WriteOp, ReadOp]
 
 
-@dataclass(frozen=True)
-class Protocol:
+class Protocol(NamedTuple):
     """Bounded step-functional protocol description.
 
     next_op(pid, proposal, results) names the process's next shared-register
@@ -223,8 +231,7 @@ def apply_crash(cfg: Configuration, pid: int) -> Configuration:
     )
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """What a schedule produced: decisions of the processes that completed,
     the crashed set, and the final configuration."""
 
@@ -335,8 +342,7 @@ def enumerate_schedules(
         yield _schedule(stack)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     schedules_checked: int
     # ((schedule, PropertyReport, decided, crashed), ...), where decided and
     # crashed are the final configuration's sorted tuples

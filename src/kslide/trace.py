@@ -5,13 +5,17 @@ violation, valence-node, or history-event) and a "schema_version" field.
 Conventions: the missing-value marker encodes as JSON null inside window
 arrays, schedule steps are strings like "E1" or "C2", and map-like payloads
 are sorted key/value pair lists. A record encodes as its own fields, keys
-sorted and separators fixed, so serialization is byte-stable. Decoding
-checks each field's JSON type: integers, arrays and booleans must be just
-that.
+sorted and separators fixed, so serialization is byte-stable. A record
+decodes by field name: one table maps each field name to its decoder, and a
+record's fields are decoded in declaration order, so an error names the
+first missing or mistyped field. Decoders check each field's JSON type:
+integers, arrays and booleans must be just that. History events have their
+own decoder, which lincheck file uses straight, without building records.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Iterable, NamedTuple, Optional
 
@@ -45,33 +49,41 @@ def _of(kind: type, value, name: str):
     return value
 
 
+def _array(items, name: str) -> tuple:
+    return tuple(_of(list, items, name))
+
+
 def _pairs(items, name: str) -> tuple:
     """The (pid, value) pairs of a JSON array of pairs."""
     return tuple((_of(int, pid, "pid"), value) for pid, value in _of(list, items, name))
 
 
-def _crashed(items) -> tuple:
-    return tuple(_of(int, pid, "pid") for pid in _of(list, items, "crashed"))
+def _pids(items, name: str) -> tuple:
+    return tuple(_of(int, pid, "pid") for pid in _of(list, items, name))
+
+
+def _edges(items, name: str) -> tuple:
+    """The (step string, destination node) pairs of a JSON array of pairs."""
+    return tuple((step, _of(int, dst, "node")) for step, dst in _of(list, items, name))
+
+
+# The decoder of each record field, keyed by field name: a name means the
+# same thing in every record type that has it.
+_int = functools.partial(_of, int)
+_FIELDS = {
+    "k": _int, "n": _int, "node": _int, "critical": functools.partial(_of, bool),
+    "steps": _array, "schedule": _array, "values": _array, "crashed": _pids,
+    "inputs": _pairs, "decisions": _pairs, "decided": _pairs, "edges": _edges,
+}
 
 
 class ScheduleRecord(NamedTuple):
     steps: tuple  # step strings, "E1" form
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ScheduleRecord":
-        return cls(steps=tuple(_of(list, payload["steps"], "steps")))
-
 
 class OutcomeRecord(NamedTuple):
     decisions: tuple  # sorted (pid, value) pairs
     crashed: tuple  # sorted pids
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "OutcomeRecord":
-        return cls(
-            decisions=_pairs(payload["decisions"], "decisions"),
-            crashed=_crashed(payload["crashed"]),
-        )
 
 
 class ViolationRecord(NamedTuple):
@@ -85,17 +97,6 @@ class ViolationRecord(NamedTuple):
     decisions: tuple  # sorted (pid, value) pairs
     crashed: tuple
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ViolationRecord":
-        return cls(
-            k=_of(int, payload["k"], "k"),
-            n=_of(int, payload["n"], "n"),
-            inputs=_pairs(payload["inputs"], "inputs"),
-            schedule=tuple(_of(list, payload["schedule"], "schedule")),
-            decisions=_pairs(payload["decisions"], "decisions"),
-            crashed=_crashed(payload["crashed"]),
-        )
-
 
 class ValenceNodeRecord(NamedTuple):
     """One configuration-graph node: its discovery index, decision values,
@@ -107,19 +108,6 @@ class ValenceNodeRecord(NamedTuple):
     critical: bool
     decided: tuple
     edges: tuple
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ValenceNodeRecord":
-        return cls(
-            node=_of(int, payload["node"], "node"),
-            values=tuple(_of(list, payload["values"], "values")),
-            critical=_of(bool, payload["critical"], "critical"),
-            decided=_pairs(payload["decided"], "decided"),
-            edges=tuple(
-                (step, _of(int, dst, "node"))
-                for step, dst in _of(list, payload["edges"], "edges")
-            ),
-        )
 
 
 class HistoryEventRecord(NamedTuple):
@@ -134,11 +122,6 @@ class HistoryEventRecord(NamedTuple):
     value: Value = None
     result: Optional[Window] = None
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "HistoryEventRecord":
-        k, event = _history_event(payload)
-        return cls(k, *event)
-
 
 def _history_event(payload: dict) -> tuple[int, Event]:
     """(k, event) of a history-event payload: the one decoder of its fields."""
@@ -148,6 +131,15 @@ def _history_event(payload: dict) -> tuple[int, Event]:
         _of(int, payload["timestamp"], "timestamp"), payload["value"],
         None if result is None else decode_window(_of(list, result, "result")),
     ))
+
+
+def _record(cls, payload: dict):
+    """The cls record in payload, its fields decoded in declaration order,
+    so an error names the first missing or mistyped one."""
+    if cls is HistoryEventRecord:
+        k, event = _history_event(payload)
+        return cls(k, *event)
+    return cls._make([_FIELDS[name](payload[name], name) for name in cls._fields])
 
 
 _RECORD_TYPES = {
@@ -180,7 +172,7 @@ _raw_decode = json.JSONDecoder().raw_decode
 def parse(line: str):
     """The record on one trace line; surrounding whitespace is ignored."""
     payload, cls = _payload(line.strip())
-    return _decoded(cls.from_payload, payload)
+    return _decoded(functools.partial(_record, cls), payload)
 
 
 def _payload(line: str) -> tuple[dict, type]:
@@ -228,7 +220,7 @@ def read_history(path: str) -> History:
             if cls is HistoryEventRecord:
                 pairs.append(_decoded(_history_event, payload))
             else:
-                foreign.append(_decoded(cls.from_payload, payload))
+                foreign.append(_decoded(functools.partial(_record, cls), payload))
     if foreign:
         raise TraceError(f"history files hold history-event records, got {foreign[0]!r}")
     return _history(pairs)

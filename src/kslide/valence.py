@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .register import Value
 from .sim import (
@@ -42,8 +41,7 @@ def sorted_values(values) -> tuple:
         return tuple(sorted(values, key=repr))
 
 
-@dataclass(frozen=True)
-class Valence:
+class Valence(NamedTuple):
     """Decision set of a configuration."""
 
     values: frozenset
@@ -71,8 +69,7 @@ class Valence:
         return "Valence(none)"
 
 
-@dataclass(frozen=True)
-class CriticalConfig:
+class CriticalConfig(NamedTuple):
     """A bivalent configuration whose every Exec successor is monovalent.
 
     successors lists (pid, successor configuration, successor valence) in
@@ -84,8 +81,7 @@ class CriticalConfig:
     successors: tuple
 
 
-@dataclass
-class ValenceMap:
+class ValenceMap(NamedTuple):
     """Exported configuration graph by node id. Ids number the
     configurations breadth-first from the root, node 0, and edges are
     labeled by the step that produced them, in source id and step order."""

@@ -517,6 +517,16 @@ def test_module_entry_point():
     assert "1 crash-free schedules, 0 violations" in proc.stdout
 
 
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    # every kslide process pays for these imports; value types are named tuples
+    code = (
+        "import sys, kslide.cli; kslide.cli.build_parser(); "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 CENSUS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "valence_census.py")
 
 

@@ -100,6 +100,8 @@ def cmd_verify(args) -> int:
     inputs = _parse_inputs(args.inputs, n)
     protocol = consensus_protocol()
     if args.schedule is not None:
+        if args.crashes:
+            raise ValueError("--crashes applies to enumeration, not to a --schedule replay")
         sched = parse_schedule(args.schedule.split(","))
         out = run_schedule(protocol, inputs, k, sched)
         records = [ScheduleRecord(tuple(format_schedule(sched))), outcome_record(out)]
@@ -191,15 +193,16 @@ def cmd_valence(args) -> int:
         not valences[dst].values <= valences[src].values for src, _, dst in vmap.edges
     )
     if args.format == "text":
-        print(f"root: {explorer.classify()!r}")
-        print(
+        lines = [
+            f"root: {explorer.classify()!r}",
             f"nodes: {len(vmap.nodes)} "
-            f"({vmap.bivalent_count} bivalent, {vmap.monovalent_count} monovalent)"
-        )
-        print(f"critical configurations: {len(critical)}")
+            f"({vmap.bivalent_count} bivalent, {vmap.monovalent_count} monovalent)",
+            f"critical configurations: {len(critical)}",
+        ]
     else:
         export = _valence_json if args.format == "json" else _valence_dot
-        _export(export(vmap, {cc.config for cc in critical}), args.output)
+        lines = export(vmap, {cc.config for cc in critical})
+    _export(lines, args.output)
     if broken_edges:
         print(f"error: {broken_edges} edges gained decision values", file=sys.stderr)
         return EXIT_VIOLATION

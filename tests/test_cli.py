@@ -106,11 +106,10 @@ def test_verify_replay_with_crash_keeps_termination(capsys):
 
 
 def test_verify_replay_rejects_bad_schedule(capsys):
-    code, _, err = run_cli(
-        capsys, "verify", "--k", "2", "--n", "2", "--schedule", "E1,bogus"
-    )
-    assert code == 2
-    assert "error:" in err
+    # --crashes only widens the enumeration, so a replay cannot take it
+    for extra in (["--schedule", "E1,bogus"], ["--schedule", "E1,E1", "--crashes"]):
+        code, out, err = run_cli(capsys, "verify", "--k", "2", "--n", "2", *extra)
+        assert (code, out, err.startswith("error:")) == (2, "", True)
 
 
 def test_verify_writes_violation_records(capsys, tmp_path):
@@ -169,11 +168,13 @@ def test_violate_records_replay_to_same_outcome(capsys, tmp_path):
 # valence
 
 
-def test_valence_text_summary(capsys):
-    code, out, _ = run_cli(capsys, "valence", "--k", "2", "--n", "2")
+def test_valence_text_summary(capsys, tmp_path):
+    path = tmp_path / "summary.txt"
+    code, out, _ = run_cli(capsys, "valence", "--k", "2", "--n", "2", "--output", str(path))
     assert code == 0
     assert "root: Bivalent({0, 1})" in out
     assert "critical configurations: 1" in out
+    assert path.read_bytes() == out.encode()
 
 
 def test_valence_uniform_inputs_have_no_criticals(capsys):

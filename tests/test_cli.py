@@ -233,6 +233,26 @@ def test_valence_json_export(capsys, tmp_path):
             ("--k", "2", "--n", "2", "--format", "dot"),
             "0e93d5a4fe448fa04646be946ba95a906f3d6425de2fc32caae814d931dc1cd8",
         ),
+        (
+            ("--k", "3", "--n", "4", "--crash-aware"),
+            "4c9beedc69e9ce7bfc0bfb5f9c74f45e25bbef29e56a18667e139814844b1ccf",
+        ),
+        (
+            ("--k", "2", "--n", "4", "--inputs", "0,0,1,1"),
+            "b2bfee0ac272426eb7d45a9b52a3a01cf88072e589cb53119df585f101e24650",
+        ),
+        (
+            ("--k", "3", "--n", "3", "--inputs", "5,5,5", "--crash-aware"),
+            "4ae3860c1658ab6553b064e52dd6c822f178255853bc47b8ad47048bcd92282e",
+        ),
+        (
+            ("--k", "1", "--n", "3"),
+            "dc3cacf10e5a2d90c39178cb8cd0e670e764e637ae2012f1e28f02f8d8fffec5",
+        ),
+        (
+            ("--k", "4", "--n", "5"),
+            "957d6d555953eb4158c8cd065d117e9e67f4656c05729d937da8617be1425f6e",
+        ),
     ],
 )
 def test_valence_output_matches_pinned_digest(capsys, argv, digest):

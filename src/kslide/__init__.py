@@ -52,10 +52,12 @@ from .sim import (
     verify_all,
 )
 from .valence import (
+    Census,
     CriticalConfig,
     Explorer,
     Valence,
     ValenceMap,
+    census,
     check_commutation,
 )
 from .lincheck import (

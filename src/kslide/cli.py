@@ -44,7 +44,7 @@ from .trace import (
     violation_record,
     write_records,
 )
-from .valence import Explorer, sorted_values
+from .valence import Explorer, census, sorted_values
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -158,22 +158,24 @@ def cmd_violate(args) -> int:
     return EXIT_VIOLATION
 
 
-def _valence_json(vmap, critical: set) -> list[str]:
+def _valence_json(vmap) -> list[str]:
     edges_by_src = [[] for _ in vmap.nodes]
     for src, step, dst in vmap.edges:
         edges_by_src[src].append((format_step(step), dst))
     return [
         serialize(ValenceNodeRecord(
-            i, sorted_values(valence.values), cfg in critical, cfg.decided, tuple(edges)
+            i, sorted_values(valence.values), critical, cfg.decided, tuple(edges)
         ))
-        for i, (cfg, valence, edges) in enumerate(zip(vmap.nodes, vmap.valences, edges_by_src))
+        for i, (cfg, valence, critical, edges) in enumerate(
+            zip(vmap.nodes, vmap.valences, vmap.critical, edges_by_src)
+        )
     ]
 
 
-def _valence_dot(vmap, critical: set) -> list[str]:
+def _valence_dot(vmap) -> list[str]:
     lines = ["digraph valence {"]
-    for i, (cfg, valence) in enumerate(zip(vmap.nodes, vmap.valences)):
-        peripheries = ", peripheries=2" if cfg in critical else ""
+    for i, (valence, critical) in enumerate(zip(vmap.valences, vmap.critical)):
+        peripheries = ", peripheries=2" if critical else ""
         lines.append(f'  n{i} [label="{valence!r}"{peripheries}];')
     for src, step, dst in vmap.edges:
         lines.append(f'  n{src} -> n{dst} [label="{format_step(step)}"];')
@@ -185,23 +187,21 @@ def cmd_valence(args) -> int:
     k = _require_positive("--k", args.k)
     n = _require_positive("--n", args.n)
     inputs = _parse_inputs(args.inputs, n)
-    explorer = Explorer(consensus_protocol(), inputs, k, crash_aware=args.crash_aware)
-    vmap = explorer.valence_map()
-    critical = explorer.find_critical()
-    valences = vmap.valences
-    broken_edges = sum(
-        not valences[dst].values <= valences[src].values for src, _, dst in vmap.edges
-    )
+    protocol = consensus_protocol()
+    # The summary counts orbits; the exports list every node, unreduced.
     if args.format == "text":
+        summary = census(protocol, inputs, k, crash_aware=args.crash_aware)
+        broken_edges = summary.broken_edges
         lines = [
-            f"root: {explorer.classify()!r}",
-            f"nodes: {len(vmap.nodes)} "
-            f"({vmap.bivalent_count} bivalent, {vmap.monovalent_count} monovalent)",
-            f"critical configurations: {len(critical)}",
+            f"root: {summary.root!r}",
+            f"nodes: {summary.nodes} "
+            f"({summary.bivalent} bivalent, {summary.monovalent} monovalent)",
+            f"critical configurations: {summary.critical}",
         ]
     else:
-        export = _valence_json if args.format == "json" else _valence_dot
-        lines = export(vmap, {cc.config for cc in critical})
+        vmap = Explorer(protocol, inputs, k, crash_aware=args.crash_aware).valence_map()
+        broken_edges = vmap.broken_edges
+        lines = (_valence_json if args.format == "json" else _valence_dot)(vmap)
     _export(lines, args.output)
     if broken_edges:
         print(f"error: {broken_edges} edges gained decision values", file=sys.stderr)

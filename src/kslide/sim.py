@@ -95,6 +95,11 @@ class Protocol(NamedTuple):
     decide(pid, proposal, results) maps its results to a decision. Local
     computation is folded into the surrounding steps, so one step is exactly
     one atomic shared-register access.
+
+    symmetric declares that renaming processes, and relabeling their
+    proposals with them, maps runs to runs: next_op and decide treat pids
+    and proposals as opaque tokens, and only proposals are written. The
+    valence census then explores one configuration per orbit of that group.
     """
 
     name: str
@@ -102,6 +107,7 @@ class Protocol(NamedTuple):
     steps_per_process: int
     next_op: Callable[[int, Value, tuple], RegisterOp]
     decide: Callable[[int, Value, tuple], Value]
+    symmetric: bool = False
 
 
 def consensus_protocol() -> Protocol:
@@ -129,6 +135,7 @@ def consensus_protocol() -> Protocol:
         steps_per_process=2,
         next_op=next_op,
         decide=decide,
+        symmetric=True,
     )
 
 

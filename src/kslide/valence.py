@@ -7,16 +7,21 @@ singleton and bivalent when both outcomes remain possible. This module
 builds the reachable graph once per Explorer, computes decision sets
 exhaustively over it, classifies configurations, finds critical ones
 (bivalent, but every next operation forces monovalence), exports the whole
-graph, and checks whether pending operations commute.
+graph, and checks whether pending operations commute. census counts the same
+classes over the same graph from one configuration per orbit of the
+process-renaming symmetry, so it reaches sizes the whole graph cannot.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
+import operator
 from collections import deque
 from typing import Iterator, Mapping, NamedTuple, Optional
 
-from .register import Value
+from .register import BOTTOM, Value
 from .sim import (
     Configuration,
     Crash,
@@ -89,6 +94,7 @@ class ValenceMap(NamedTuple):
     nodes: list  # node id -> Configuration
     valences: list  # node id -> Valence
     edges: list  # (source id, Step, destination id)
+    critical: list  # node id -> whether find_critical reports it
 
     @property
     def bivalent_count(self) -> int:
@@ -97,6 +103,37 @@ class ValenceMap(NamedTuple):
     @property
     def monovalent_count(self) -> int:
         return sum(1 for v in self.valences if v.monovalent)
+
+    @property
+    def broken_edges(self) -> int:
+        """Edges whose destination can decide a value its source cannot."""
+        valences = self.valences
+        return sum(not valences[dst].values <= valences[src].values for src, _, dst in self.edges)
+
+
+def _stepper(protocol: Protocol, inputs: Mapping[int, Value], k: int, crash_aware: bool):
+    """cfg -> [(step, successor)]: an Exec per live process in pid order,
+    then, crash-aware, a Crash per live process. apply_exec is bound per
+    stepper, so that a rebinding of valence.apply_exec is used."""
+    exec_step = functools.partial(apply_exec, protocol, inputs, k)
+    labels = [(pid, Exec(pid), Crash(pid)) for pid in sorted(inputs)]
+
+    def steps(cfg: Configuration) -> list:
+        movers = [label for label in labels if is_live(protocol, cfg, label[0])]
+        out = [(exec_, exec_step(cfg, pid)) for pid, exec_, _ in movers]
+        if crash_aware:
+            out += [(crash, apply_crash(cfg, pid)) for pid, _, crash in movers]
+        return out
+
+    return steps
+
+
+def _critical(decisions: list, succ: list, node: int) -> bool:
+    """find_critical's test over node ids: the node is bivalent and every
+    Exec successor is monovalent."""
+    return len(decisions[node]) >= 2 and all(
+        len(decisions[nxt]) == 1 for step, nxt in succ[node] if isinstance(step, Exec)
+    )
 
 
 class Explorer:
@@ -145,9 +182,7 @@ class Explorer:
 
     def _build(self, start: Configuration) -> int:
         ids, configs, succ = self._ids, self._configs, self._succ
-        # bound per build, so that a rebinding of valence.apply_exec is used
-        exec_step = functools.partial(apply_exec, self.protocol, self.inputs, self.k)
-        labels = [(pid, Exec(pid), Crash(pid)) for pid in sorted(self.inputs)]
+        steps = _stepper(self.protocol, self.inputs, self.k, self.crash_aware)
         first = len(configs)
         ids[start] = first
         configs.append(start)
@@ -157,12 +192,8 @@ class Explorer:
         while node < len(configs):
             cfg = configs[node]
             node += 1
-            movers = [label for label in labels if is_live(self.protocol, cfg, label[0])]
-            steps = [(exec_, exec_step(cfg, pid)) for pid, exec_, _ in movers]
-            if self.crash_aware:
-                steps += [(crash, apply_crash(cfg, pid)) for pid, _, crash in movers]
             out = []
-            for step, nxt in steps:
+            for step, nxt in steps(cfg):
                 nxt_id = ids.setdefault(nxt, len(configs))
                 if nxt_id == len(configs):
                     configs.append(nxt)
@@ -234,27 +265,19 @@ class Explorer:
     ) -> list[CriticalConfig]:
         """All reachable bivalent configurations whose every Exec successor
         is monovalent, in discovery order."""
-        configs, decisions = self._configs, self._decisions
-        out = []
-        for node in self._bfs(start):
-            if len(decisions[node]) < 2:
-                continue
-            succs = [
-                (step.pid, nxt)
-                for step, nxt in self._succ[node]
-                if isinstance(step, Exec)
-            ]
-            if all(len(decisions[nxt]) == 1 for _, nxt in succs):
-                out.append(
-                    CriticalConfig(
-                        configs[node],
-                        tuple(
-                            (pid, configs[nxt], Valence(decisions[nxt]))
-                            for pid, nxt in succs
-                        ),
-                    )
-                )
-        return out
+        configs, decisions, succ = self._configs, self._decisions, self._succ
+        return [
+            CriticalConfig(
+                configs[node],
+                tuple(
+                    (step.pid, configs[nxt], Valence(decisions[nxt]))
+                    for step, nxt in succ[node]
+                    if isinstance(step, Exec)
+                ),
+            )
+            for node in self._bfs(start)
+            if _critical(decisions, succ, node)
+        ]
 
     def valence_map(self, start: Optional[Configuration] = None) -> ValenceMap:
         configs, decisions, succ = self._configs, self._decisions, self._succ
@@ -264,7 +287,197 @@ class Explorer:
             [configs[node] for node in order],
             [Valence(decisions[node]) for node in order],
             [(i, step, ids[nxt]) for i, node in enumerate(order) for step, nxt in succ[node]],
+            [_critical(decisions, succ, node) for node in order],
         )
+
+
+class Census(NamedTuple):
+    """Valence counts over every configuration reachable from the initial
+    one, as census takes them from one configuration per orbit."""
+
+    root: Valence
+    orbits: int
+    nodes: int
+    bivalent: int
+    monovalent: int
+    critical: int
+    broken_edges: int
+
+
+def _symmetry(protocol: Protocol, inputs: Mapping[int, Value]) -> tuple[list, bool]:
+    """The group the census reduces by, as (classes, relabel): it permutes
+    pids within each class, and with relabel each proposal moves with its
+    process. A symmetric protocol with pairwise distinct proposals gets every
+    permutation, with relabeling. With repeated proposals it permutes only
+    pids whose proposals are the same object, so every value keeps its
+    object. An undeclared protocol gets the trivial group."""
+    pids = sorted(inputs)
+    if protocol.symmetric and len(set(inputs.values())) == len(pids):
+        return [pids], True
+    classes: dict = {}
+    for pid in pids:
+        classes.setdefault(id(inputs[pid]) if protocol.symmetric else pid, []).append(pid)
+    return list(classes.values()), False
+
+
+def _canonicalizer(inputs: Mapping[int, Value], classes: list, relabel: bool):
+    """cfg -> (representative, stabilizer size, back), where the
+    representative is the least image of cfg under the group and back maps
+    the representative's values to cfg's (None: the identity).
+
+    Pids are sorted within their class by a signature that renaming and
+    relabeling preserve: locals length, crashed, and where the pid's own
+    proposal sits in each read result and register window. Only the
+    permutations inside signature ties are tried; those that give the least
+    image are the stabilizer's cosets, so their count is its size. Pids that
+    took no step appear nowhere, so their ties count without being tried.
+    """
+    targets = tuple(pid for cls in classes for pid in cls)
+    interned: dict = {}  # locals and windows -> small ints, to order images
+    backs: dict = {}  # order -> back
+
+    def flags(window: tuple, own: Value) -> tuple:
+        return tuple(0 if slot is BOTTOM else 1 if slot == own else 2 for slot in window)
+
+    def key(image: tuple) -> tuple:
+        """An image's locals, registers and crashed pids, as comparable ints."""
+        moved, regs, dead = image[:3]
+        return (
+            tuple(interned.setdefault(x, len(interned)) for x in moved),
+            interned.setdefault(regs, len(interned)),
+            dead,
+        )
+
+    def canon(cfg: Configuration):
+        locals_, registers, crashed, decided = cfg
+        slots = []  # per register, value -> the slots that hold it
+        for window in registers:
+            where: dict = {}
+            for i, value in enumerate(window):
+                where.setdefault(value, []).append(i)
+            slots.append(where)
+
+        def signature(pid: int) -> tuple:
+            own, mine = inputs[pid], locals_[pid - 1]
+            return (
+                len(mine),
+                pid in crashed,
+                tuple(() if r is None else flags(r, own) for r in mine),
+                tuple(tuple(where.get(own, ())) for where in slots),
+            )
+
+        def image(order: tuple) -> tuple:
+            """cfg with old pid order[i] renamed targets[i]: its locals,
+            registers, crashed pids, the renaming and the value map."""
+            vmap = {inputs[old]: inputs[new] for old, new in zip(order, targets)} if relabel else {}
+            moved = [None] * len(targets)
+            for old, new in zip(order, targets):
+                moved[new - 1] = tuple(
+                    r if r is None else tuple(vmap.get(v, v) for v in r)
+                    for r in locals_[old - 1]
+                )
+            rank = dict(zip(order, targets))
+            regs = tuple(tuple(vmap.get(v, v) for v in w) for w in registers)
+            return tuple(moved), regs, tuple(sorted(rank[pid] for pid in crashed)), rank, vmap
+
+        stab = 1
+        runs = []  # per tie, the arrangements to try
+        for cls in classes:
+            keyed = sorted((signature(pid), pid) for pid in cls)
+            for sig, tie in itertools.groupby(keyed, key=operator.itemgetter(0)):
+                tie = tuple(pid for _, pid in tie)
+                if len(tie) > 1 and sig[0]:
+                    runs.append(tuple(itertools.permutations(tie)))
+                else:
+                    stab *= math.factorial(len(tie))
+                    runs.append((tie,))
+        orders = [tuple(itertools.chain.from_iterable(a)) for a in itertools.product(*runs)]
+        if len(orders) == 1:
+            order, ties = orders[0], 1
+        else:
+            keys = [key(image(order)) for order in orders]
+            least = min(keys)
+            order, ties = orders[keys.index(least)], keys.count(least)
+        if order == targets:
+            return cfg, stab * ties, None
+        moved, regs, dead, rank, vmap = image(order)
+        back = backs.setdefault(order, {new: old for old, new in vmap.items()}) if relabel else None
+        rep = tuple.__new__(Configuration, (
+            moved,
+            regs,
+            dead,
+            tuple(sorted((rank[pid], vmap.get(v, v)) for pid, v in decided)),
+        ))
+        return rep, stab * ties, back
+
+    return canon
+
+
+def _pull(values: frozenset, back: Optional[dict]) -> frozenset:
+    return values if back is None else frozenset(back.get(v, v) for v in values)
+
+
+def census(
+    protocol: Protocol,
+    inputs: Mapping[int, Value],
+    k: int,
+    crash_aware: bool = False,
+) -> Census:
+    """Valence counts of the whole reachable graph, from one canonical
+    configuration per orbit of the group _symmetry picks (Ip and Dill,
+    "Better verification through symmetry", 1996).
+
+    The orbit graph is built breadth-first like Explorer's graph, with each
+    successor replaced by its representative. Each orbit keeps its
+    stabilizer size, so every count is an exact sum of orbit sizes
+    |G| / |Stab|, and each edge keeps the value map from its destination's
+    labeling back to its source's, so decision sets, and the edges that
+    gain a decision value, are read in the source's labeling. Critical means
+    what find_critical means. Explorer gives the same counts over the
+    unreduced graph, which is what census walks for an undeclared protocol.
+    """
+    inputs = dict(inputs)
+    classes, relabel = _symmetry(protocol, inputs)
+    canon = _canonicalizer(inputs, classes, relabel)
+    steps = _stepper(protocol, inputs, k, crash_aware)
+    group = math.prod(math.factorial(len(cls)) for cls in classes)
+    start, root_stab, root_back = canon(initial_config(protocol, inputs, k))
+    ids = {start: 0}
+    reps, stabs, succ, backs = [start], [root_stab], [], []
+    for cfg in reps:  # grows while it is walked: breadth-first in id order
+        out, maps = [], []
+        for step, nxt in steps(cfg):
+            rep, stab, back = canon(nxt)
+            node = ids.setdefault(rep, len(reps))
+            if node == len(reps):
+                reps.append(rep)
+                stabs.append(stab)
+            out.append((step, node))
+            maps.append(back)
+        succ.append(tuple(out))
+        backs.append(tuple(maps))
+    # Every edge leads one step deeper, so id order is topological (see
+    # Explorer._build); decision sets fill from the last orbit back.
+    decisions = [frozenset()] * len(reps)
+    nodes = bivalent = monovalent = critical = broken = 0
+    for node in range(len(reps) - 1, -1, -1):
+        pulled = [_pull(decisions[nxt], back) for (_, nxt), back in zip(succ[node], backs[node])]
+        values = {v: None for _, v in reps[node].decided}
+        for more in pulled:
+            values.update(dict.fromkeys(more))
+        own = decisions[node] = frozenset(values)
+        size = group // stabs[node]
+        nodes += size
+        if len(own) >= 2:
+            bivalent += size
+            critical += size * _critical(decisions, succ, node)
+        elif own:
+            monovalent += size
+        broken += size * sum(not more <= own for more in pulled)
+    return Census(
+        Valence(_pull(decisions[0], root_back)),
+        len(reps), nodes, bivalent, monovalent, critical, broken,
+    )
 
 
 def check_commutation(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -286,6 +287,25 @@ def test_violation_listing_matches_pinned_digest(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, nodes",
+    [
+        (("--k", "6", "--n", "6"), "nodes: 4193473 "),
+        # the unreduced explorer's count
+        (("--k", "5", "--n", "5", "--crash-aware"), "nodes: 405392 "),
+    ],
+)
+def test_valence_summary_counts_graphs_too_large_to_build(capsys, argv, nodes):
+    # the unreduced k = n = 6 graph would take about 4.6 GB; the summary
+    # counts it from one configuration per orbit
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "valence", *argv)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert nodes in out
+    assert elapsed < 10, f"valence {' '.join(argv)} took {elapsed:.1f} s"
 
 
 def test_valence_crash_aware_adds_crash_edges(capsys):

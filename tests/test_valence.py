@@ -15,8 +15,9 @@ from kslide.sim import (
     default_inputs,
     initial_config,
 )
-from kslide.valence import Explorer, Valence, check_commutation
+from kslide.valence import Explorer, Valence, census, check_commutation
 from oracles import decision_set
+from test_sim import EQUAL_PROPOSALS
 
 PROTO = consensus_protocol()
 
@@ -323,3 +324,84 @@ def test_deep_protocol_is_classified_without_recursion():
     assert ex.witness(0) == (Exec(1),) * 1200
     assert len(ex.valence_map().nodes) == 1201
     assert ex.find_critical() == []
+
+
+# ------------------------------------------------------------ census
+
+
+def explorer_counts(protocol, inputs, k, crash_aware):
+    ex = Explorer(protocol, inputs, k, crash_aware=crash_aware)
+    vmap = ex.valence_map()
+    return (
+        repr(ex.classify()),
+        len(vmap.nodes),
+        vmap.bivalent_count,
+        vmap.monovalent_count,
+        len(ex.find_critical()),
+        vmap.broken_edges,
+    )
+
+
+def census_counts(protocol, inputs, k, crash_aware):
+    c = census(protocol, inputs, k, crash_aware=crash_aware)
+    return (repr(c.root), c.nodes, c.bivalent, c.monovalent, c.critical, c.broken_edges)
+
+
+@st.composite
+def census_cases(draw):
+    """Window size and proposals drawn from three values, so repeats occur."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    proposals = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return k, dict(enumerate(proposals, 1))
+
+
+@settings(deadline=None, max_examples=80)
+@given(census_cases(), st.booleans())
+def test_census_matches_the_unreduced_explorer(case, crash_aware):
+    k, inputs = case
+    assert census_counts(PROTO, inputs, k, crash_aware) == explorer_counts(
+        PROTO, inputs, k, crash_aware
+    )
+
+
+@pytest.mark.parametrize("crash_aware", [False, True])
+@pytest.mark.parametrize("inputs", EQUAL_PROPOSALS)
+def test_census_keeps_equal_proposals_apart(inputs, crash_aware):
+    # 1, 1.0 and True are equal but distinct objects: no pid is renamed, so
+    # every orbit is one configuration and each decision keeps its object
+    c = census(PROTO, inputs, 1, crash_aware=crash_aware)
+    assert c.orbits == c.nodes
+    assert census_counts(PROTO, inputs, 1, crash_aware) == explorer_counts(
+        PROTO, inputs, 1, crash_aware
+    )
+
+
+@pytest.mark.parametrize(
+    "k, n, crash_aware, inputs, orbits",
+    [
+        (3, 4, False, None, 153),
+        (3, 4, True, None, 533),
+        (2, 4, False, {1: 0, 2: 0, 3: 1, 4: 1}, 487),
+    ],
+)
+def test_census_explores_one_configuration_per_orbit(k, n, crash_aware, inputs, orbits):
+    inputs = default_inputs(n) if inputs is None else inputs
+    c = census(PROTO, inputs, k, crash_aware=crash_aware)
+    assert c.orbits == orbits
+    assert census_counts(PROTO, inputs, k, crash_aware) == explorer_counts(
+        PROTO, inputs, k, crash_aware
+    )
+
+
+@pytest.mark.parametrize("crash_aware", [False, True])
+def test_undeclared_protocol_gets_the_unreduced_graph(crash_aware):
+    # each process owns a register, so renaming processes alone is no
+    # symmetry; the protocol does not declare one and nothing is merged
+    proto = two_register_protocol()
+    assert not proto.symmetric and PROTO.symmetric
+    c = census(proto, default_inputs(2), 2, crash_aware=crash_aware)
+    assert c.orbits == c.nodes
+    assert census_counts(proto, default_inputs(2), 2, crash_aware) == explorer_counts(
+        proto, default_inputs(2), 2, crash_aware
+    )

@@ -76,7 +76,9 @@ def _parse_inputs(text: Optional[str], n: int) -> dict:
         raise ValueError(f"--inputs takes comma-separated integers, got {text!r}")
     if len(values) != n:
         raise ValueError(f"--inputs needs {n} values, got {len(values)}")
-    return {pid: values[pid - 1] for pid in range(1, n + 1)}
+    # equal proposals share one object, so the valence census may swap them
+    shared = {value: value for value in values}
+    return {pid: shared[values[pid - 1]] for pid in range(1, n + 1)}
 
 
 def _require_positive(name: str, value: int) -> int:

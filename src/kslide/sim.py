@@ -100,6 +100,10 @@ class Protocol(NamedTuple):
     proposals with them, maps runs to runs: next_op and decide treat pids
     and proposals as opaque tokens, and only proposals are written. The
     valence census then explores one configuration per orbit of that group.
+    It defaults to False so that a protocol built outside this module and
+    passed to valence.census, such as one where each process owns its own
+    register, is counted on the unreduced graph unless it declares the
+    symmetry.
     """
 
     name: str

@@ -104,12 +104,6 @@ class ValenceMap(NamedTuple):
     def monovalent_count(self) -> int:
         return sum(1 for v in self.valences if v.monovalent)
 
-    @property
-    def broken_edges(self) -> int:
-        """Edges whose destination can decide a value its source cannot."""
-        valences = self.valences
-        return sum(not valences[dst].values <= valences[src].values for src, _, dst in self.edges)
-
 
 def _stepper(protocol: Protocol, inputs: Mapping[int, Value], k: int, crash_aware: bool):
     """cfg -> [(step, successor)]: an Exec per live process in pid order,
@@ -301,7 +295,6 @@ class Census(NamedTuple):
     bivalent: int
     monovalent: int
     critical: int
-    broken_edges: int
 
 
 def _symmetry(protocol: Protocol, inputs: Mapping[int, Value]) -> tuple[list, bool]:
@@ -309,14 +302,15 @@ def _symmetry(protocol: Protocol, inputs: Mapping[int, Value]) -> tuple[list, bo
     pids within each class, and with relabel each proposal moves with its
     process. A symmetric protocol with pairwise distinct proposals gets every
     permutation, with relabeling. With repeated proposals it permutes only
-    pids whose proposals are the same object, so every value keeps its
-    object. An undeclared protocol gets the trivial group."""
+    pids whose proposals are equal and of one type, so 1, 1.0 and True stay
+    apart. An undeclared protocol gets the trivial group."""
     pids = sorted(inputs)
     if protocol.symmetric and len(set(inputs.values())) == len(pids):
         return [pids], True
     classes: dict = {}
     for pid in pids:
-        classes.setdefault(id(inputs[pid]) if protocol.symmetric else pid, []).append(pid)
+        value = inputs[pid]
+        classes.setdefault((type(value), value) if protocol.symmetric else pid, []).append(pid)
     return list(classes.values()), False
 
 
@@ -431,8 +425,8 @@ def census(
     successor replaced by its representative. Each orbit keeps its
     stabilizer size, so every count is an exact sum of orbit sizes
     |G| / |Stab|, and each edge keeps the value map from its destination's
-    labeling back to its source's, so decision sets, and the edges that
-    gain a decision value, are read in the source's labeling. Critical means
+    labeling back to its source's, so decision sets are read in the
+    source's labeling. Critical means
     what find_critical means. Explorer gives the same counts over the
     unreduced graph, which is what census walks for an undeclared protocol.
     """
@@ -459,12 +453,11 @@ def census(
     # Every edge leads one step deeper, so id order is topological (see
     # Explorer._build); decision sets fill from the last orbit back.
     decisions = [frozenset()] * len(reps)
-    nodes = bivalent = monovalent = critical = broken = 0
+    nodes = bivalent = monovalent = critical = 0
     for node in range(len(reps) - 1, -1, -1):
-        pulled = [_pull(decisions[nxt], back) for (_, nxt), back in zip(succ[node], backs[node])]
         values = {v: None for _, v in reps[node].decided}
-        for more in pulled:
-            values.update(dict.fromkeys(more))
+        for (_, nxt), back in zip(succ[node], backs[node]):
+            values.update(dict.fromkeys(_pull(decisions[nxt], back)))
         own = decisions[node] = frozenset(values)
         size = group // stabs[node]
         nodes += size
@@ -473,10 +466,8 @@ def census(
             critical += size * _critical(decisions, succ, node)
         elif own:
             monovalent += size
-        broken += size * sum(not more <= own for more in pulled)
     return Census(
-        Valence(_pull(decisions[0], root_back)),
-        len(reps), nodes, bivalent, monovalent, critical, broken,
+        Valence(_pull(decisions[0], root_back)), len(reps), nodes, bivalent, monovalent, critical
     )
 
 

@@ -22,7 +22,6 @@ from kslide.trace import (
     serialize,
     write_records,
 )
-from kslide.valence import census
 
 
 @pytest.fixture(autouse=True)
@@ -186,16 +185,6 @@ def test_valence_uniform_inputs_have_no_criticals(capsys):
     assert code == 0
     assert "root: Monovalent(7)" in out
     assert "critical configurations: 0" in out
-
-
-def test_repeated_inputs_share_one_object():
-    # the census permutes only processes proposing the same object, and
-    # int() makes a new object for each 1000
-    inputs = cli._parse_inputs("1000,2000,1000", 3)
-    assert inputs == {1: 1000, 2: 2000, 3: 1000}
-    assert inputs[1] is inputs[3]
-    summary = census(consensus_protocol(), inputs, 2)
-    assert summary.orbits < summary.nodes
 
 
 def test_valence_dot_export(capsys, tmp_path):

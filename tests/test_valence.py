@@ -338,13 +338,12 @@ def explorer_counts(protocol, inputs, k, crash_aware):
         vmap.bivalent_count,
         vmap.monovalent_count,
         len(ex.find_critical()),
-        vmap.broken_edges,
     )
 
 
 def census_counts(protocol, inputs, k, crash_aware):
     c = census(protocol, inputs, k, crash_aware=crash_aware)
-    return (repr(c.root), c.nodes, c.bivalent, c.monovalent, c.critical, c.broken_edges)
+    return (repr(c.root), c.nodes, c.bivalent, c.monovalent, c.critical)
 
 
 @st.composite
@@ -374,6 +373,19 @@ def test_census_keeps_equal_proposals_apart(inputs, crash_aware):
     assert c.orbits == c.nodes
     assert census_counts(PROTO, inputs, 1, crash_aware) == explorer_counts(
         PROTO, inputs, 1, crash_aware
+    )
+
+
+@pytest.mark.parametrize("crash_aware", [False, True])
+def test_census_permutes_equal_proposals_held_by_distinct_objects(crash_aware):
+    # int() makes a new object for each 1000; equal values of one type are
+    # interchangeable, as they are to Explorer's configuration table
+    inputs = {1: int("1000"), 2: int("2000"), 3: int("1000")}
+    assert inputs[1] is not inputs[3]
+    c = census(PROTO, inputs, 2, crash_aware=crash_aware)
+    assert c.orbits < c.nodes
+    assert census_counts(PROTO, inputs, 2, crash_aware) == explorer_counts(
+        PROTO, inputs, 2, crash_aware
     )
 
 

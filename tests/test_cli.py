@@ -279,6 +279,11 @@ def test_valence_output_matches_pinned_digest(capsys, argv, digest):
             ("violate", "--k", "3", "--max", "50"),
             "f9d3d3edffc9efca5dbd72dccd48bd894b410e0817c6631014440c2040151696",
         ),
+        (
+            # 65,304 schedules, 15,048 violations
+            ("verify", "--k", "3", "--n", "4", "--crashes"),
+            "2f8df600b7b9ed5e00b34a59539be8b2243929d9bef5e2108de526bce486f5a7",
+        ),
     ],
 )
 def test_violation_listing_matches_pinned_digest(capsys, argv, digest):
@@ -287,6 +292,33 @@ def test_violation_listing_matches_pinned_digest(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, out_digest, records_digest",
+    [
+        (
+            # 1,464 violations; only pids with equal proposals are renamed
+            ("--k", "2", "--n", "4", "--inputs", "0,0,1,1"),
+            "6787dfe3a3d43b07bd687395266aefc7cc2ad65591648fc0a0d03e8ea1b661fd",
+            "38add9b38497a3cf3d49fb59f5795614ebf2836ee2617981e7d62cfbfe363b92",
+        ),
+        (
+            ("--k", "2", "--n", "3", "--inputs", "1,1,2", "--crashes"),
+            "dc46d3365978e8abc9527a0de66d1e8dd41be382fe652aa25569261844c66554",
+            "3b368debea3e6583b37756fa7f7bd6a4a4c5970958ef744e477de127ad2418ba",
+        ),
+    ],
+)
+def test_repeated_input_violations_match_pinned_digests(
+    capsys, tmp_path, argv, out_digest, records_digest
+):
+    # stdout and the violation records as the per-schedule replay wrote them
+    path = tmp_path / "violations.jsonl"
+    code, out, _ = run_cli(capsys, "verify", *argv, "--output", str(path))
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == records_digest
 
 
 @pytest.mark.parametrize(

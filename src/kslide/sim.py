@@ -284,8 +284,8 @@ def _ops_map(n: int, ops_per_process) -> dict[int, int]:
     return ops
 
 
-def _no_state(state: None, pid: int) -> None:
-    return None
+def _no_state(state: tuple, pid: int) -> tuple:
+    return ()
 
 
 def _walk(
@@ -294,8 +294,9 @@ def _walk(
     """Depth-first over every schedule in enumerate_schedules' order. stack[d]
     is the (state, process index, step) frame after d steps, stack[0] holds
     root, and each tree edge is one exec_step(state, pid) or crash_step(state,
-    pid) call, so no prefix is replayed. The live stack is yielded at each
-    leaf; build its schedule (_schedule) only where one is needed."""
+    pid) call, so no prefix is replayed; a call that returns None prunes the
+    subtree below its edge. The live stack is yielded at each leaf; build its
+    schedule (_schedule) only where one is needed."""
     variants = []
     for pid in sorted(ops):
         execs = ((Exec(pid), exec_step),) * ops[pid]
@@ -317,8 +318,12 @@ def _walk(
                     i += 1
             if i < width:
                 step, apply = sequences[i][taken[i]]
+                state = apply(stack[-1][0], step.pid)
+                if state is None:  # nothing wanted below this edge
+                    i += 1
+                    continue
                 taken[i] += 1
-                stack.append((apply(stack[-1][0], step.pid), i, step))
+                stack.append((state, i, step))
                 i = 0
                 continue
             if len(stack) == 1:
@@ -349,7 +354,7 @@ def enumerate_schedules(
     if n < 1:
         raise ValueError("need at least one process")
     ops = _ops_map(n, ops_per_process)
-    for stack in _walk(ops, with_crashes, None, _no_state, _no_state):
+    for stack in _walk(ops, with_crashes, (), _no_state, _no_state):
         yield _schedule(stack)
 
 
@@ -377,24 +382,73 @@ def verify_all(
     inputs: Optional[Mapping[int, Value]] = None,
     with_crashes: bool = False,
 ) -> VerificationReport:
-    """Check the consensus properties on every enumerated schedule, walked
-    depth first with each depth's configuration on a stack (_walk) and each
-    distinct outcome judged once (_judge). Returns the total schedule count
-    and all violations, in enumeration order."""
+    """Check the consensus properties on every enumerated schedule. Returns
+    the total schedule count and all violations, in enumeration order.
+
+    A schedule is a root-to-terminal path of the orbit graph that
+    valence.census reads, crash-aware with with_crashes. Filled in reverse
+    id order, each orbit's count of paths to terminals sums to
+    schedules_checked at the root, and a second count takes only the
+    terminals whose representative outcome fails: the properties hold or
+    fail alike on every configuration of an orbit, so each distinct
+    representative outcome is judged once (_judge). Only when some path
+    fails does _walk list the violations, over (orbit, renaming) states: a
+    tree edge is one edge lookup plus one composition of renamings, and the
+    concrete outcome of each terminal state is built once.
+    """
+    from .valence import _orbit_graph  # valence imports this module
+
     inputs = default_inputs(n) if inputs is None else dict(inputs)
-    root = initial_config(protocol, inputs, k)
-    exec_step = functools.partial(apply_exec, protocol, inputs, k)
-    ops = _ops_map(n, protocol.steps_per_process)
+    reps, _, succ, root, back, _ = _orbit_graph(protocol, inputs, k, with_crashes, exact=True)
     judge = _judge(inputs)
-    count = 0
+    paths, bad = [1] * len(reps), [0] * len(reps)
+    for node in range(len(reps) - 1, -1, -1):
+        if succ[node]:
+            paths[node] = sum(paths[nxt] for _, nxt, _ in succ[node])
+            bad[node] = sum(bad[nxt] for _, nxt, _ in succ[node])
+        else:
+            bad[node] = not judge(reps[node].decided, reps[node].crashed).ok
+    if not bad[0]:
+        return VerificationReport(paths[0], ())
+    # A state is (node, r), where the renaming r sends each pid p of the
+    # concrete configuration to r[p] in reps[node]. A tree edge is one edge
+    # lookup and one renaming composition; it is pruned (None) when no
+    # violation lies below it.
+    edges = [
+        {(type(step) is Crash, step.pid): (nxt, renaming) for step, nxt, renaming in out}
+        for out in succ
+    ]
+
+    def mover(crash: bool) -> Callable:
+        def move(state: tuple, pid: int) -> Optional[tuple]:
+            node, r = state
+            node, renaming = edges[node][crash, r[pid]]
+            if bad[node]:
+                return node, r if renaming is None else tuple([renaming[p] for p in r])
+            return None
+
+        return move
+
+    def concrete(node: int, r: tuple) -> tuple:
+        rep = reps[node]
+        old = {new: pid for pid, new in enumerate(r)}
+        values = back(r) or {}
+        return (
+            judge(rep.decided, rep.crashed),
+            tuple(sorted((old[pid], values.get(v, v)) for pid, v in rep.decided)),
+            tuple(sorted(old[pid] for pid in rep.crashed)),
+        )
+
+    ops = _ops_map(n, protocol.steps_per_process)
+    start = (0, root or tuple(range(len(inputs) + 1)))
+    listed: dict = {}  # terminal state -> (report, decided, crashed), built once
     violations = []
-    for stack in _walk(ops, with_crashes, root, exec_step, apply_crash):
-        cfg = stack[-1][0]
-        report = judge(cfg.decided, cfg.crashed)
-        count += 1
-        if not report.ok:
-            violations.append((_schedule(stack), report, cfg.decided, cfg.crashed))
-    return VerificationReport(count, tuple(violations))
+    for stack in _walk(ops, with_crashes, start, mover(False), mover(True)):
+        state = stack[-1][0]
+        if state not in listed:
+            listed[state] = concrete(*state)
+        violations.append((_schedule(stack), *listed[state]))
+    return VerificationReport(paths[0], tuple(violations))
 
 
 def eviction_schedule(k: int, n: int) -> Schedule:

@@ -126,7 +126,7 @@ def _critical(decisions: list, succ: list, node: int) -> bool:
     """find_critical's test over node ids: the node is bivalent and every
     Exec successor is monovalent."""
     return len(decisions[node]) >= 2 and all(
-        len(decisions[nxt]) == 1 for step, nxt in succ[node] if isinstance(step, Exec)
+        len(decisions[edge[1]]) == 1 for edge in succ[node] if isinstance(edge[0], Exec)
     )
 
 
@@ -315,9 +315,9 @@ def _symmetry(protocol: Protocol, inputs: Mapping[int, Value]) -> tuple[list, bo
 
 
 def _canonicalizer(inputs: Mapping[int, Value], classes: list, relabel: bool):
-    """cfg -> (representative, stabilizer size, back), where the
-    representative is the least image of cfg under the group and back maps
-    the representative's values to cfg's (None: the identity).
+    """cfg -> (representative, stabilizer size, renaming), where the
+    representative is the least image of cfg under the group and the
+    renaming r sends each pid p of cfg to r[p] in it (None: the identity).
 
     Pids are sorted within their class by a signature that renaming and
     relabeling preserve: locals length, crashed, and where the pid's own
@@ -328,7 +328,7 @@ def _canonicalizer(inputs: Mapping[int, Value], classes: list, relabel: bool):
     """
     targets = tuple(pid for cls in classes for pid in cls)
     interned: dict = {}  # locals and windows -> small ints, to order images
-    backs: dict = {}  # order -> back
+    renamings: dict = {}  # order -> renaming
 
     def flags(window: tuple, own: Value) -> tuple:
         return tuple(0 if slot is BOTTOM else 1 if slot == own else 2 for slot in window)
@@ -395,16 +395,68 @@ def _canonicalizer(inputs: Mapping[int, Value], classes: list, relabel: bool):
         if order == targets:
             return cfg, stab * ties, None
         moved, regs, dead, rank, vmap = image(order)
-        back = backs.setdefault(order, {new: old for old, new in vmap.items()}) if relabel else None
+        renaming = renamings.setdefault(order, (0, *map(rank.get, range(1, len(targets) + 1))))
         rep = tuple.__new__(Configuration, (
             moved,
             regs,
             dead,
             tuple(sorted((rank[pid], vmap.get(v, v)) for pid, v in decided)),
         ))
-        return rep, stab * ties, back
+        return rep, stab * ties, renaming
 
     return canon
+
+
+def _typed(x):
+    """x with every leaf paired with its type, so that 1, 1.0 and True differ."""
+    return tuple(map(_typed, x)) if isinstance(x, tuple) else (type(x), x)
+
+
+def _orbit_graph(
+    protocol: Protocol, inputs: Mapping[int, Value], k: int, crash_aware: bool, exact=False
+):
+    """The orbit graph census and sim.verify_all read, as (reps, stabs, succ,
+    root, back, group). reps[node] is one canonical configuration per orbit
+    of the group _symmetry picks, numbered breadth-first from the initial
+    configuration's, node 0; stabs[node] is its stabilizer size; succ[node]
+    lists (step, node, renaming) per _stepper successor of reps[node], where
+    the renaming takes that successor to its orbit's representative, and
+    root is the initial configuration's renaming. back(renaming) maps a
+    representative's values to the renamed configuration's (None: the
+    identity), and group is the group's order.
+
+    Like Explorer's table, the graph merges configurations that compare
+    equal. With exact, those that differ in the types of equal proposals
+    (1, 1.0, True) stay apart, so each representative holds the run's own
+    objects.
+    """
+    classes, relabel = _symmetry(protocol, inputs)
+    values = inputs.values()
+    exact = exact and len(set(values)) < len({(type(v), v) for v in values})
+    canon = _canonicalizer(inputs, classes, relabel)
+    steps = _stepper(protocol, inputs, k, crash_aware)
+    start, root_stab, root = canon(initial_config(protocol, inputs, k))
+    ids = {_typed(start) if exact else start: 0}
+    reps, stabs, succ = [start], [root_stab], []
+    for cfg in reps:  # grows while it is walked: breadth-first in id order
+        out = []
+        for step, nxt in steps(cfg):
+            rep, stab, renaming = canon(nxt)
+            node = ids.setdefault(_typed(rep) if exact else rep, len(reps))
+            if node == len(reps):
+                reps.append(rep)
+                stabs.append(stab)
+            out.append((step, node, renaming))
+        succ.append(tuple(out))
+
+    @functools.cache
+    def back(renaming: Optional[tuple]) -> Optional[dict]:
+        if renaming is None or not relabel:
+            return None
+        return {inputs[new]: inputs[old] for old, new in enumerate(renaming) if old}
+
+    group = math.prod(math.factorial(len(cls)) for cls in classes)
+    return reps, stabs, succ, root, back, group
 
 
 def _pull(values: frozenset, back: Optional[dict]) -> frozenset:
@@ -421,43 +473,24 @@ def census(
     configuration per orbit of the group _symmetry picks (Ip and Dill,
     "Better verification through symmetry", 1996).
 
-    The orbit graph is built breadth-first like Explorer's graph, with each
-    successor replaced by its representative. Each orbit keeps its
-    stabilizer size, so every count is an exact sum of orbit sizes
-    |G| / |Stab|, and each edge keeps the value map from its destination's
-    labeling back to its source's, so decision sets are read in the
-    source's labeling. Critical means
-    what find_critical means. Explorer gives the same counts over the
-    unreduced graph, which is what census walks for an undeclared protocol.
+    The orbit graph (_orbit_graph) is built breadth-first like Explorer's
+    graph, with each successor replaced by its representative. Each orbit
+    keeps its stabilizer size, so every count is an exact sum of orbit sizes
+    |G| / |Stab|, and each edge keeps the renaming from its destination's
+    labeling to its source's; the value map derived from it reads decision
+    sets in the source's labeling. Critical means what find_critical means.
+    Explorer gives the same counts over the unreduced graph, which is what
+    census walks for an undeclared protocol.
     """
-    inputs = dict(inputs)
-    classes, relabel = _symmetry(protocol, inputs)
-    canon = _canonicalizer(inputs, classes, relabel)
-    steps = _stepper(protocol, inputs, k, crash_aware)
-    group = math.prod(math.factorial(len(cls)) for cls in classes)
-    start, root_stab, root_back = canon(initial_config(protocol, inputs, k))
-    ids = {start: 0}
-    reps, stabs, succ, backs = [start], [root_stab], [], []
-    for cfg in reps:  # grows while it is walked: breadth-first in id order
-        out, maps = [], []
-        for step, nxt in steps(cfg):
-            rep, stab, back = canon(nxt)
-            node = ids.setdefault(rep, len(reps))
-            if node == len(reps):
-                reps.append(rep)
-                stabs.append(stab)
-            out.append((step, node))
-            maps.append(back)
-        succ.append(tuple(out))
-        backs.append(tuple(maps))
+    reps, stabs, succ, root, back, group = _orbit_graph(protocol, dict(inputs), k, crash_aware)
     # Every edge leads one step deeper, so id order is topological (see
     # Explorer._build); decision sets fill from the last orbit back.
     decisions = [frozenset()] * len(reps)
     nodes = bivalent = monovalent = critical = 0
     for node in range(len(reps) - 1, -1, -1):
         values = {v: None for _, v in reps[node].decided}
-        for (_, nxt), back in zip(succ[node], backs[node]):
-            values.update(dict.fromkeys(_pull(decisions[nxt], back)))
+        for _, nxt, renaming in succ[node]:
+            values.update(dict.fromkeys(_pull(decisions[nxt], back(renaming))))
         own = decisions[node] = frozenset(values)
         size = group // stabs[node]
         nodes += size
@@ -467,7 +500,7 @@ def census(
         elif own:
             monovalent += size
     return Census(
-        Valence(_pull(decisions[0], root_back)), len(reps), nodes, bivalent, monovalent, critical
+        Valence(_pull(decisions[0], back(root))), len(reps), nodes, bivalent, monovalent, critical
     )
 
 

@@ -33,17 +33,19 @@ def test_verify_builds_violation_records_without_replaying(tmp_path, capsys):
     calls = tracer.summary().calls
     assert calls["trace.violation_record"] == 1944
     assert calls["sim.run_schedule"] == 0
-    # one check per distinct (decided, crashed) outcome, not per schedule
-    assert calls["consensus.check_outcome"] == 88
+    # one check per distinct (decided, crashed) outcome of an orbit
+    # representative: 10, where the 88 concrete outcomes were judged before
+    assert calls["consensus.check_outcome"] == 10
 
 
 def test_verify_judges_each_distinct_outcome_once():
-    # the benchmark's first verify job: 2,520 schedules, 4 distinct outcomes
+    # the benchmark's first verify job: 2,520 schedules, 4 distinct
+    # outcomes, 3 distinct among the orbit representatives' terminals
     with Tracer() as tracer:
         layers.install(tracer)
         assert cli.main(["verify", "--k", "4", "--n", "4"]) == 0
     calls = tracer.summary().calls
-    assert calls["consensus.check_outcome"] == 4
+    assert calls["consensus.check_outcome"] == 3
     assert calls["sim.run_schedule"] == 0
 
 

@@ -385,24 +385,22 @@ def verify_all(
     """Check the consensus properties on every enumerated schedule. Returns
     the total schedule count and all violations, in enumeration order.
 
-    A schedule is a root-to-terminal path of the orbit graph that
-    valence.census reads, crash-aware with with_crashes. Filled in reverse
-    id order, each orbit's count of paths to terminals sums to
-    schedules_checked at the root, and a second count takes only the
-    terminals whose representative outcome fails: the properties hold or
-    fail alike on every configuration of an orbit, so each distinct
-    representative outcome is judged once (_judge). Only when some path
-    fails does _walk list the violations, over (orbit, renaming) states: a
-    tree edge is one edge lookup plus one composition of renamings, and the
-    concrete outcome of each terminal state is built once.
+    A schedule is a root-to-terminal path of valence.census's orbit graph
+    (crash-aware with with_crashes), so schedules_checked is the root's path
+    count. A second count takes only paths into terminals whose
+    representative outcome fails; the properties are invariant under the
+    group, so each distinct one is judged once (_judge). Only if some path
+    fails does _walk list the violations, over (orbit, renaming) states: an
+    edge lookup and a renaming composition per tree edge, no subtree without
+    a violation, and each terminal state's concrete outcome built once.
     """
     from .valence import _orbit_graph  # valence imports this module
 
     inputs = default_inputs(n) if inputs is None else dict(inputs)
-    reps, _, succ, root, back, _ = _orbit_graph(protocol, inputs, k, with_crashes, exact=True)
+    reps, _, succ, back, _ = _orbit_graph(protocol, inputs, k, with_crashes, exact=True)
     judge = _judge(inputs)
     paths, bad = [1] * len(reps), [0] * len(reps)
-    for node in range(len(reps) - 1, -1, -1):
+    for node in range(len(reps) - 1, -1, -1):  # every edge leads to a higher id
         if succ[node]:
             paths[node] = sum(paths[nxt] for _, nxt, _ in succ[node])
             bad[node] = sum(bad[nxt] for _, nxt, _ in succ[node])
@@ -410,40 +408,27 @@ def verify_all(
             bad[node] = not judge(reps[node].decided, reps[node].crashed).ok
     if not bad[0]:
         return VerificationReport(paths[0], ())
-    # A state is (node, r), where the renaming r sends each pid p of the
-    # concrete configuration to r[p] in reps[node]. A tree edge is one edge
-    # lookup and one renaming composition; it is pruned (None) when no
-    # violation lies below it.
-    edges = [
-        {(type(step) is Crash, step.pid): (nxt, renaming) for step, nxt, renaming in out}
-        for out in succ
-    ]
+    # A state (node, r) renames each pid p of the concrete configuration to
+    # r[p] in reps[node]; None prunes an edge with no violation below it.
+    edges = [{(type(s) is Crash, s.pid): (nxt, r) for s, nxt, r in out} for out in succ]
 
-    def mover(crash: bool) -> Callable:
-        def move(state: tuple, pid: int) -> Optional[tuple]:
-            node, r = state
-            node, renaming = edges[node][crash, r[pid]]
-            if bad[node]:
-                return node, r if renaming is None else tuple([renaming[p] for p in r])
-            return None
-
-        return move
+    def move(crash: bool, state: tuple, pid: int) -> Optional[tuple]:
+        node, r = state
+        node, renaming = edges[node][crash, r[pid]]
+        if bad[node]:
+            return node, r if renaming is None else tuple([renaming[p] for p in r])
+        return None
 
     def concrete(node: int, r: tuple) -> tuple:
-        rep = reps[node]
-        old = {new: pid for pid, new in enumerate(r)}
-        values = back(r) or {}
-        return (
-            judge(rep.decided, rep.crashed),
-            tuple(sorted((old[pid], values.get(v, v)) for pid, v in rep.decided)),
-            tuple(sorted(old[pid] for pid in rep.crashed)),
-        )
+        rep, old, values = reps[node], {new: pid for pid, new in enumerate(r)}, back(r) or {}
+        decided = tuple(sorted((old[pid], values.get(v, v)) for pid, v in rep.decided))
+        return judge(rep.decided, rep.crashed), decided, tuple(sorted(map(old.get, rep.crashed)))
 
     ops = _ops_map(n, protocol.steps_per_process)
-    start = (0, root or tuple(range(len(inputs) + 1)))
-    listed: dict = {}  # terminal state -> (report, decided, crashed), built once
+    steps = functools.partial(move, False), functools.partial(move, True)
+    listed: dict = {}  # terminal state -> concrete(*state)
     violations = []
-    for stack in _walk(ops, with_crashes, start, mover(False), mover(True)):
+    for stack in _walk(ops, with_crashes, (0, tuple(range(len(inputs) + 1))), *steps):
         state = stack[-1][0]
         if state not in listed:
             listed[state] = concrete(*state)

@@ -123,8 +123,8 @@ def _stepper(protocol: Protocol, inputs: Mapping[int, Value], k: int, crash_awar
 
 
 def _critical(decisions: list, succ: list, node: int) -> bool:
-    """find_critical's test over node ids: the node is bivalent and every
-    Exec successor is monovalent."""
+    """find_critical's test over (step, node id, ...) edges: the node is
+    bivalent and every Exec successor is monovalent."""
     return len(decisions[node]) >= 2 and all(
         len(decisions[edge[1]]) == 1 for edge in succ[node] if isinstance(edge[0], Exec)
     )
@@ -328,7 +328,6 @@ def _canonicalizer(inputs: Mapping[int, Value], classes: list, relabel: bool):
     """
     targets = tuple(pid for cls in classes for pid in cls)
     interned: dict = {}  # locals and windows -> small ints, to order images
-    renamings: dict = {}  # order -> renaming
 
     def flags(window: tuple, own: Value) -> tuple:
         return tuple(0 if slot is BOTTOM else 1 if slot == own else 2 for slot in window)
@@ -395,7 +394,7 @@ def _canonicalizer(inputs: Mapping[int, Value], classes: list, relabel: bool):
         if order == targets:
             return cfg, stab * ties, None
         moved, regs, dead, rank, vmap = image(order)
-        renaming = renamings.setdefault(order, (0, *map(rank.get, range(1, len(targets) + 1))))
+        renaming = (0, *map(rank.get, range(1, len(targets) + 1)))
         rep = tuple.__new__(Configuration, (
             moved,
             regs,
@@ -412,30 +411,21 @@ def _typed(x):
     return tuple(map(_typed, x)) if isinstance(x, tuple) else (type(x), x)
 
 
-def _orbit_graph(
-    protocol: Protocol, inputs: Mapping[int, Value], k: int, crash_aware: bool, exact=False
-):
-    """The orbit graph census and sim.verify_all read, as (reps, stabs, succ,
-    root, back, group). reps[node] is one canonical configuration per orbit
-    of the group _symmetry picks, numbered breadth-first from the initial
-    configuration's, node 0; stabs[node] is its stabilizer size; succ[node]
-    lists (step, node, renaming) per _stepper successor of reps[node], where
-    the renaming takes that successor to its orbit's representative, and
-    root is the initial configuration's renaming. back(renaming) maps a
-    representative's values to the renamed configuration's (None: the
-    identity), and group is the group's order.
-
-    Like Explorer's table, the graph merges configurations that compare
-    equal. With exact, those that differ in the types of equal proposals
-    (1, 1.0, True) stay apart, so each representative holds the run's own
-    objects.
-    """
+def _orbit_graph(protocol: Protocol, inputs: dict, k: int, crash_aware: bool, exact=False):
+    """(reps, stabs, succ, back, group): reps[node] is one configuration per
+    orbit of the group _symmetry picks, breadth-first from the initial one
+    (node 0, its own representative: pids that took no step are never
+    renamed), stabs[node] its stabilizer size, and succ[node] holds (step,
+    node, renaming) per _stepper successor, the renaming taking it to its
+    representative. back(renaming) maps the representative's values to the
+    successor's (None: the identity); group is the group's order. Equal
+    configurations merge, as in Explorer; with exact, those that hold equal
+    proposals of distinct types (1, 1.0, True) stay apart."""
     classes, relabel = _symmetry(protocol, inputs)
-    values = inputs.values()
-    exact = exact and len(set(values)) < len({(type(v), v) for v in values})
+    exact = exact and len(set(inputs.values())) < len({(type(v), v) for v in inputs.values()})
     canon = _canonicalizer(inputs, classes, relabel)
     steps = _stepper(protocol, inputs, k, crash_aware)
-    start, root_stab, root = canon(initial_config(protocol, inputs, k))
+    start, root_stab, _ = canon(initial_config(protocol, inputs, k))
     ids = {_typed(start) if exact else start: 0}
     reps, stabs, succ = [start], [root_stab], []
     for cfg in reps:  # grows while it is walked: breadth-first in id order
@@ -451,12 +441,11 @@ def _orbit_graph(
 
     @functools.cache
     def back(renaming: Optional[tuple]) -> Optional[dict]:
-        if renaming is None or not relabel:
-            return None
-        return {inputs[new]: inputs[old] for old, new in enumerate(renaming) if old}
+        if relabel and renaming:
+            return {inputs[new]: inputs[old] for old, new in enumerate(renaming) if old}
+        return None
 
-    group = math.prod(math.factorial(len(cls)) for cls in classes)
-    return reps, stabs, succ, root, back, group
+    return reps, stabs, succ, back, math.prod(math.factorial(len(c)) for c in classes)
 
 
 def _pull(values: frozenset, back: Optional[dict]) -> frozenset:
@@ -473,16 +462,17 @@ def census(
     configuration per orbit of the group _symmetry picks (Ip and Dill,
     "Better verification through symmetry", 1996).
 
-    The orbit graph (_orbit_graph) is built breadth-first like Explorer's
-    graph, with each successor replaced by its representative. Each orbit
-    keeps its stabilizer size, so every count is an exact sum of orbit sizes
-    |G| / |Stab|, and each edge keeps the renaming from its destination's
-    labeling to its source's; the value map derived from it reads decision
-    sets in the source's labeling. Critical means what find_critical means.
+    The orbit graph (_orbit_graph, which sim.verify_all counts paths over)
+    is built breadth-first like Explorer's graph, with each successor
+    replaced by its representative. Each orbit keeps its stabilizer size, so
+    every count is an exact sum of orbit sizes |G| / |Stab|, and each edge
+    keeps the renaming that takes the successor to its representative; the
+    value map derived from it reads the representative's decision set in
+    the successor's labeling. Critical means what find_critical means.
     Explorer gives the same counts over the unreduced graph, which is what
     census walks for an undeclared protocol.
     """
-    reps, stabs, succ, root, back, group = _orbit_graph(protocol, dict(inputs), k, crash_aware)
+    reps, stabs, succ, back, group = _orbit_graph(protocol, dict(inputs), k, crash_aware)
     # Every edge leads one step deeper, so id order is topological (see
     # Explorer._build); decision sets fill from the last orbit back.
     decisions = [frozenset()] * len(reps)
@@ -499,9 +489,7 @@ def census(
             critical += size * _critical(decisions, succ, node)
         elif own:
             monovalent += size
-    return Census(
-        Valence(_pull(decisions[0], back(root))), len(reps), nodes, bivalent, monovalent, critical
-    )
+    return Census(Valence(decisions[0]), len(reps), nodes, bivalent, monovalent, critical)
 
 
 def check_commutation(

@@ -295,6 +295,23 @@ def test_violation_listing_matches_pinned_digest(capsys, argv, digest):
 
 
 @pytest.mark.parametrize(
+    "argv, summary",
+    [
+        (("--k", "5", "--n", "5", "--crashes"), "5900520 schedules including crash truncations"),
+        (("--k", "6", "--n", "6"), "7484400 crash-free schedules"),
+    ],
+)
+def test_verify_counts_schedule_trees_too_large_to_walk(capsys, argv, summary):
+    # schedules are counted as paths over the orbit graph; walking the
+    # k = n = 5 crash tree one edge at a time took about a minute
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (0, f"{summary}, 0 violations\n")
+    assert elapsed < 10, f"verify {' '.join(argv)} took {elapsed:.1f} s"
+
+
+@pytest.mark.parametrize(
     "argv, out_digest, records_digest",
     [
         (

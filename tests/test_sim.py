@@ -5,7 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kslide.consensus import check_outcome
-from kslide.register import BOTTOM
+from kslide.register import BOTTOM, first_non_bottom
 from kslide.sim import (
     Configuration,
     Crash,
@@ -415,12 +415,58 @@ def test_deep_protocol_is_walked_without_recursion():
     assert list(enumerate_schedules(1, 1200)) == [(Exec(1),) * 1200]
 
 
-def replayed_verify(inputs, k, n, crashes):
+def _shared_register_zero():
+    """Each process writes its own register, then reads register 0 and
+    decides its oldest value. Process 1 alone reads what it wrote, so the
+    protocol has no pid symmetry, and it declares none."""
+
+    def next_op(pid, proposal, results):
+        return ReadOp(0) if results else WriteOp(pid - 1, proposal)
+
+    def decide(pid, proposal, results):
+        return first_non_bottom(results[-1])
+
+    return Protocol("own-registers-read-zero", 4, 2, next_op, decide)
+
+
+UNDECLARED = _shared_register_zero()
+
+
+def _read_twice():
+    """Write the proposal, read twice, decide the oldest value of the last
+    read: a symmetric protocol of three steps per process."""
+
+    def next_op(pid, proposal, results):
+        return ReadOp(0) if results else WriteOp(0, proposal)
+
+    def decide(pid, proposal, results):
+        return first_non_bottom(results[-1])
+
+    return Protocol("write-read-read", 1, 3, next_op, decide, symmetric=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_schedule_counts_match_the_closed_form(n):
+    # crash-free (n*m)!/(m!)^n; with crashes, the sum over crash variants of
+    # the multinomial of their lengths. n = 6 with crashes (780,827,760
+    # schedules) takes seconds and is left out.
+    assert verify_all(PROTO, n, n).schedules_checked == crash_free_count(n, 2)
+    if n <= 5:
+        report = verify_all(PROTO, n, n, with_crashes=True)
+        assert report.schedules_checked == with_crash_count(n, 2)
+    if n <= 3:
+        for k in (1, n):
+            for crashes, count in ((False, crash_free_count), (True, with_crash_count)):
+                report = verify_all(_read_twice(), k, n, with_crashes=crashes)
+                assert report.schedules_checked == count(n, 3)
+
+
+def replayed_verify(inputs, k, n, crashes, protocol=PROTO):
     """verify_all's answer, replaying every schedule from the start."""
     violations = []
     count = 0
     for s in enumerate_schedules(n, 2, crashes):
-        out = run_schedule(PROTO, inputs, k, s)
+        out = run_schedule(protocol, inputs, k, s)
         report = check_outcome(inputs, out.decisions, out.crashed)
         count += 1
         if not report.ok:
@@ -429,13 +475,13 @@ def replayed_verify(inputs, k, n, crashes):
     return count, tuple(violations)
 
 
-def replayed_violations(inputs, k, n, max_results):
+def replayed_violations(inputs, k, n, max_results, protocol=PROTO):
     """find_violation's answer, replaying every schedule from the start."""
     first = [eviction_schedule(k, n)] if n == k + 1 and n >= 2 else []
     rest = [s for s in enumerate_schedules(n, 2) if s not in first]
     found = []
     for s in first + rest:
-        out = run_schedule(PROTO, inputs, k, s)
+        out = run_schedule(protocol, inputs, k, s)
         if not check_outcome(inputs, out.decisions, out.crashed).agreement:
             found.append(
                 (s, tuple(sorted(out.decisions.items())), tuple(sorted(out.crashed)))
@@ -449,23 +495,32 @@ def replayed_violations(inputs, k, n, max_results):
     st.booleans(),
     st.lists(st.integers(0, 2), min_size=4, max_size=4),
     st.sampled_from([None, 1, 3]),
+    st.sampled_from([PROTO, UNDECLARED]),
 )
-@example(4, 3, False, [0, 1, 0, 2], None)
-@example(2, 1, False, [0, 1, 0, 0], None)
-@settings(max_examples=30, deadline=None)
+@example(4, 3, False, [0, 1, 0, 2], None, PROTO)
+@example(2, 1, False, [0, 1, 0, 0], None, PROTO)
+# equal proposals of distinct types, which no pid renaming may swap
+@example(3, 1, True, [True, 1, 1.0, 0], None, PROTO)
+@example(3, 2, True, [1.0, True, 1, 0], 3, PROTO)
+@example(3, 1, True, [True, 0, 1.0, 0], None, PROTO)
+@example(3, 2, False, [0.0, False, 1, 0], None, PROTO)
+@example(3, 1, True, [True, 1, 1.0, 0], None, UNDECLARED)
+# an undeclared protocol gets the trivial group
+@example(4, 2, False, [0, 1, 2, 0], None, UNDECLARED)
+@settings(max_examples=40, deadline=None)
 def test_shared_prefix_checks_match_per_schedule_replay(
-    n, k, crashes, proposals, max_results
+    n, k, crashes, proposals, max_results, protocol
 ):
     # n = 4 with crashes is 65,304 schedules, several seconds per example
     assume(n < 4 or not crashes)
     inputs = {pid: proposals[pid - 1] for pid in range(1, n + 1)}
-    report = verify_all(PROTO, k, n, inputs, with_crashes=crashes)
-    assert (report.schedules_checked, report.violations) == replayed_verify(
-        inputs, k, n, crashes
-    )
-    assert find_violation(PROTO, k, n, inputs, max_results) == replayed_violations(
-        inputs, k, n, max_results
-    )
+    report = verify_all(protocol, k, n, inputs, with_crashes=crashes)
+    want = replayed_verify(inputs, k, n, crashes, protocol)
+    # repr tells 1, 1.0 and True apart, which == does not
+    assert (report.schedules_checked, report.violations) == want
+    assert repr(report.violations) == repr(want[1])
+    found = find_violation(protocol, k, n, inputs, max_results)
+    assert found == replayed_violations(inputs, k, n, max_results, protocol)
 
 
 # ---------------------------------------------------------------- violation

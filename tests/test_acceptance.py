@@ -31,6 +31,7 @@ from kslide.sim import (
     Protocol,
     ReadOp,
     WriteOp,
+    apply_crash,
     apply_exec,
     consensus_protocol,
     default_inputs,
@@ -39,6 +40,7 @@ from kslide.sim import (
     format_schedule,
     format_step,
     initial_config,
+    is_live,
     parse_schedule,
     pending_op,
     run_schedule,
@@ -243,11 +245,29 @@ def test_criterion_4_narrowed_views_match_suffix_oracle():
     )
 
 
+def _decided_below(protocol, inputs, k, cfg) -> frozenset:
+    """Values decided at some terminal configuration reachable from cfg by
+    exec and crash steps. Decisions are never taken back, so these are the
+    values decidable in some extension of cfg."""
+    values = set()
+    stack = [cfg]
+    while stack:
+        cfg = stack.pop()
+        live = [pid for pid in inputs if is_live(protocol, cfg, pid)]
+        if not live:
+            values.update(v for _, v in cfg.decided)
+        for pid in live:
+            stack.append(apply_exec(protocol, inputs, k, cfg, pid))
+            stack.append(apply_crash(cfg, pid))
+    return frozenset(values)
+
+
 def test_criterion_5_valence_classification_and_critical_configurations():
     """For window sizes 1 and 2 with two processes proposing 0 and 1,
     the initial configuration is bivalent over {0, 1}; uniform proposals
-    give a monovalent root; no edge of the exported graph gains decision
-    values; every bivalent configuration reaches at least one critical
+    give a monovalent root; every decision set equals the values a
+    separate forward search decides at the terminals below it, and no edge
+    of the exported graph gains decision values; every bivalent configuration reaches at least one critical
     configuration; and at every critical configuration all pending
     operations target the same register."""
     protocol = consensus_protocol()
@@ -263,9 +283,18 @@ def test_criterion_5_valence_classification_and_critical_configurations():
         vmap = explorer.valence_map()
         if not vmap.edges:
             problems.append(f"k={k}: exported graph has no edges")
+        # Decision sets by a forward search of its own, from each node to
+        # every terminal it reaches, crash steps included; the explorer's
+        # sets must equal them and may only shrink along an edge.
+        searched = [_decided_below(protocol, {1: 0, 2: 1}, k, cfg) for cfg in vmap.nodes]
+        for cfg, values in zip(vmap.nodes, searched):
+            if explorer.reachable_decisions(cfg) != values:
+                problems.append(
+                    f"k={k}: decision set {set(explorer.reachable_decisions(cfg))} "
+                    f"where a forward search finds {set(values)}"
+                )
         for src_id, step, dst_id in vmap.edges:
-            src, dst = vmap.nodes[src_id], vmap.nodes[dst_id]
-            if not explorer.reachable_decisions(dst) <= explorer.reachable_decisions(src):
+            if not searched[dst_id] <= searched[src_id]:
                 problems.append(
                     f"k={k}: step {format_step(step)} gained decision values"
                 )

@@ -445,6 +445,9 @@ def _read_twice():
     return Protocol("write-read-read", 1, 3, next_op, decide, symmetric=True)
 
 
+READ_TWICE = _read_twice()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_schedule_counts_match_the_closed_form(n):
     # crash-free (n*m)!/(m!)^n; with crashes, the sum over crash variants of
@@ -457,7 +460,7 @@ def test_schedule_counts_match_the_closed_form(n):
     if n <= 3:
         for k in (1, n):
             for crashes, count in ((False, crash_free_count), (True, with_crash_count)):
-                report = verify_all(_read_twice(), k, n, with_crashes=crashes)
+                report = verify_all(READ_TWICE, k, n, with_crashes=crashes)
                 assert report.schedules_checked == count(n, 3)
 
 

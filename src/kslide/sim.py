@@ -397,7 +397,7 @@ def verify_all(
     from .valence import _orbit_graph  # valence imports this module
 
     inputs = default_inputs(n) if inputs is None else dict(inputs)
-    reps, _, succ, back, _ = _orbit_graph(protocol, inputs, k, with_crashes, exact=True)
+    reps, _, succ, back, _, _ = _orbit_graph(protocol, inputs, k, with_crashes)
     judge = _judge(inputs)
     paths, bad = [1] * len(reps), [0] * len(reps)
     for node in range(len(reps) - 1, -1, -1):  # every edge leads to a higher id

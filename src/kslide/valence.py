@@ -3,13 +3,15 @@
 For a protocol, proposals, and window size, every reachable configuration
 has a decision set: the values some process can still end up deciding in
 some schedule extension. A configuration is monovalent when that set is a
-singleton and bivalent when both outcomes remain possible. This module
-builds the reachable graph once per Explorer, computes decision sets
-exhaustively over it, classifies configurations, finds critical ones
-(bivalent, but every next operation forces monovalence), exports the whole
-graph, and checks whether pending operations commute. census counts the same
-classes over the same graph from one configuration per orbit of the
-process-renaming symmetry, so it reaches sizes the whole graph cannot.
+singleton and bivalent when both outcomes remain possible. One builder,
+_orbit_graph, builds the reachable graph with one configuration per orbit of
+a process-renaming group, and _decision_sets fills the decision sets over
+it. Explorer reads it for the trivial group, where every orbit is one
+configuration: it classifies configurations, finds critical ones (bivalent,
+but every next operation forces monovalence), and exports the whole graph.
+census counts the same classes from one configuration per orbit of the
+protocol's symmetry, so it reaches sizes the whole graph cannot.
+check_commutation tests whether two pending operations commute.
 """
 
 from __future__ import annotations
@@ -105,23 +107,6 @@ class ValenceMap(NamedTuple):
         return sum(1 for v in self.valences if v.monovalent)
 
 
-def _stepper(protocol: Protocol, inputs: Mapping[int, Value], k: int, crash_aware: bool):
-    """cfg -> [(step, successor)]: an Exec per live process in pid order,
-    then, crash-aware, a Crash per live process. apply_exec is bound per
-    stepper, so that a rebinding of valence.apply_exec is used."""
-    exec_step = functools.partial(apply_exec, protocol, inputs, k)
-    labels = [(pid, Exec(pid), Crash(pid)) for pid in sorted(inputs)]
-
-    def steps(cfg: Configuration) -> list:
-        movers = [label for label in labels if is_live(protocol, cfg, label[0])]
-        out = [(exec_, exec_step(cfg, pid)) for pid, exec_, _ in movers]
-        if crash_aware:
-            out += [(crash, apply_crash(cfg, pid)) for pid, _, crash in movers]
-        return out
-
-    return steps
-
-
 def _critical(decisions: list, succ: list, node: int) -> bool:
     """find_critical's test over (step, node id, ...) edges: the node is
     bivalent and every Exec successor is monovalent."""
@@ -133,15 +118,16 @@ def _critical(decisions: list, succ: list, node: int) -> bool:
 class Explorer:
     """Exhaustive forward exploration of one protocol instance.
 
-    The configuration graph is built once. Each reachable configuration is
-    interned to an int node id the first time it is seen, its successors
-    are computed exactly once and stored as (step, node id) pairs, and its
-    decision set is filled in by one iterative pass in reverse topological
-    order. Every query reads that table, so repeated classification queries
-    over the same instance stay cheap. With crash_aware=True the successor
-    relation also includes crash steps; decision sets do not change,
-    because never scheduling a process reaches the same decisions as
-    crashing it, but the option exists to make that checkable.
+    The configuration graph is the orbit graph of the trivial group
+    (_orbit_graph with the protocol's symmetry undeclared): one node per
+    configuration reachable from the initial one, numbered breadth-first in
+    step order, with its successors as (step, node id, None) triples and its
+    decision set from _decision_sets. It is built on the first query, and
+    every query reads it; a configuration the initial one does not reach
+    raises ValueError. With crash_aware=True the successor relation also
+    includes crash steps; decision sets do not change, because never
+    scheduling a process reaches the same decisions as crashing it, but the
+    option exists to make that checkable.
     """
 
     def __init__(
@@ -155,10 +141,6 @@ class Explorer:
         self.inputs = dict(inputs)
         self.k = k
         self.crash_aware = crash_aware
-        self._ids: dict[Configuration, int] = {}
-        self._configs: list[Configuration] = []
-        self._succ: list[tuple] = []  # node id -> ((step, node id), ...)
-        self._decisions: list[frozenset] = []
 
     @property
     def initial(self) -> Configuration:
@@ -167,68 +149,39 @@ class Explorer:
     def pending(self, cfg: Configuration, pid: int):
         return pending_op(self.protocol, self.inputs, cfg, pid)
 
-    def _node(self, cfg: Optional[Configuration]) -> int:
-        """Node id of cfg (default: the initial configuration), building the
-        graph reachable from it first if it has not been seen."""
-        cfg = self.initial if cfg is None else cfg
-        node = self._ids.get(cfg)
-        return self._build(cfg) if node is None else node
+    @functools.cached_property
+    def _graph(self) -> tuple:
+        """(configs, succ, find, decisions) by node id; find(cfg) is cfg's id."""
+        trivial = self.protocol._replace(symmetric=False)
+        configs, _, succ, back, _, find = _orbit_graph(
+            trivial, self.inputs, self.k, self.crash_aware
+        )
+        return configs, succ, find, _decision_sets(configs, succ, back)
 
-    def _build(self, start: Configuration) -> int:
-        ids, configs, succ = self._ids, self._configs, self._succ
-        steps = _stepper(self.protocol, self.inputs, self.k, self.crash_aware)
-        first = len(configs)
-        ids[start] = first
-        configs.append(start)
-        # Breadth-first over the new nodes in id order. A node already in
-        # the table had its whole reachable graph built with it.
-        node = first
-        while node < len(configs):
-            cfg = configs[node]
-            node += 1
-            out = []
-            for step, nxt in steps(cfg):
-                nxt_id = ids.setdefault(nxt, len(configs))
-                if nxt_id == len(configs):
-                    configs.append(nxt)
-                out.append((step, nxt_id))
-            succ.append(tuple(out))
-        # Every step adds one result to a process's locals or one process
-        # to the crashed set, so every path from start to a node has the
-        # same length and each edge leads to a higher node id: the graph is
-        # a DAG and id order is topological. Fill decision sets from the
-        # last new node back; values enter own decisions first, then each
-        # successor's in step order.
-        decisions = self._decisions
-        decisions.extend([frozenset()] * (len(configs) - first))
-        for node in range(len(configs) - 1, first - 1, -1):
-            values = {v: None for _, v in configs[node].decided}
-            for _, nxt in succ[node]:
-                values.update(dict.fromkeys(decisions[nxt]))
-            decisions[node] = frozenset(values)
-        return first
+    def _node(self, cfg: Optional[Configuration]) -> int:
+        """Node id of cfg (default: the initial configuration, node 0)."""
+        return 0 if cfg is None else self._graph[2](cfg)
 
     def successors(self, cfg: Configuration) -> list[tuple[Step, Configuration]]:
-        configs = self._configs
-        return [(step, configs[nxt]) for step, nxt in self._succ[self._node(cfg)]]
+        configs, succ = self._graph[:2]
+        return [(step, configs[nxt]) for step, nxt, _ in succ[self._node(cfg)]]
 
     def reachable_decisions(self, cfg: Optional[Configuration] = None) -> frozenset:
         """Exact set of values decidable by any process in any extension."""
-        return self._decisions[self._node(cfg)]
+        return self._graph[3][self._node(cfg)]
 
     def witness(self, value: Value, cfg: Optional[Configuration] = None) -> Schedule:
         """A schedule extension from cfg after which value has been decided:
         at each configuration that has not decided it yet, the first
         successor in step order that can still decide it."""
+        configs, succ, _, decisions = self._graph
         node = self._node(cfg)
-        if value not in self._decisions[node]:
+        if value not in decisions[node]:
             raise KeyError(f"{value!r} is not decidable from this configuration")
         steps = []
-        while value not in {v for _, v in self._configs[node].decided}:
+        while value not in {v for _, v in configs[node].decided}:
             step, node = next(
-                (step, nxt)
-                for step, nxt in self._succ[node]
-                if value in self._decisions[nxt]
+                (step, nxt) for step, nxt, _ in succ[node] if value in decisions[nxt]
             )
             steps.append(step)
         return tuple(steps)
@@ -238,20 +191,21 @@ class Explorer:
 
     def _bfs(self, start: Optional[Configuration]) -> Iterator[int]:
         """Node ids reachable from start, breadth-first in step order."""
+        succ = self._graph[1]
         root = self._node(start)
         queue = deque([root])
         visited = {root}
         while queue:
             node = queue.popleft()
             yield node
-            for _, nxt in self._succ[node]:
+            for _, nxt, _ in succ[node]:
                 if nxt not in visited:
                     visited.add(nxt)
                     queue.append(nxt)
 
     def walk(self, start: Optional[Configuration] = None) -> Iterator[Configuration]:
         """Breadth-first pass over every reachable configuration."""
-        configs = self._configs
+        configs = self._graph[0]
         return (configs[node] for node in self._bfs(start))
 
     def find_critical(
@@ -259,13 +213,13 @@ class Explorer:
     ) -> list[CriticalConfig]:
         """All reachable bivalent configurations whose every Exec successor
         is monovalent, in discovery order."""
-        configs, decisions, succ = self._configs, self._decisions, self._succ
+        configs, succ, _, decisions = self._graph
         return [
             CriticalConfig(
                 configs[node],
                 tuple(
                     (step.pid, configs[nxt], Valence(decisions[nxt]))
-                    for step, nxt in succ[node]
+                    for step, nxt, _ in succ[node]
                     if isinstance(step, Exec)
                 ),
             )
@@ -274,13 +228,13 @@ class Explorer:
         ]
 
     def valence_map(self, start: Optional[Configuration] = None) -> ValenceMap:
-        configs, decisions, succ = self._configs, self._decisions, self._succ
         order = list(self._bfs(start))
+        configs, succ, _, decisions = self._graph
         ids = {node: i for i, node in enumerate(order)}
         return ValenceMap(
             [configs[node] for node in order],
             [Valence(decisions[node]) for node in order],
-            [(i, step, ids[nxt]) for i, node in enumerate(order) for step, nxt in succ[node]],
+            [(i, step, ids[nxt]) for i, node in enumerate(order) for step, nxt, _ in succ[node]],
             [_critical(decisions, succ, node) for node in order],
         )
 
@@ -315,9 +269,12 @@ def _symmetry(protocol: Protocol, inputs: Mapping[int, Value]) -> tuple[list, bo
 
 
 def _canonicalizer(inputs: Mapping[int, Value], classes: list, relabel: bool):
-    """cfg -> (representative, stabilizer size, renaming), where the
-    representative is the least image of cfg under the group and the
-    renaming r sends each pid p of cfg to r[p] in it (None: the identity).
+    """(canon, key): canon(cfg) is (representative, stabilizer size,
+    renaming), where the representative is the least image of cfg under the
+    group and the renaming r sends each pid p of cfg to r[p] in it (None:
+    the identity). key(x) is what configurations and images are told apart
+    by: _typed when the inputs hold equal proposals of distinct types (1,
+    1.0, True), else x itself.
 
     Pids are sorted within their class by a signature that renaming and
     relabeling preserve: locals length, crashed, and where the pid's own
@@ -326,6 +283,10 @@ def _canonicalizer(inputs: Mapping[int, Value], classes: list, relabel: bool):
     image are the stabilizer's cosets, so their count is its size. Pids that
     took no step appear nowhere, so their ties count without being tried.
     """
+    values = inputs.values()
+    tag = _typed if len(set(values)) < len({(type(v), v) for v in values}) else (lambda x: x)
+    if all(len(cls) == 1 for cls in classes):  # the trivial group
+        return (lambda cfg: (cfg, 1, None)), tag
     targets = tuple(pid for cls in classes for pid in cls)
     interned: dict = {}  # locals and windows -> small ints, to order images
 
@@ -336,8 +297,8 @@ def _canonicalizer(inputs: Mapping[int, Value], classes: list, relabel: bool):
         """An image's locals, registers and crashed pids, as comparable ints."""
         moved, regs, dead = image[:3]
         return (
-            tuple(interned.setdefault(x, len(interned)) for x in moved),
-            interned.setdefault(regs, len(interned)),
+            tuple(interned.setdefault(tag(x), len(interned)) for x in moved),
+            interned.setdefault(tag(regs), len(interned)),
             dead,
         )
 
@@ -403,7 +364,7 @@ def _canonicalizer(inputs: Mapping[int, Value], classes: list, relabel: bool):
         ))
         return rep, stab * ties, renaming
 
-    return canon
+    return canon, tag
 
 
 def _typed(x):
@@ -411,28 +372,36 @@ def _typed(x):
     return tuple(map(_typed, x)) if isinstance(x, tuple) else (type(x), x)
 
 
-def _orbit_graph(protocol: Protocol, inputs: dict, k: int, crash_aware: bool, exact=False):
-    """(reps, stabs, succ, back, group): reps[node] is one configuration per
-    orbit of the group _symmetry picks, breadth-first from the initial one
-    (node 0, its own representative: pids that took no step are never
-    renamed), stabs[node] its stabilizer size, and succ[node] holds (step,
-    node, renaming) per _stepper successor, the renaming taking it to its
-    representative. back(renaming) maps the representative's values to the
-    successor's (None: the identity); group is the group's order. Equal
-    configurations merge, as in Explorer; with exact, those that hold equal
-    proposals of distinct types (1, 1.0, True) stay apart."""
+def _orbit_graph(protocol: Protocol, inputs: dict, k: int, crash_aware: bool):
+    """(reps, stabs, succ, back, group, find): reps[node] is one configuration
+    per orbit of the group _symmetry picks, breadth-first from the initial
+    one (node 0, its own representative: pids that took no step are never
+    renamed), and stabs[node] its stabilizer size. succ[node] holds (step,
+    node, renaming) per successor, an Exec per live process in pid order,
+    then, crash-aware, a Crash per live process; the renaming takes the
+    successor to its representative. back(renaming) maps the
+    representative's values to the successor's (None: the identity), group
+    is the group's order, and find(cfg) is the node of cfg's orbit, a
+    ValueError when the initial configuration does not reach it.
+    Configurations that hold equal proposals of distinct types (1, 1.0,
+    True) are distinct nodes."""
     classes, relabel = _symmetry(protocol, inputs)
-    exact = exact and len(set(inputs.values())) < len({(type(v), v) for v in inputs.values()})
-    canon = _canonicalizer(inputs, classes, relabel)
-    steps = _stepper(protocol, inputs, k, crash_aware)
+    canon, key = _canonicalizer(inputs, classes, relabel)
+    # bound per call, so that a rebinding of valence.apply_exec is used
+    exec_step = functools.partial(apply_exec, protocol, inputs, k)
+    labels = [(pid, Exec(pid), Crash(pid)) for pid in sorted(inputs)]
     start, root_stab, _ = canon(initial_config(protocol, inputs, k))
-    ids = {_typed(start) if exact else start: 0}
+    ids = {key(start): 0}
     reps, stabs, succ = [start], [root_stab], []
     for cfg in reps:  # grows while it is walked: breadth-first in id order
+        movers = [label for label in labels if is_live(protocol, cfg, label[0])]
+        steps = [(exec_, exec_step(cfg, pid)) for pid, exec_, _ in movers]
+        if crash_aware:
+            steps += [(crash, apply_crash(cfg, pid)) for pid, _, crash in movers]
         out = []
-        for step, nxt in steps(cfg):
+        for step, nxt in steps:
             rep, stab, renaming = canon(nxt)
-            node = ids.setdefault(_typed(rep) if exact else rep, len(reps))
+            node = ids.setdefault(key(rep), len(reps))
             if node == len(reps):
                 reps.append(rep)
                 stabs.append(stab)
@@ -445,11 +414,34 @@ def _orbit_graph(protocol: Protocol, inputs: dict, k: int, crash_aware: bool, ex
             return {inputs[new]: inputs[old] for old, new in enumerate(renaming) if old}
         return None
 
-    return reps, stabs, succ, back, math.prod(math.factorial(len(c)) for c in classes)
+    def find(cfg: Configuration) -> int:
+        node = ids.get(key(canon(cfg)[0]))
+        if node is None:
+            raise ValueError("configuration is not reachable from the initial one")
+        return node
+
+    group = math.prod(math.factorial(len(c)) for c in classes)
+    return reps, stabs, succ, back, group, find
 
 
 def _pull(values: frozenset, back: Optional[dict]) -> frozenset:
     return values if back is None else frozenset(back.get(v, v) for v in values)
+
+
+def _decision_sets(reps: list, succ: list, back) -> list[frozenset]:
+    """Decision set per node of an _orbit_graph. Every step adds one result
+    to a process's locals or one process to the crashed set, so every edge
+    leads one step deeper, to a higher node id: id order is topological and
+    the sets fill from the last node back. Values enter the node's own
+    decisions first, then each successor's set, read in the successor's
+    labeling, in step order."""
+    decisions = [frozenset()] * len(reps)
+    for node in range(len(reps) - 1, -1, -1):
+        values = {v: None for _, v in reps[node].decided}
+        for _, nxt, renaming in succ[node]:
+            values.update(dict.fromkeys(_pull(decisions[nxt], back(renaming))))
+        decisions[node] = frozenset(values)
+    return decisions
 
 
 def census(
@@ -462,32 +454,25 @@ def census(
     configuration per orbit of the group _symmetry picks (Ip and Dill,
     "Better verification through symmetry", 1996).
 
-    The orbit graph (_orbit_graph, which sim.verify_all counts paths over)
-    is built breadth-first like Explorer's graph, with each successor
-    replaced by its representative. Each orbit keeps its stabilizer size, so
-    every count is an exact sum of orbit sizes |G| / |Stab|, and each edge
-    keeps the renaming that takes the successor to its representative; the
-    value map derived from it reads the representative's decision set in
-    the successor's labeling. Critical means what find_critical means.
-    Explorer gives the same counts over the unreduced graph, which is what
-    census walks for an undeclared protocol.
+    The orbit graph (_orbit_graph, which Explorer reads for the trivial
+    group and sim.verify_all counts paths over) replaces each successor by
+    its representative. Each orbit keeps its stabilizer size, so every count
+    is an exact sum of orbit sizes |G| / |Stab|, and each edge keeps the
+    renaming that takes the successor to its representative; the value map
+    derived from it reads the representative's decision set in the
+    successor's labeling. Critical means what find_critical means. For an
+    undeclared protocol the group is trivial and the counts are Explorer's.
     """
-    reps, stabs, succ, back, group = _orbit_graph(protocol, dict(inputs), k, crash_aware)
-    # Every edge leads one step deeper, so id order is topological (see
-    # Explorer._build); decision sets fill from the last orbit back.
-    decisions = [frozenset()] * len(reps)
+    reps, stabs, succ, back, group, _ = _orbit_graph(protocol, dict(inputs), k, crash_aware)
+    decisions = _decision_sets(reps, succ, back)
     nodes = bivalent = monovalent = critical = 0
-    for node in range(len(reps) - 1, -1, -1):
-        values = {v: None for _, v in reps[node].decided}
-        for _, nxt, renaming in succ[node]:
-            values.update(dict.fromkeys(_pull(decisions[nxt], back(renaming))))
-        own = decisions[node] = frozenset(values)
+    for node, values in enumerate(decisions):
         size = group // stabs[node]
         nodes += size
-        if len(own) >= 2:
+        if len(values) >= 2:
             bivalent += size
             critical += size * _critical(decisions, succ, node)
-        elif own:
+        elif values:
             monovalent += size
     return Census(Valence(decisions[0]), len(reps), nodes, bivalent, monovalent, critical)
 

@@ -1,17 +1,21 @@
 """Independent reference models the tests check the implementations against.
 
 Everything here is computed from first principles (full write sequences and
-factorials), never by calling the code under test.
+factorials), never by calling the code under test. The exception is the
+graph oracles at the end, decided_below and forward_census: they step with
+kslide.sim's apply_exec and apply_crash, which tests/test_sim.py checks
+against replay, and share no code with kslide.valence, which they check.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import NamedTuple, Optional
 
 from kslide.register import BOTTOM
-from kslide.sim import Crash, Exec
+from kslide.sim import Crash, Exec, apply_crash, apply_exec, initial_config, is_live
 
 
 def padded_last_k(values: list, k: int) -> tuple:
@@ -221,3 +225,59 @@ def decision_set(k: int, proposals: list, prefix) -> set:
                 decided.add(next(v for v in reg.read() if v is not BOTTOM))
             taken[pid - 1] += 1
     return decided
+
+
+def decided_below(protocol, inputs, k):
+    """cfg -> values decided at some terminal configuration reachable from
+    cfg by exec and crash steps, memoized per configuration. Decisions are
+    never taken back, so these are the values decidable in some extension
+    of cfg."""
+
+    @functools.cache
+    def below(cfg) -> frozenset:
+        live = [pid for pid in inputs if is_live(protocol, cfg, pid)]
+        if not live:
+            return frozenset(v for _, v in cfg.decided)
+        return frozenset().union(*(
+            below(nxt)
+            for pid in live
+            for nxt in (apply_exec(protocol, inputs, k, cfg, pid), apply_crash(cfg, pid))
+        ))
+
+    return below
+
+
+def _exact(x):
+    """x with each leaf paired with its type, so that 1, 1.0 and True differ."""
+    return tuple(_exact(y) for y in x) if isinstance(x, tuple) else (type(x), x)
+
+
+def forward_census(protocol, inputs, k, crash_aware: bool) -> tuple:
+    """(root decision set, nodes, bivalent, monovalent, critical) over the
+    distinct configurations reachable from the initial one by exec steps,
+    and crash steps with crash_aware, each classified by decided_below.
+    Configurations that differ only in 1, 1.0 or True are distinct. A
+    configuration is critical when it is bivalent and every exec successor
+    is monovalent."""
+    below = decided_below(protocol, inputs, k)
+    root = initial_config(protocol, inputs, k)
+    seen = {_exact(root)}
+    stack = [root]
+    bivalent = monovalent = critical = 0
+    while stack:
+        cfg = stack.pop()
+        live = [pid for pid in inputs if is_live(protocol, cfg, pid)]
+        execs = [apply_exec(protocol, inputs, k, cfg, pid) for pid in live]
+        crashes = [apply_crash(cfg, pid) for pid in live] if crash_aware else []
+        for nxt in execs + crashes:
+            key = _exact(nxt)
+            if key not in seen:
+                seen.add(key)
+                stack.append(nxt)
+        values = below(cfg)
+        if len(values) >= 2:
+            bivalent += 1
+            critical += all(len(below(nxt)) == 1 for nxt in execs)
+        elif values:
+            monovalent += 1
+    return below(root), len(seen), bivalent, monovalent, critical

@@ -22,7 +22,7 @@ import io
 import time
 from contextlib import redirect_stdout
 
-from oracles import crash_free_count, padded_last_k, with_crash_count
+from oracles import crash_free_count, decided_below, padded_last_k, with_crash_count
 
 from kslide.cli import main as cli_main
 from kslide.lincheck import check_linearizable, stress
@@ -31,7 +31,6 @@ from kslide.sim import (
     Protocol,
     ReadOp,
     WriteOp,
-    apply_crash,
     apply_exec,
     consensus_protocol,
     default_inputs,
@@ -40,7 +39,6 @@ from kslide.sim import (
     format_schedule,
     format_step,
     initial_config,
-    is_live,
     parse_schedule,
     pending_op,
     run_schedule,
@@ -245,23 +243,6 @@ def test_criterion_4_narrowed_views_match_suffix_oracle():
     )
 
 
-def _decided_below(protocol, inputs, k, cfg) -> frozenset:
-    """Values decided at some terminal configuration reachable from cfg by
-    exec and crash steps. Decisions are never taken back, so these are the
-    values decidable in some extension of cfg."""
-    values = set()
-    stack = [cfg]
-    while stack:
-        cfg = stack.pop()
-        live = [pid for pid in inputs if is_live(protocol, cfg, pid)]
-        if not live:
-            values.update(v for _, v in cfg.decided)
-        for pid in live:
-            stack.append(apply_exec(protocol, inputs, k, cfg, pid))
-            stack.append(apply_crash(cfg, pid))
-    return frozenset(values)
-
-
 def test_criterion_5_valence_classification_and_critical_configurations():
     """For window sizes 1 and 2 with two processes proposing 0 and 1,
     the initial configuration is bivalent over {0, 1}; uniform proposals
@@ -286,7 +267,7 @@ def test_criterion_5_valence_classification_and_critical_configurations():
         # Decision sets by a forward search of its own, from each node to
         # every terminal it reaches, crash steps included; the explorer's
         # sets must equal them and may only shrink along an edge.
-        searched = [_decided_below(protocol, {1: 0, 2: 1}, k, cfg) for cfg in vmap.nodes]
+        searched = list(map(decided_below(protocol, {1: 0, 2: 1}, k), vmap.nodes))
         for cfg, values in zip(vmap.nodes, searched):
             if explorer.reachable_decisions(cfg) != values:
                 problems.append(

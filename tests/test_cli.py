@@ -636,6 +636,30 @@ def test_valence_census_checks_arguments_as_the_cli_does(argv, code, first_line)
     assert (proc.returncode, output.splitlines()[0], silent) == (code, first_line, "")
 
 
+@pytest.mark.parametrize(
+    "argv, lines, digest",
+    [
+        (
+            ["--k", "2", "--n", "2", "--crash-aware"],
+            5,
+            "dc84fc5775f0776c414070d34adfc21f15f73ffdd6dc8528c18df1fd64ca93a7",
+        ),
+        (
+            ["--k", "3", "--n", "4"],
+            556,
+            "887c40220798822cd77afcf6df68d5f56b46800a230413504d457a3af84d154d",
+        ),
+    ],
+    ids=["k2-n2-crash-aware", "k3-n4"],
+)
+def test_valence_census_output_matches_pinned_digest(argv, lines, digest):
+    # SHA-256 of the script's whole stdout: counts, and every critical
+    # configuration with its pending operations and successor valences
+    proc = subprocess.run([sys.executable, CENSUS, *argv], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr, len(proc.stdout.splitlines())) == (0, "", lines)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("columns", [40, 100])
 def test_help_is_what_argparse_formats(monkeypatch, columns):
     # build_parser reads the terminal width once per build; every parser's

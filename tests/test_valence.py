@@ -16,7 +16,7 @@ from kslide.sim import (
     initial_config,
 )
 from kslide.valence import Explorer, Valence, census, check_commutation
-from oracles import decision_set
+from oracles import decided_below, decision_set, forward_census
 from test_sim import EQUAL_PROPOSALS
 
 PROTO = consensus_protocol()
@@ -100,13 +100,14 @@ def test_monovalent_successors_keep_the_value():
 
 
 def test_monotonicity_on_every_edge():
+    # decision sets from the oracle's own forward search, not the explorer's
+    # fill, which makes each set a superset of its successors' by construction
     for k in (1, 2):
-        ex = explorer(k, 2)
-        vmap = ex.valence_map()
+        vmap = explorer(k, 2).valence_map()
+        searched = list(map(decided_below(PROTO, default_inputs(2), k), vmap.nodes))
+        assert [v.values for v in vmap.valences] == searched
         for src, _, dst in vmap.edges:
-            assert ex.reachable_decisions(vmap.nodes[dst]) <= ex.reachable_decisions(
-                vmap.nodes[src]
-            )
+            assert searched[dst] <= searched[src]
 
 
 def test_crash_aware_reaches_the_same_decisions():
@@ -302,13 +303,18 @@ def test_decision_sets_match_the_replay_oracle(case, crash_aware):
     cfg = initial_config(PROTO, inputs, k)
     for pid in prefix:
         cfg = apply_exec(PROTO, inputs, k, cfg, pid)
-    expected = decision_set(k, proposals, prefix)
-    # once with the graph built from cfg itself, once from the root
-    fresh = Explorer(PROTO, inputs, k, crash_aware=crash_aware)
-    assert fresh.reachable_decisions(cfg) == expected
-    rooted = Explorer(PROTO, inputs, k, crash_aware=crash_aware)
-    rooted.reachable_decisions()
-    assert rooted.reachable_decisions(cfg) == expected
+    ex = Explorer(PROTO, inputs, k, crash_aware=crash_aware)
+    assert ex.reachable_decisions(cfg) == decision_set(k, proposals, prefix)
+
+
+def test_unreachable_configuration_is_rejected():
+    # a hand-made window no run writes: the explorer's graph holds only what
+    # the initial configuration reaches
+    ex = explorer(2, 2)
+    cfg = ex.initial._replace(registers=(("x", 5),))
+    for query in (ex.classify, ex.reachable_decisions, ex.valence_map):
+        with pytest.raises(ValueError, match="not reachable"):
+            query(cfg)
 
 
 def test_deep_protocol_is_classified_without_recursion():
@@ -376,6 +382,42 @@ def test_census_keeps_equal_proposals_apart(inputs, crash_aware):
     )
 
 
+@pytest.mark.parametrize("crash_aware, nodes", [(False, 133), (True, 404)])
+def test_equal_proposals_of_distinct_types_are_distinct_nodes(crash_aware, nodes):
+    # the window (1,) after E1,E2 equals the window (True,) after E2,E1, but
+    # they hold distinct objects: each is its own node, and every terminal's
+    # decision set holds the objects its own run decided
+    inputs = {1: True, 2: 1, 3: 1.0}
+    vmap = Explorer(PROTO, inputs, 1, crash_aware=crash_aware).valence_map()
+    assert len(vmap.nodes) == nodes
+    c = census(PROTO, inputs, 1, crash_aware=crash_aware)
+    assert c.orbits == c.nodes == nodes
+    inner = {src for src, _, _ in vmap.edges}
+    terminals = [i for i in range(len(vmap.nodes)) if i not in inner]
+    assert terminals
+    for i in terminals:
+        decided = [v for _, v in vmap.nodes[i].decided]
+        assert all(any(v is d for d in decided) for v in vmap.valences[i].values)
+        assert vmap.valences[i].values == frozenset(decided)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(1, 3),
+    st.lists(st.sampled_from([0, 1, 2, 1.0, True]), min_size=1, max_size=3),
+    st.booleans(),
+)
+def test_census_matches_a_forward_search(k, proposals, crash_aware):
+    # forward_census shares no code with valence: it steps with apply_exec
+    # and apply_crash and classifies by its own search to the terminals.
+    # 1, 1.0 and True are equal proposals that no renaming may merge.
+    inputs = dict(enumerate(proposals, 1))
+    c = census(PROTO, inputs, k, crash_aware=crash_aware)
+    assert (c.root.values, c.nodes, c.bivalent, c.monovalent, c.critical) == forward_census(
+        PROTO, inputs, k, crash_aware
+    )
+
+
 @pytest.mark.parametrize("crash_aware", [False, True])
 def test_census_permutes_equal_proposals_held_by_distinct_objects(crash_aware):
     # int() makes a new object for each 1000; equal values of one type are
@@ -386,6 +428,23 @@ def test_census_permutes_equal_proposals_held_by_distinct_objects(crash_aware):
     assert c.orbits < c.nodes
     assert census_counts(PROTO, inputs, 2, crash_aware) == explorer_counts(
         PROTO, inputs, 2, crash_aware
+    )
+
+
+@pytest.mark.parametrize("crash_aware", [False, True])
+@pytest.mark.parametrize(
+    "k, inputs", [(2, {1: 1, 2: 1, 3: True}), (1, {1: True, 2: True, 3: 1, 4: 1.0})]
+)
+def test_census_permutes_one_type_beside_an_equal_proposal_of_another(k, inputs, crash_aware):
+    # pids with one proposal may swap, but a read of 1 is not a read of True:
+    # images that differ only there are distinct, and neither fixes the other
+    c = census(PROTO, inputs, k, crash_aware=crash_aware)
+    assert c.orbits < c.nodes
+    assert census_counts(PROTO, inputs, k, crash_aware) == explorer_counts(
+        PROTO, inputs, k, crash_aware
+    )
+    assert (c.root.values, c.nodes, c.bivalent, c.monovalent, c.critical) == forward_census(
+        PROTO, inputs, k, crash_aware
     )
 
 

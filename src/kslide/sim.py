@@ -369,6 +369,16 @@ class VerificationReport(NamedTuple):
         return not self.violations
 
 
+def _proposals(n: int, inputs: Optional[Mapping[int, Value]]) -> dict:
+    """inputs as a dict (default_inputs(n) when None); ValueError unless it
+    holds one proposal per process."""
+    if inputs is None:
+        return default_inputs(n)
+    if len(inputs) != n:
+        raise ValueError(f"{len(inputs)} proposals given for {n} processes")
+    return dict(inputs)
+
+
 def _judge(inputs: Mapping[int, Value]) -> Callable[[tuple, tuple], PropertyReport]:
     """check_outcome of a final (decided, crashed) pair, memoized: the report
     is a pure function of the pair, so each distinct one is judged once."""
@@ -396,7 +406,7 @@ def verify_all(
     """
     from .valence import _orbit_graph  # valence imports this module
 
-    inputs = default_inputs(n) if inputs is None else dict(inputs)
+    inputs = _proposals(n, inputs)
     reps, _, succ, back, _, _ = _orbit_graph(protocol, inputs, k, with_crashes)
     judge = _judge(inputs)
     paths, bad = [1] * len(reps), [0] * len(reps)
@@ -470,7 +480,7 @@ def find_violation(
     steps), so the complete crash-free set is the exhaustive one for runs
     where every process decides.
     """
-    inputs = default_inputs(n) if inputs is None else dict(inputs)
+    inputs = _proposals(n, inputs)
     root = initial_config(protocol, inputs, k)
     exec_step = functools.partial(apply_exec, protocol, inputs, k)
     ops = _ops_map(n, protocol.steps_per_process)

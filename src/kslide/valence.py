@@ -8,7 +8,8 @@ _orbit_graph, builds the reachable graph with one configuration per orbit of
 a process-renaming group, and _decision_sets fills the decision sets over
 it. Explorer reads it for the trivial group, where every orbit is one
 configuration: it classifies configurations, finds critical ones (bivalent,
-but every next operation forces monovalence), and exports the whole graph.
+but every next operation forces monovalence), and exports the whole graph by
+node id.
 census counts the same classes from one configuration per orbit of the
 protocol's symmetry, so it reaches sizes the whole graph cannot.
 check_commutation tests whether two pending operations commute.
@@ -20,8 +21,7 @@ import functools
 import itertools
 import math
 import operator
-from collections import deque
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .register import BOTTOM, Value
 from .sim import (
@@ -29,8 +29,6 @@ from .sim import (
     Crash,
     Exec,
     Protocol,
-    Schedule,
-    Step,
     apply_crash,
     apply_exec,
     initial_config,
@@ -121,13 +119,14 @@ class Explorer:
     The configuration graph is the orbit graph of the trivial group
     (_orbit_graph with the protocol's symmetry undeclared): one node per
     configuration reachable from the initial one, numbered breadth-first in
-    step order, with its successors as (step, node id, None) triples and its
-    decision set from _decision_sets. It is built on the first query, and
-    every query reads it; a configuration the initial one does not reach
-    raises ValueError. With crash_aware=True the successor relation also
-    includes crash steps; decision sets do not change, because never
-    scheduling a process reaches the same decisions as crashing it, but the
-    option exists to make that checkable.
+    step order from node 0, with its successors as (step, node id, None)
+    triples and its decision set from _decision_sets. It is built on the
+    first query, and every query reads it: find_critical and valence_map in
+    node id order, which is therefore breadth-first. A configuration the
+    initial one does not reach raises ValueError. With crash_aware=True the
+    successor relation also includes crash steps; decision sets do not
+    change, because never scheduling a process reaches the same decisions as
+    crashing it, but the option exists to make that checkable.
     """
 
     def __init__(
@@ -162,57 +161,16 @@ class Explorer:
         """Node id of cfg (default: the initial configuration, node 0)."""
         return 0 if cfg is None else self._graph[2](cfg)
 
-    def successors(self, cfg: Configuration) -> list[tuple[Step, Configuration]]:
-        configs, succ = self._graph[:2]
-        return [(step, configs[nxt]) for step, nxt, _ in succ[self._node(cfg)]]
-
     def reachable_decisions(self, cfg: Optional[Configuration] = None) -> frozenset:
         """Exact set of values decidable by any process in any extension."""
         return self._graph[3][self._node(cfg)]
 
-    def witness(self, value: Value, cfg: Optional[Configuration] = None) -> Schedule:
-        """A schedule extension from cfg after which value has been decided:
-        at each configuration that has not decided it yet, the first
-        successor in step order that can still decide it."""
-        configs, succ, _, decisions = self._graph
-        node = self._node(cfg)
-        if value not in decisions[node]:
-            raise KeyError(f"{value!r} is not decidable from this configuration")
-        steps = []
-        while value not in {v for _, v in configs[node].decided}:
-            step, node = next(
-                (step, nxt) for step, nxt, _ in succ[node] if value in decisions[nxt]
-            )
-            steps.append(step)
-        return tuple(steps)
-
     def classify(self, cfg: Optional[Configuration] = None) -> Valence:
         return Valence(self.reachable_decisions(cfg))
 
-    def _bfs(self, start: Optional[Configuration]) -> Iterator[int]:
-        """Node ids reachable from start, breadth-first in step order."""
-        succ = self._graph[1]
-        root = self._node(start)
-        queue = deque([root])
-        visited = {root}
-        while queue:
-            node = queue.popleft()
-            yield node
-            for _, nxt, _ in succ[node]:
-                if nxt not in visited:
-                    visited.add(nxt)
-                    queue.append(nxt)
-
-    def walk(self, start: Optional[Configuration] = None) -> Iterator[Configuration]:
-        """Breadth-first pass over every reachable configuration."""
-        configs = self._graph[0]
-        return (configs[node] for node in self._bfs(start))
-
-    def find_critical(
-        self, start: Optional[Configuration] = None
-    ) -> list[CriticalConfig]:
+    def find_critical(self) -> list[CriticalConfig]:
         """All reachable bivalent configurations whose every Exec successor
-        is monovalent, in discovery order."""
+        is monovalent, in node id order."""
         configs, succ, _, decisions = self._graph
         return [
             CriticalConfig(
@@ -223,19 +181,17 @@ class Explorer:
                     if isinstance(step, Exec)
                 ),
             )
-            for node in self._bfs(start)
+            for node in range(len(configs))
             if _critical(decisions, succ, node)
         ]
 
-    def valence_map(self, start: Optional[Configuration] = None) -> ValenceMap:
-        order = list(self._bfs(start))
+    def valence_map(self) -> ValenceMap:
         configs, succ, _, decisions = self._graph
-        ids = {node: i for i, node in enumerate(order)}
         return ValenceMap(
-            [configs[node] for node in order],
-            [Valence(decisions[node]) for node in order],
-            [(i, step, ids[nxt]) for i, node in enumerate(order) for step, nxt, _ in succ[node]],
-            [_critical(decisions, succ, node) for node in order],
+            list(configs),
+            [Valence(values) for values in decisions],
+            [(node, step, nxt) for node, out in enumerate(succ) for step, nxt, _ in out],
+            [_critical(decisions, succ, node) for node in range(len(configs))],
         )
 
 

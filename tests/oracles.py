@@ -2,13 +2,15 @@
 
 Everything here is computed from first principles (full write sequences and
 factorials), never by calling the code under test. The exception is the
-graph oracles at the end, decided_below and forward_census: they step with
-kslide.sim's apply_exec and apply_crash, which tests/test_sim.py checks
-against replay, and share no code with kslide.valence, which they check.
+graph oracles at the end, decided_below, forward_census and
+breadth_first_graph: they step with kslide.sim's apply_exec and apply_crash,
+which tests/test_sim.py checks against replay, and share no code with
+kslide.valence, which they check.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -281,3 +283,31 @@ def forward_census(protocol, inputs, k, crash_aware: bool) -> tuple:
         elif values:
             monovalent += 1
     return below(root), len(seen), bivalent, monovalent, critical
+
+
+def breadth_first_graph(protocol, inputs, k, crash_aware: bool) -> tuple:
+    """(nodes, edges) of the configurations reachable from the initial one,
+    numbered in the order a queue first meets them: from each configuration
+    apply_exec per live pid in pid order, then, with crash_aware,
+    apply_crash per live pid in pid order. edges holds (source id, step,
+    destination id) in source id and step order. Configurations that differ
+    only in 1, 1.0 or True are distinct nodes."""
+    root = initial_config(protocol, inputs, k)
+    ids = {_exact(root): 0}
+    nodes, edges = [root], []
+    queue = collections.deque([root])
+    while queue:
+        cfg = queue.popleft()
+        src = ids[_exact(cfg)]
+        live = [pid for pid in sorted(inputs) if is_live(protocol, cfg, pid)]
+        steps = [(Exec(pid), apply_exec(protocol, inputs, k, cfg, pid)) for pid in live]
+        if crash_aware:
+            steps += [(Crash(pid), apply_crash(cfg, pid)) for pid in live]
+        for step, nxt in steps:
+            key = _exact(nxt)
+            if key not in ids:
+                ids[key] = len(nodes)
+                nodes.append(nxt)
+                queue.append(nxt)
+            edges.append((src, step, ids[key]))
+    return nodes, edges

@@ -28,6 +28,7 @@ from kslide.cli import main as cli_main
 from kslide.lincheck import check_linearizable, stress
 from kslide.register import SlidingRegister, WindowShortRegister
 from kslide.sim import (
+    Exec,
     Protocol,
     ReadOp,
     WriteOp,
@@ -274,13 +275,31 @@ def test_criterion_5_valence_classification_and_critical_configurations():
                     f"k={k}: decision set {set(explorer.reachable_decisions(cfg))} "
                     f"where a forward search finds {set(values)}"
                 )
+        execs = [[] for _ in vmap.nodes]  # node id -> its Exec successors' ids
         for src_id, step, dst_id in vmap.edges:
             if not searched[dst_id] <= searched[src_id]:
                 problems.append(
                     f"k={k}: step {format_step(step)} gained decision values"
                 )
-        for cfg, valence in zip(vmap.nodes, vmap.valences):
-            if valence.bivalent and not explorer.find_critical(cfg):
+            if dst_id <= src_id:
+                problems.append(f"k={k}: step {format_step(step)} leads to a lower node id")
+            if isinstance(step, Exec):
+                execs[src_id].append(dst_id)
+        # Critical by the searched sets: bivalent, every Exec successor
+        # monovalent. The explorer must flag exactly these nodes.
+        critical = [
+            len(values) >= 2 and all(len(searched[nxt]) == 1 for nxt in execs[node])
+            for node, values in enumerate(searched)
+        ]
+        if critical != vmap.critical:
+            problems.append(f"k={k}: critical flags differ from the forward search's")
+        # Which nodes reach a critical one, by one fold from the last edge
+        # back: every edge leads to a higher id, so each destination is final.
+        reaches = list(critical)
+        for src_id, _, dst_id in reversed(vmap.edges):
+            reaches[src_id] = reaches[src_id] or reaches[dst_id]
+        for node, values in enumerate(searched):
+            if len(values) >= 2 and not reaches[node]:
                 problems.append(f"k={k}: bivalent configuration with no critical below it")
         criticals = explorer.find_critical()
         if not criticals:

@@ -560,6 +560,22 @@ def test_find_violation_respects_max_results():
     assert len(found) == 1
 
 
+@pytest.mark.parametrize(
+    "check, k, n, inputs",
+    [
+        (verify_all, 3, 3, {1: 0, 2: 1}),
+        (verify_all, 1, 2, {1: 0, 2: 1, 3: 2}),
+        (verify_all, 1, 3, {1: 0, 2: 1}),
+        (find_violation, 1, 3, {1: 0, 2: 1}),
+        (find_violation, 2, 2, {1: 0, 2: 1, 3: 2}),
+    ],
+)
+def test_inputs_must_hold_one_proposal_per_process(check, k, n, inputs):
+    # n counts the processes, so inputs must hold exactly n proposals
+    with pytest.raises(ValueError, match=f"{len(inputs)} proposals given for {n} processes"):
+        check(PROTO, k, n, inputs=inputs)
+
+
 # ---------------------------------------------------------------- random
 
 

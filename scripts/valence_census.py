@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from kslide.cli import EXIT_OK, EXIT_USAGE, _parse_inputs, _require_positive
-from kslide.sim import consensus_protocol
+from kslide.sim import consensus_protocol, pending_op
 from kslide.valence import Explorer
 
 
@@ -25,23 +25,20 @@ def main() -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    explorer = Explorer(consensus_protocol(), inputs, k, crash_aware=args.crash_aware)
+    protocol = consensus_protocol()
+    explorer = Explorer(protocol, inputs, k, crash_aware=args.crash_aware)
     vmap = explorer.valence_map()
-    print(f"root: {explorer.classify()!r}")
-    print(
-        f"nodes: {len(vmap.nodes)} "
-        f"({vmap.bivalent_count} bivalent, {vmap.monovalent_count} monovalent)"
-    )
+    bivalent = sum(v.bivalent for v in vmap.valences)
+    monovalent = sum(v.monovalent for v in vmap.valences)
+    print(f"root: {vmap.valences[0]!r}")
+    print(f"nodes: {len(vmap.nodes)} ({bivalent} bivalent, {monovalent} monovalent)")
     print(f"edges: {len(vmap.edges)}")
     criticals = explorer.find_critical()
     print(f"critical configurations: {len(criticals)}")
     for i, cc in enumerate(criticals):
         succ = ", ".join(f"p{pid} step gives {val!r}" for pid, _, val in cc.successors)
-        pend = ", ".join(
-            f"p{pid}: {explorer.pending(cc.config, pid)!r}"
-            for pid in sorted(inputs)
-            if explorer.pending(cc.config, pid) is not None
-        )
+        ops = [(pid, pending_op(protocol, inputs, cc.config, pid)) for pid in sorted(inputs)]
+        pend = ", ".join(f"p{pid}: {op!r}" for pid, op in ops if op is not None)
         print(
             f"  [{i}] decided={cc.config.decided} "
             f"pending[{pend or 'none'}] successors[{succ or 'none'}]"

@@ -120,15 +120,7 @@ def cmd_verify(args) -> int:
     print(f"{report.schedules_checked} {label}, {len(report.violations)} violations")
     records = []
     for sched, prop, decided, crashed in report.violations:
-        failed = [
-            name
-            for name, held in (
-                ("validity", prop.validity),
-                ("agreement", prop.agreement),
-                ("termination", prop.termination),
-            )
-            if not held
-        ]
+        failed = [name for name, held in zip(prop._fields, prop) if not held]
         records.append(violation_record(k, n, inputs, sched, decided, crashed))
         print(f"violation: {','.join(records[-1].schedule)} breaks {','.join(failed)}")
     if args.output:

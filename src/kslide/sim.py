@@ -275,32 +275,24 @@ def run_schedule(
     return Outcome(cfg.decisions(), frozenset(cfg.crashed), cfg)
 
 
-def _ops_map(n: int, ops_per_process) -> dict[int, int]:
-    if isinstance(ops_per_process, int):
-        return {pid: ops_per_process for pid in range(1, n + 1)}
-    ops = dict(ops_per_process)
-    if set(ops) != set(range(1, n + 1)):
-        raise ValueError(f"per-process op counts must cover exactly 1..{n}")
-    return ops
-
-
 def _no_state(state: tuple, pid: int) -> tuple:
     return ()
 
 
 def _walk(
-    ops: Mapping[int, int], with_crashes: bool, root, exec_step: Callable, crash_step: Callable
+    n: int, m: int, with_crashes: bool, root, exec_step: Callable, crash_step: Callable
 ) -> Iterator[list[tuple]]:
-    """Depth-first over every schedule in enumerate_schedules' order. stack[d]
-    is the (state, process index, step) frame after d steps, stack[0] holds
-    root, and each tree edge is one exec_step(state, pid) or crash_step(state,
-    pid) call, so no prefix is replayed; a call that returns None prunes the
-    subtree below its edge. The live stack is yielded at each leaf; build its
-    schedule (_schedule) only where one is needed."""
+    """Depth-first over every schedule of n processes with m steps each, in
+    enumerate_schedules' order. stack[d] is the (state, process index, step)
+    frame after d steps, stack[0] holds root, and each tree edge is one
+    exec_step(state, pid) or crash_step(state, pid) call, so no prefix is
+    replayed; a call that returns None prunes the subtree below its edge.
+    The live stack is yielded at each leaf; build its schedule (_schedule)
+    only where one is needed."""
     variants = []
-    for pid in sorted(ops):
-        execs = ((Exec(pid), exec_step),) * ops[pid]
-        crash_after = range(ops[pid]) if with_crashes else ()
+    for pid in range(1, n + 1):
+        execs = ((Exec(pid), exec_step),) * m
+        crash_after = range(m) if with_crashes else ()
         variants.append([execs] + [execs[:b] + ((Crash(pid), crash_step),) for b in crash_after])
     for sequences in itertools.product(*variants):
         lengths = [len(moves) for moves in sequences]
@@ -338,7 +330,7 @@ def _schedule(stack: list[tuple]) -> Schedule:
 
 
 def enumerate_schedules(
-    n: int, ops_per_process=2, with_crashes: bool = False
+    n: int, ops_per_process: int = 2, with_crashes: bool = False
 ) -> Iterator[Schedule]:
     """Yield every distinct complete schedule of n processes exactly once.
 
@@ -353,8 +345,7 @@ def enumerate_schedules(
     """
     if n < 1:
         raise ValueError("need at least one process")
-    ops = _ops_map(n, ops_per_process)
-    for stack in _walk(ops, with_crashes, (), _no_state, _no_state):
+    for stack in _walk(n, ops_per_process, with_crashes, (), _no_state, _no_state):
         yield _schedule(stack)
 
 
@@ -434,11 +425,11 @@ def verify_all(
         decided = tuple(sorted((old[pid], values.get(v, v)) for pid, v in rep.decided))
         return judge(rep.decided, rep.crashed), decided, tuple(sorted(map(old.get, rep.crashed)))
 
-    ops = _ops_map(n, protocol.steps_per_process)
     steps = functools.partial(move, False), functools.partial(move, True)
     listed: dict = {}  # terminal state -> concrete(*state)
     violations = []
-    for stack in _walk(ops, with_crashes, (0, tuple(range(len(inputs) + 1))), *steps):
+    root = 0, tuple(range(n + 1))
+    for stack in _walk(n, protocol.steps_per_process, with_crashes, root, *steps):
         state = stack[-1][0]
         if state not in listed:
             listed[state] = concrete(*state)
@@ -483,7 +474,6 @@ def find_violation(
     inputs = _proposals(n, inputs)
     root = initial_config(protocol, inputs, k)
     exec_step = functools.partial(apply_exec, protocol, inputs, k)
-    ops = _ops_map(n, protocol.steps_per_process)
     judge = _judge(inputs)
     found: list[tuple[Schedule, tuple, tuple]] = []
     if max_results is not None and max_results <= 0:
@@ -500,7 +490,7 @@ def find_violation(
             found.append((evict, cfg.decided, cfg.crashed))
             if len(found) == max_results:
                 return found
-    for stack in _walk(ops, False, root, exec_step, apply_crash):
+    for stack in _walk(n, protocol.steps_per_process, False, root, exec_step, apply_crash):
         cfg = stack[-1][0]
         if not judge(cfg.decided, cfg.crashed).agreement:
             sched = _schedule(stack)
@@ -513,16 +503,15 @@ def find_violation(
 
 def random_schedule(
     n: int,
-    ops_per_process=2,
+    ops_per_process: int = 2,
     seed: int = 0,
     crash_probability: float = 0.0,
 ) -> Schedule:
     """One valid complete-or-crash-truncated schedule, deterministic in seed."""
     if not 0.0 <= crash_probability <= 1.0:
         raise ValueError("crash probability must be within [0, 1]")
-    ops = _ops_map(n, ops_per_process)
     rng = random.Random(seed)
-    remaining = dict(ops)
+    remaining = dict.fromkeys(range(1, n + 1), ops_per_process)
     alive = set(remaining)
     steps: list[Step] = []
     while True:

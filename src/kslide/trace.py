@@ -246,18 +246,8 @@ def violation_record(k, n, inputs, sched, decisions, crashed) -> ViolationRecord
 
 
 def history_to_records(history: History) -> list[HistoryEventRecord]:
-    return [
-        HistoryEventRecord(
-            k=history.k,
-            kind=ev.kind,
-            pid=ev.pid,
-            op=ev.op,
-            timestamp=ev.timestamp,
-            value=ev.value,
-            result=ev.result,
-        )
-        for ev in history.events
-    ]
+    # A history-event record is the event with k in front.
+    return [HistoryEventRecord(history.k, *ev) for ev in history.events]
 
 
 def history_from_records(records: Iterable[HistoryEventRecord]) -> History:

@@ -7,9 +7,9 @@ singleton and bivalent when both outcomes remain possible. One builder,
 _orbit_graph, builds the reachable graph with one configuration per orbit of
 a process-renaming group, and _decision_sets fills the decision sets over
 it. Explorer reads it for the trivial group, where every orbit is one
-configuration: it classifies configurations, finds critical ones (bivalent,
-but every next operation forces monovalence), and exports the whole graph by
-node id.
+configuration: it gives a configuration's decision set, finds critical ones
+(bivalent, but every next operation forces monovalence), and exports the
+whole graph by node id.
 census counts the same classes from one configuration per orbit of the
 protocol's symmetry, so it reaches sizes the whole graph cannot.
 check_commutation tests whether two pending operations commute.
@@ -96,14 +96,6 @@ class ValenceMap(NamedTuple):
     edges: list  # (source id, Step, destination id)
     critical: list  # node id -> whether find_critical reports it
 
-    @property
-    def bivalent_count(self) -> int:
-        return sum(1 for v in self.valences if v.bivalent)
-
-    @property
-    def monovalent_count(self) -> int:
-        return sum(1 for v in self.valences if v.monovalent)
-
 
 def _critical(decisions: list, succ: list, node: int) -> bool:
     """find_critical's test over (step, node id, ...) edges: the node is
@@ -121,12 +113,13 @@ class Explorer:
     configuration reachable from the initial one, numbered breadth-first in
     step order from node 0, with its successors as (step, node id, None)
     triples and its decision set from _decision_sets. It is built on the
-    first query, and every query reads it: find_critical and valence_map in
-    node id order, which is therefore breadth-first. A configuration the
-    initial one does not reach raises ValueError. With crash_aware=True the
-    successor relation also includes crash steps; decision sets do not
-    change, because never scheduling a process reaches the same decisions as
-    crashing it, but the option exists to make that checkable.
+    first query, and every query reads it: reachable_decisions by lookup,
+    find_critical and valence_map in node id order, which is therefore
+    breadth-first. A configuration the initial one does not reach raises
+    ValueError. With crash_aware=True the successor relation also includes
+    crash steps; decision sets do not change, because never scheduling a
+    process reaches the same decisions as crashing it, but the option exists
+    to make that checkable.
     """
 
     def __init__(
@@ -140,13 +133,6 @@ class Explorer:
         self.inputs = dict(inputs)
         self.k = k
         self.crash_aware = crash_aware
-
-    @property
-    def initial(self) -> Configuration:
-        return initial_config(self.protocol, self.inputs, self.k)
-
-    def pending(self, cfg: Configuration, pid: int):
-        return pending_op(self.protocol, self.inputs, cfg, pid)
 
     @functools.cached_property
     def _graph(self) -> tuple:
@@ -164,9 +150,6 @@ class Explorer:
     def reachable_decisions(self, cfg: Optional[Configuration] = None) -> frozenset:
         """Exact set of values decidable by any process in any extension."""
         return self._graph[3][self._node(cfg)]
-
-    def classify(self, cfg: Optional[Configuration] = None) -> Valence:
-        return Valence(self.reachable_decisions(cfg))
 
     def find_critical(self) -> list[CriticalConfig]:
         """All reachable bivalent configurations whose every Exec successor

@@ -52,7 +52,7 @@ from kslide.trace import (
     outcome_record,
     read_records,
 )
-from kslide.valence import Explorer, check_commutation
+from kslide.valence import Explorer, Valence, check_commutation
 
 # Frozen expectations. Crash-free interleavings of n processes taking 2
 # steps each are (2n)!/2**n; the crash-truncated counts add, for every
@@ -256,10 +256,10 @@ def test_criterion_5_valence_classification_and_critical_configurations():
     problems = []
     for k in (1, 2):
         explorer = Explorer(protocol, {1: 0, 2: 1}, k)
-        root = explorer.classify()
+        root = Valence(explorer.reachable_decisions())
         if not (root.bivalent and root.values == frozenset({0, 1})):
             problems.append(f"k={k}: root classified {root!r}, expected Bivalent({{0, 1}})")
-        uniform = Explorer(protocol, {1: 5, 2: 5}, k).classify()
+        uniform = Valence(Explorer(protocol, {1: 5, 2: 5}, k).reachable_decisions())
         if not (uniform.monovalent and uniform.value == 5):
             problems.append(f"k={k}: uniform proposals classified {uniform!r}")
         vmap = explorer.valence_map()
@@ -308,7 +308,7 @@ def test_criterion_5_valence_classification_and_critical_configurations():
             regs = {
                 op.reg
                 for pid in (1, 2)
-                if (op := explorer.pending(cc.config, pid)) is not None
+                if (op := pending_op(protocol, {1: 0, 2: 1}, cc.config, pid)) is not None
             }
             if len(regs) > 1:
                 problems.append(f"k={k}: critical configuration with operations on distinct registers")

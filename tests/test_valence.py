@@ -14,6 +14,7 @@ from kslide.sim import (
     consensus_protocol,
     default_inputs,
     initial_config,
+    pending_op,
 )
 from kslide.valence import Explorer, Valence, census, check_commutation
 from oracles import breadth_first_graph, decided_below, decision_set, forward_census
@@ -55,24 +56,25 @@ def test_valence_predicates():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_mixed_proposals_start_bivalent(k):
-    ex = explorer(k, 2)
-    assert ex.classify() == Valence(frozenset({0, 1}))
+    assert explorer(k, 2).reachable_decisions() == frozenset({0, 1})
 
 
 def test_first_write_pins_the_decision_when_window_fits():
     ex = explorer(2, 2)
-    after_e1 = apply_exec(PROTO, default_inputs(2), 2, ex.initial, 1)
-    assert ex.classify(after_e1) == Valence(frozenset({0}))
-    after_e2 = apply_exec(PROTO, default_inputs(2), 2, ex.initial, 2)
-    assert ex.classify(after_e2) == Valence(frozenset({1}))
+    root = initial_config(PROTO, default_inputs(2), 2)
+    after_e1 = apply_exec(PROTO, default_inputs(2), 2, root, 1)
+    assert ex.reachable_decisions(after_e1) == frozenset({0})
+    after_e2 = apply_exec(PROTO, default_inputs(2), 2, root, 2)
+    assert ex.reachable_decisions(after_e2) == frozenset({1})
 
 
 def test_k1_successors_stay_bivalent():
     # with one slot the second writer can still push the first value out,
     # so taking one step does not settle anything
     ex = explorer(1, 2)
-    after_e1 = apply_exec(PROTO, default_inputs(2), 1, ex.initial, 1)
-    assert ex.classify(after_e1) == Valence(frozenset({0, 1}))
+    root = initial_config(PROTO, default_inputs(2), 1)
+    after_e1 = apply_exec(PROTO, default_inputs(2), 1, root, 1)
+    assert ex.reachable_decisions(after_e1) == frozenset({0, 1})
 
 
 def test_uniform_proposals_are_monovalent_everywhere():
@@ -85,7 +87,7 @@ def test_uniform_proposals_are_monovalent_everywhere():
 
 def test_solo_process_is_monovalent_and_linear():
     ex = explorer(2, 1, inputs={1: 5})
-    assert ex.classify() == Valence(frozenset({5}))
+    assert ex.reachable_decisions() == frozenset({5})
     vmap = ex.valence_map()
     assert len(vmap.nodes) == 3  # start, after write, after read
     assert len(vmap.edges) == 2
@@ -117,7 +119,7 @@ def test_crash_aware_reaches_the_same_decisions():
         plain = explorer(k, 2).valence_map()
         aware = explorer(k, 2, crash_aware=True)
         for cfg, valence in zip(plain.nodes, plain.valences):
-            assert aware.classify(cfg) == valence
+            assert aware.reachable_decisions(cfg) == valence.values
 
 
 def test_crash_aware_walk_includes_crash_edges():
@@ -134,7 +136,7 @@ def test_k2_critical_config_is_the_initial_one():
     crit = ex.find_critical()
     assert len(crit) == 1
     cc = crit[0]
-    assert cc.config == ex.initial
+    assert cc.config == initial_config(PROTO, default_inputs(2), 2)
     assert [(pid, val) for pid, _, val in cc.successors] == [
         (1, Valence(frozenset({0}))),
         (2, Valence(frozenset({1}))),
@@ -144,7 +146,7 @@ def test_k2_critical_config_is_the_initial_one():
 def test_k2_critical_pending_ops_are_writes_to_one_register():
     ex = explorer(2, 2)
     (cc,) = ex.find_critical()
-    ops = [ex.pending(cc.config, pid) for pid in (1, 2)]
+    ops = [pending_op(PROTO, default_inputs(2), cc.config, pid) for pid in (1, 2)]
     assert all(isinstance(op, WriteOp) for op in ops)
     assert len({op.reg for op in ops}) == 1
 
@@ -166,17 +168,17 @@ def test_critical_configs_recheck_independently(k):
     ex = explorer(k, 2)
     for cc in ex.find_critical():
         fresh = explorer(k, 2)
-        assert fresh.classify(cc.config).bivalent
+        assert Valence(fresh.reachable_decisions(cc.config)).bivalent
         for pid, succ, valence in cc.successors:
-            assert fresh.classify(succ).monovalent
-            assert fresh.classify(succ) == valence
+            assert Valence(fresh.reachable_decisions(succ)).monovalent
+            assert fresh.reachable_decisions(succ) == valence.values
             assert succ == apply_exec(PROTO, default_inputs(2), k, cc.config, pid)
 
 
 def test_bivalent_root_always_yields_a_critical_config():
     for k in (1, 2, 3):
         ex = explorer(k, 2)
-        if ex.classify().bivalent:
+        if len(ex.reachable_decisions()) >= 2:
             assert ex.find_critical(), f"no critical configuration found for k={k}"
 
 
@@ -192,11 +194,12 @@ def test_valence_map_is_deterministic():
 
 
 def test_valence_map_counts():
-    ex = explorer(2, 2)
-    vmap = ex.valence_map()
-    assert vmap.bivalent_count + vmap.monovalent_count == len(vmap.nodes)
-    assert vmap.bivalent_count == 1  # only the root is undetermined
-    assert vmap.nodes[0] == ex.initial
+    vmap = explorer(2, 2).valence_map()
+    c = census(PROTO, default_inputs(2), 2)
+    assert c.bivalent + c.monovalent == c.nodes == len(vmap.nodes)
+    assert c.bivalent == 1  # only the root is undetermined
+    assert [v.bivalent for v in vmap.valences] == [True] + [False] * (c.nodes - 1)
+    assert vmap.nodes[0] == initial_config(PROTO, default_inputs(2), 2)
 
 
 def test_map_edges_connect_known_nodes():
@@ -235,7 +238,7 @@ def test_operations_on_distinct_registers_commute_everywhere():
     ex = Explorer(proto, inputs, 2)
     checked = 0
     for cfg in ex.valence_map().nodes:
-        if ex.pending(cfg, 1) is not None and ex.pending(cfg, 2) is not None:
+        if all(pending_op(proto, inputs, cfg, pid) is not None for pid in (1, 2)):
             assert check_commutation(proto, inputs, 2, cfg, 1, 2)
             checked += 1
     assert checked > 0
@@ -296,10 +299,9 @@ def test_unreachable_configuration_is_rejected():
     # a hand-made window no run writes: the explorer's graph holds only what
     # the initial configuration reaches
     ex = explorer(2, 2)
-    cfg = ex.initial._replace(registers=(("x", 5),))
-    for query in (ex.classify, ex.reachable_decisions):
-        with pytest.raises(ValueError, match="not reachable"):
-            query(cfg)
+    cfg = initial_config(PROTO, default_inputs(2), 2)._replace(registers=(("x", 5),))
+    with pytest.raises(ValueError, match="not reachable"):
+        ex.reachable_decisions(cfg)
 
 
 def test_deep_protocol_is_classified_without_recursion():
@@ -311,7 +313,7 @@ def test_deep_protocol_is_classified_without_recursion():
 
     deep = Protocol("deep", 1, 1200, next_op, decide)
     ex = Explorer(deep, {1: 0}, 1)
-    assert ex.classify() == Valence(frozenset({0}))
+    assert ex.reachable_decisions() == frozenset({0})
     vmap = ex.valence_map()
     assert len(vmap.nodes) == 1201
     assert vmap.edges == [(i, Exec(1), i + 1) for i in range(1200)]
@@ -325,10 +327,10 @@ def explorer_counts(protocol, inputs, k, crash_aware):
     ex = Explorer(protocol, inputs, k, crash_aware=crash_aware)
     vmap = ex.valence_map()
     return (
-        repr(ex.classify()),
+        repr(vmap.valences[0]),
         len(vmap.nodes),
-        vmap.bivalent_count,
-        vmap.monovalent_count,
+        sum(v.bivalent for v in vmap.valences),
+        sum(v.monovalent for v in vmap.valences),
         len(ex.find_critical()),
     )
 

@@ -28,7 +28,6 @@ from .sim import (
     Configuration,
     Crash,
     Exec,
-    Outcome,
     Protocol,
     ReadOp,
     ScheduleError,

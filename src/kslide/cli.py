@@ -103,10 +103,10 @@ def cmd_verify(args) -> int:
         if args.crashes:
             raise ValueError("--crashes applies to enumeration, not to a --schedule replay")
         sched = parse_schedule(args.schedule.split(","))
-        out = run_schedule(protocol, inputs, k, sched)
-        records = [ScheduleRecord(tuple(format_schedule(sched))), outcome_record(out)]
+        end = run_schedule(protocol, inputs, k, sched)
+        records = [ScheduleRecord(tuple(format_schedule(sched))), outcome_record(end)]
         _export([serialize(record) for record in records], args.output)
-        report = check_outcome(inputs, out.decisions, out.crashed)
+        report = check_outcome(inputs, dict(end.decided), end.crashed)
         print(
             "properties: "
             f"validity={report.validity} agreement={report.agreement} "

@@ -10,7 +10,7 @@ without loops or waiting.
 from __future__ import annotations
 
 import threading
-from typing import AbstractSet, Mapping, NamedTuple, Optional
+from typing import Collection, Mapping, NamedTuple, Optional
 
 from .register import LockedSlidingRegister, Value, first_non_bottom
 
@@ -43,7 +43,7 @@ class PropertyReport(NamedTuple):
 def check_outcome(
     inputs: Mapping[int, Value],
     decisions: Mapping[int, Value],
-    crashed: AbstractSet[int] = frozenset(),
+    crashed: Collection[int] = (),
 ) -> PropertyReport:
     """Judge a run: decided values must be proposed ones (validity), pairwise
     equal (agreement), and every non-crashed participant must have decided

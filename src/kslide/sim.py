@@ -156,13 +156,6 @@ class Configuration(NamedTuple):
     crashed: tuple
     decided: tuple
 
-    @property
-    def n(self) -> int:
-        return len(self.locals)
-
-    def decisions(self) -> dict:
-        return dict(self.decided)
-
 
 def default_inputs(n: int) -> dict[int, int]:
     """Distinct proposals when the caller does not care: pid i proposes i - 1."""
@@ -199,11 +192,7 @@ def pending_op(
 
 
 def apply_exec(
-    protocol: Protocol,
-    inputs: Mapping[int, Value],
-    k: int,
-    cfg: Configuration,
-    pid: int,
+    protocol: Protocol, inputs: Mapping[int, Value], cfg: Configuration, pid: int
 ) -> Configuration:
     """Run one step of pid against an immutable configuration: a write
     slides the register's window, a read returns it. This is the only
@@ -235,20 +224,11 @@ def apply_exec(
 def apply_crash(cfg: Configuration, pid: int) -> Configuration:
     if pid in cfg.crashed:
         raise ScheduleError(f"process {pid} crashed twice")
-    if not 1 <= pid <= cfg.n:
+    if not 1 <= pid <= len(cfg.locals):
         raise ScheduleError(f"unknown process id {pid}")
     return Configuration(
         cfg.locals, cfg.registers, tuple(sorted(cfg.crashed + (pid,))), cfg.decided
     )
-
-
-class Outcome(NamedTuple):
-    """What a schedule produced: decisions of the processes that completed,
-    the crashed set, and the final configuration."""
-
-    decisions: dict
-    crashed: frozenset
-    final_config: Configuration
 
 
 def run_schedule(
@@ -256,8 +236,8 @@ def run_schedule(
     inputs: Mapping[int, Value],
     k: int,
     sched: Iterable[Step],
-) -> Outcome:
-    """Execute a schedule deterministically from the initial configuration.
+) -> Configuration:
+    """Execute a schedule deterministically and return the final configuration.
 
     Exec steps are atomic; a Crash step removes the process. Steps that are
     not applicable (an unknown pid, a crashed or finished process taking a
@@ -267,12 +247,12 @@ def run_schedule(
     cfg = initial_config(protocol, inputs, k)
     for step in sched:
         if isinstance(step, Exec):
-            cfg = apply_exec(protocol, inputs, k, cfg, step.pid)
+            cfg = apply_exec(protocol, inputs, cfg, step.pid)
         elif isinstance(step, Crash):
             cfg = apply_crash(cfg, step.pid)
         else:
             raise TypeError(f"not a schedule step: {step!r}")
-    return Outcome(cfg.decisions(), frozenset(cfg.crashed), cfg)
+    return cfg
 
 
 def _no_state(state: tuple, pid: int) -> tuple:
@@ -343,8 +323,8 @@ def enumerate_schedules(
     deterministic: crash variants in boundary order per process (pid 1 most
     significant), smallest pid first at every interleaving branch.
     """
-    if n < 1:
-        raise ValueError("need at least one process")
+    if n < 1 or ops_per_process < 0:
+        raise ValueError(f"need n >= 1 and ops_per_process >= 0, got {n} and {ops_per_process}")
     for stack in _walk(n, ops_per_process, with_crashes, (), _no_state, _no_state):
         yield _schedule(stack)
 
@@ -437,19 +417,17 @@ def verify_all(
     return VerificationReport(paths[0], tuple(violations))
 
 
-def eviction_schedule(k: int, n: int) -> Schedule:
-    """The canonical disagreement run for one participant too many.
+def eviction_schedule(k: int) -> Schedule:
+    """The canonical disagreement run of k + 1 processes, one too many.
 
     Process 1 writes and reads alone and decides its own value; the other k
     processes then write, which pushes process 1's value out of the size-k
     window; process 2 reads and decides the oldest survivor instead.
     """
-    if n != k + 1:
-        raise ValueError("the eviction run needs exactly k + 1 processes")
-    if n < 2:
-        raise ValueError("need at least two processes")
+    if k < 1:
+        raise ValueError("the eviction run needs a window size of at least 1")
     steps = [Exec(1), Exec(1)]
-    steps.extend(Exec(pid) for pid in range(2, n + 1))
+    steps.extend(Exec(pid) for pid in range(2, k + 2))
     steps.append(Exec(2))
     return tuple(steps)
 
@@ -473,7 +451,7 @@ def find_violation(
     """
     inputs = _proposals(n, inputs)
     root = initial_config(protocol, inputs, k)
-    exec_step = functools.partial(apply_exec, protocol, inputs, k)
+    exec_step = functools.partial(apply_exec, protocol, inputs)
     judge = _judge(inputs)
     found: list[tuple[Schedule, tuple, tuple]] = []
     if max_results is not None and max_results <= 0:
@@ -481,8 +459,8 @@ def find_violation(
     evict = None
     # The eviction run is a valid schedule exactly when every process has
     # at least the two steps it uses.
-    if n == k + 1 and n >= 2 and protocol.steps_per_process >= 2:
-        evict = eviction_schedule(k, n)
+    if n == k + 1 and protocol.steps_per_process >= 2:
+        evict = eviction_schedule(k)
         cfg = root
         for step in evict:
             cfg = exec_step(cfg, step.pid)
@@ -508,20 +486,21 @@ def random_schedule(
     crash_probability: float = 0.0,
 ) -> Schedule:
     """One valid complete-or-crash-truncated schedule, deterministic in seed."""
+    if n < 1 or ops_per_process < 0:
+        raise ValueError(f"need n >= 1 and ops_per_process >= 0, got {n} and {ops_per_process}")
     if not 0.0 <= crash_probability <= 1.0:
         raise ValueError("crash probability must be within [0, 1]")
     rng = random.Random(seed)
-    remaining = dict.fromkeys(range(1, n + 1), ops_per_process)
-    alive = set(remaining)
+    remaining = dict.fromkeys(range(1, n + 1), ops_per_process)  # 0 once crashed
     steps: list[Step] = []
     while True:
-        choices = sorted(pid for pid in alive if remaining[pid] > 0)
+        choices = [pid for pid, left in remaining.items() if left > 0]
         if not choices:
             return tuple(steps)
         pid = rng.choice(choices)
         if crash_probability > 0.0 and rng.random() < crash_probability:
             steps.append(Crash(pid))
-            alive.discard(pid)
+            remaining[pid] = 0
         else:
             steps.append(Exec(pid))
             remaining[pid] -= 1

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .lincheck import Event, History
 from .register import BOTTOM, Value, Window
-from .sim import Outcome, format_schedule
+from .sim import Configuration, format_schedule
 
 SCHEMA_VERSION = 1
 
@@ -184,13 +184,14 @@ def _payload(line: str) -> tuple[dict, type]:
         raise TraceError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise TraceError("trace lines must be JSON objects")
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise TraceError(
-            f"unsupported schema version {payload.get('schema_version')!r}"
-        )
-    cls = _RECORD_TYPES.get(payload.get("type"))
+    # the version is never coerced (true and 1.0 are not 1), and only a
+    # string can name a record type: an array or object cannot be looked up
+    version, name = payload.get("schema_version"), payload.get("type")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise TraceError(f"unsupported schema version {version!r}")
+    cls = _RECORD_TYPES.get(name) if type(name) is str else None
     if cls is None:
-        raise TraceError(f"unknown record type {payload.get('type')!r}")
+        raise TraceError(f"unknown record type {name!r}")
     return payload, cls
 
 
@@ -226,22 +227,19 @@ def read_history(path: str) -> History:
     return _history(pairs)
 
 
-def outcome_record(outcome: Outcome) -> OutcomeRecord:
-    return OutcomeRecord(
-        decisions=tuple(sorted(outcome.decisions.items())),
-        crashed=tuple(sorted(outcome.crashed)),
-    )
+def outcome_record(cfg: Configuration) -> OutcomeRecord:
+    return OutcomeRecord(cfg.decided, cfg.crashed)
 
 
 def violation_record(k, n, inputs, sched, decisions, crashed) -> ViolationRecord:
-    """decisions are (pid, value) pairs and crashed are pids, in any order."""
+    """decisions and crashed are a final configuration's sorted tuples, kept as given."""
     return ViolationRecord(
         k=k,
         n=n,
         inputs=tuple(sorted(inputs.items())),
         schedule=tuple(format_schedule(sched)),
-        decisions=tuple(sorted(decisions)),
-        crashed=tuple(sorted(crashed)),
+        decisions=decisions,
+        crashed=crashed,
     )
 
 

@@ -327,7 +327,7 @@ def _orbit_graph(protocol: Protocol, inputs: dict, k: int, crash_aware: bool):
     classes, relabel = _symmetry(protocol, inputs)
     canon, key = _canonicalizer(inputs, classes, relabel)
     # bound per call, so that a rebinding of valence.apply_exec is used
-    exec_step = functools.partial(apply_exec, protocol, inputs, k)
+    exec_step = functools.partial(apply_exec, protocol, inputs)
     labels = [(pid, Exec(pid), Crash(pid)) for pid in sorted(inputs)]
     start, root_stab, _ = canon(initial_config(protocol, inputs, k))
     ids = {key(start): 0}
@@ -419,7 +419,6 @@ def census(
 def check_commutation(
     protocol: Protocol,
     inputs: Mapping[int, Value],
-    k: int,
     cfg: Configuration,
     pid_a: int,
     pid_b: int,
@@ -432,6 +431,6 @@ def check_commutation(
     for pid in (pid_a, pid_b):
         if pending_op(protocol, inputs, cfg, pid) is None:
             raise ValueError(f"process {pid} has no pending operation")
-    ab = apply_exec(protocol, inputs, k, apply_exec(protocol, inputs, k, cfg, pid_a), pid_b)
-    ba = apply_exec(protocol, inputs, k, apply_exec(protocol, inputs, k, cfg, pid_b), pid_a)
+    ab = apply_exec(protocol, inputs, apply_exec(protocol, inputs, cfg, pid_a), pid_b)
+    ba = apply_exec(protocol, inputs, apply_exec(protocol, inputs, cfg, pid_b), pid_a)
     return ab == ba

@@ -229,7 +229,7 @@ def decision_set(k: int, proposals: list, prefix) -> set:
     return decided
 
 
-def decided_below(protocol, inputs, k):
+def decided_below(protocol, inputs):
     """cfg -> values decided at some terminal configuration reachable from
     cfg by exec and crash steps, memoized per configuration. Decisions are
     never taken back, so these are the values decidable in some extension
@@ -243,7 +243,7 @@ def decided_below(protocol, inputs, k):
         return frozenset().union(*(
             below(nxt)
             for pid in live
-            for nxt in (apply_exec(protocol, inputs, k, cfg, pid), apply_crash(cfg, pid))
+            for nxt in (apply_exec(protocol, inputs, cfg, pid), apply_crash(cfg, pid))
         ))
 
     return below
@@ -261,7 +261,7 @@ def forward_census(protocol, inputs, k, crash_aware: bool) -> tuple:
     Configurations that differ only in 1, 1.0 or True are distinct. A
     configuration is critical when it is bivalent and every exec successor
     is monovalent."""
-    below = decided_below(protocol, inputs, k)
+    below = decided_below(protocol, inputs)
     root = initial_config(protocol, inputs, k)
     seen = {_exact(root)}
     stack = [root]
@@ -269,7 +269,7 @@ def forward_census(protocol, inputs, k, crash_aware: bool) -> tuple:
     while stack:
         cfg = stack.pop()
         live = [pid for pid in inputs if is_live(protocol, cfg, pid)]
-        execs = [apply_exec(protocol, inputs, k, cfg, pid) for pid in live]
+        execs = [apply_exec(protocol, inputs, cfg, pid) for pid in live]
         crashes = [apply_crash(cfg, pid) for pid in live] if crash_aware else []
         for nxt in execs + crashes:
             key = _exact(nxt)
@@ -300,7 +300,7 @@ def breadth_first_graph(protocol, inputs, k, crash_aware: bool) -> tuple:
         cfg = queue.popleft()
         src = ids[_exact(cfg)]
         live = [pid for pid in sorted(inputs) if is_live(protocol, cfg, pid)]
-        steps = [(Exec(pid), apply_exec(protocol, inputs, k, cfg, pid)) for pid in live]
+        steps = [(Exec(pid), apply_exec(protocol, inputs, cfg, pid)) for pid in live]
         if crash_aware:
             steps += [(Crash(pid), apply_crash(cfg, pid)) for pid in live]
         for step, nxt in steps:

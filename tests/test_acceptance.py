@@ -141,13 +141,13 @@ def test_criterion_2_one_extra_participant_breaks_agreement():
             problems.append(f"k={k}: no violating schedule found")
             continue
         lead = found[0][0]
-        if lead != eviction_schedule(k, n):
+        if lead != eviction_schedule(k):
             problems.append(
                 f"k={k}: leading schedule {','.join(format_schedule(lead))} is not the eviction schedule"
             )
-        out = run_schedule(protocol, default_inputs(n), k, lead)
-        if len(set(out.decisions.values())) < 2:
-            problems.append(f"k={k}: decisions {out.decisions} do not disagree")
+        end = run_schedule(protocol, default_inputs(n), k, lead)
+        if len({value for _, value in end.decided}) < 2:
+            problems.append(f"k={k}: decisions {dict(end.decided)} do not disagree")
     exhaustive = find_violation(protocol, 1, 2)
     if not exhaustive:
         problems.append("k=1 exhaustive search found nothing")
@@ -268,7 +268,7 @@ def test_criterion_5_valence_classification_and_critical_configurations():
         # Decision sets by a forward search of its own, from each node to
         # every terminal it reaches, crash steps included; the explorer's
         # sets must equal them and may only shrink along an edge.
-        searched = list(map(decided_below(protocol, {1: 0, 2: 1}, k), vmap.nodes))
+        searched = list(map(decided_below(protocol, {1: 0, 2: 1}), vmap.nodes))
         for cfg, values in zip(vmap.nodes, searched):
             if explorer.reachable_decisions(cfg) != values:
                 problems.append(
@@ -360,12 +360,12 @@ def test_criterion_6_distinct_register_steps_commute():
         if len(live) == 2:
             if ops[1].reg == ops[2].reg:
                 problems.append("fixture produced same-register pending operations")
-            elif not check_commutation(protocol, inputs, k, cfg, 1, 2):
+            elif not check_commutation(protocol, inputs, cfg, 1, 2):
                 problems.append(f"operations failed to commute at {cfg}")
             else:
                 pairs_checked += 1
         for pid in live:
-            nxt = apply_exec(protocol, inputs, k, cfg, pid)
+            nxt = apply_exec(protocol, inputs, cfg, pid)
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
@@ -463,20 +463,17 @@ def test_criterion_8_reruns_are_byte_identical_and_schedules_replay(tmp_path, mo
         schedule_records = [r for r in records if isinstance(r, ScheduleRecord)]
         for r in records:
             if isinstance(r, ViolationRecord):
-                out = run_schedule(
+                end = run_schedule(
                     protocol, dict(r.inputs), r.k, parse_schedule(r.schedule)
                 )
-                if (
-                    tuple(sorted(out.decisions.items())) != r.decisions
-                    or tuple(sorted(out.crashed)) != r.crashed
-                ):
+                if (end.decided, end.crashed) != (r.decisions, r.crashed):
                     problems.append(f"{name}: violation record does not replay identically")
         if schedule_records:
             outcomes = [r for r in records if isinstance(r, OutcomeRecord)]
-            out = run_schedule(
+            end = run_schedule(
                 protocol, default_inputs(2), 2, parse_schedule(schedule_records[0].steps)
             )
-            if outcomes and outcome_record(out) != outcomes[0]:
+            if outcomes and outcome_record(end) != outcomes[0]:
                 problems.append(f"{name}: replayed outcome differs from the recorded one")
 
     saved = []

@@ -113,6 +113,42 @@ def test_verify_replay_rejects_bad_schedule(capsys):
         assert (code, out, err.startswith("error:")) == (2, "", True)
 
 
+@pytest.mark.parametrize(
+    "argv, code, out_digest, records_digest",
+    [
+        (
+            ("--k", "2", "--n", "2", "--schedule", "E1,C1,E2,E2"),
+            0,
+            "1b92a82d18318061f87854085ee56d34f8753a9212c1248b091ce80f85305598",
+            "cda64c29d993fb55a900dcc95d6e5b0520156dd0ff8c27fbb69e84155ad61549",
+        ),
+        (
+            # disagreement: p1 decides 0, p2 decides 1, p3 never reads
+            ("--k", "2", "--n", "3", "--schedule", "E1,E1,E2,E3,E2"),
+            1,
+            "2738e56b7d711c96e52a53672dd50fb959616d07044b89fb42651a57ef8be094",
+            "27b35ea0e1a83b2f9fdb73d42e50a00fe88f31183dd933b54c11b3531541c2e3",
+        ),
+        (
+            # a partial run: nobody decides, so termination fails
+            ("--k", "2", "--n", "2", "--schedule", "E1"),
+            1,
+            "548311c98a2f8fd17b99c1066bd0503ca39062f6da59e9c66c5a5cd31d9f6e0d",
+            "32810b676cde46ffc67293e039232e41300962371cab0a62223e576df38d5e14",
+        ),
+    ],
+)
+def test_verify_replay_matches_pinned_digests(
+    capsys, tmp_path, argv, code, out_digest, records_digest
+):
+    # stdout and the schedule and outcome records as the replay wrote them
+    path = tmp_path / "replay.jsonl"
+    got, out, _ = run_cli(capsys, "verify", *argv, "--output", str(path))
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == records_digest
+
+
 def test_verify_writes_violation_records(capsys, tmp_path):
     path = str(tmp_path / "violations.jsonl")
     code, _, _ = run_cli(capsys, "verify", "--k", "1", "--n", "2", "--output", path)
@@ -158,11 +194,10 @@ def test_violate_records_replay_to_same_outcome(capsys, tmp_path):
     assert records
     protocol = consensus_protocol()
     for record in records:
-        out = run_schedule(
+        end = run_schedule(
             protocol, dict(record.inputs), record.k, parse_schedule(record.schedule)
         )
-        assert tuple(sorted(out.decisions.items())) == record.decisions
-        assert tuple(sorted(out.crashed)) == record.crashed
+        assert (end.decided, end.crashed) == (record.decisions, record.crashed)
         assert len(set(dict(record.decisions).values())) >= 2
 
 
@@ -494,6 +529,12 @@ NOT_OBJECT_KEY = (
         (WRITE[:1] + ["[1, 2]"], 2, "error: trace lines must be JSON objects"),
         (WRITE[:1] + [event_line(schema_version=2)], 2, "error: unsupported schema version 2"),
         (WRITE[:1] + [event_line(type="mystery")], 2, "error: unknown record type 'mystery'"),
+        (['{"type":["history-event"],"schema_version":1}'], 2,
+         "error: unknown record type ['history-event']"),
+        (WRITE[:1] + [event_line(type={"a": 1})], 2, "error: unknown record type {'a': 1}"),
+        (WRITE[:1] + [event_line(schema_version=True)], 2,
+         "error: unsupported schema version True"),
+        (WRITE[:1] + [event_line(schema_version=1.0)], 2, "error: unsupported schema version 1.0"),
         ([OUTCOME], 2, "error: history files hold history-event records, got "
          "OutcomeRecord(decisions=((1, 0),), crashed=())"),
         ([OUTCOME, WRITE[0], "{not json"], 2, NOT_OBJECT_KEY),
@@ -522,7 +563,8 @@ NOT_OBJECT_KEY = (
     ids=[
         "valid", "blank-and-padded", "not-linearizable", "window-too-short",
         "window-too-long", "bad-json", "extra-data",
-        "non-object", "wrong-schema", "unknown-type", "wrong-record-type",
+        "non-object", "wrong-schema", "unknown-type", "array-type", "object-type",
+        "bool-schema", "float-schema", "wrong-record-type",
         "wrong-record-type-then-bad-line", "missing-key", "bad-int", "mixed-k", "empty",
         "blank-only", "unhashable-value", "malformed-outcome", "bool-k", "float-pid",
         "float-timestamp", "string-window", "object-window",

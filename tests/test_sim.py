@@ -80,28 +80,28 @@ def test_schedule_round_trip(pairs):
 
 
 def test_both_processes_decide_first_value_when_window_fits():
-    out = run_schedule(PROTO, default_inputs(2), 2, sched("E1", "E1", "E2", "E2"))
-    assert out.decisions == {1: 0, 2: 0}
-    assert out.crashed == frozenset()
+    end = run_schedule(PROTO, default_inputs(2), 2, sched("E1", "E1", "E2", "E2"))
+    assert end.decided == ((1, 0), (2, 0))
+    assert end.crashed == ()
 
 
 def test_k1_back_to_back_runs_disagree():
-    out = run_schedule(PROTO, default_inputs(2), 1, sched("E1", "E1", "E2", "E2"))
-    assert out.decisions == {1: 0, 2: 1}
+    end = run_schedule(PROTO, default_inputs(2), 1, sched("E1", "E1", "E2", "E2"))
+    assert end.decided == ((1, 0), (2, 1))
 
 
 def test_crash_removes_a_process():
-    out = run_schedule(PROTO, default_inputs(2), 2, sched("E1", "C1", "E2", "E2"))
-    assert out.decisions == {2: 0}
-    assert out.crashed == frozenset({1})
+    end = run_schedule(PROTO, default_inputs(2), 2, sched("E1", "C1", "E2", "E2"))
+    assert end.decided == ((2, 0),)
+    assert end.crashed == (1,)
 
 
 def test_incomplete_schedule_leaves_processes_undecided():
-    out = run_schedule(PROTO, default_inputs(2), 2, sched("E1", "E2"))
-    assert out.decisions == {}
-    assert out.final_config.registers[0] == (0, 1)
-    out = run_schedule(PROTO, default_inputs(2), 3, sched("E1", "E2"))
-    assert out.final_config.registers[0] == (BOTTOM, 0, 1)
+    end = run_schedule(PROTO, default_inputs(2), 2, sched("E1", "E2"))
+    assert end.decided == ()
+    assert end.registers[0] == (0, 1)
+    end = run_schedule(PROTO, default_inputs(2), 3, sched("E1", "E2"))
+    assert end.registers[0] == (BOTTOM, 0, 1)
 
 
 def test_step_after_completion_is_malformed():
@@ -151,15 +151,14 @@ def test_bad_window_size_is_rejected(k):
 @settings(max_examples=60)
 def test_run_schedule_agrees_with_pure_stepping(n, k, seed):
     schedule = random_schedule(n, 2, seed=seed, crash_probability=0.2)
-    out = run_schedule(PROTO, default_inputs(n), k, schedule)
+    end = run_schedule(PROTO, default_inputs(n), k, schedule)
     cfg = initial_config(PROTO, default_inputs(n), k)
     for step in schedule:
         if isinstance(step, Exec):
-            cfg = apply_exec(PROTO, default_inputs(n), k, cfg, step.pid)
+            cfg = apply_exec(PROTO, default_inputs(n), cfg, step.pid)
         else:
             cfg = apply_crash(cfg, step.pid)
-    assert cfg == out.final_config
-    assert dict(cfg.decided) == out.decisions
+    assert cfg == end
 
 
 def test_pending_op_reflects_protocol_position():
@@ -167,8 +166,8 @@ def test_pending_op_reflects_protocol_position():
     cfg = initial_config(PROTO, inputs, 2)
     first = pending_op(PROTO, inputs, cfg, 1)
     assert first is not None and first.value == 0
-    cfg = apply_exec(PROTO, inputs, 2, cfg, 1)
-    cfg = apply_exec(PROTO, inputs, 2, cfg, 1)
+    cfg = apply_exec(PROTO, inputs, cfg, 1)
+    cfg = apply_exec(PROTO, inputs, cfg, 1)
     assert pending_op(PROTO, inputs, cfg, 1) is None
     cfg = apply_crash(cfg, 2)
     assert pending_op(PROTO, inputs, cfg, 2) is None
@@ -178,10 +177,10 @@ def test_pending_op_reflects_protocol_position():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda cfg, pid: apply_exec(PROTO, default_inputs(2), 2, cfg, pid),
+        lambda cfg, pid: apply_exec(PROTO, default_inputs(2), cfg, pid),
         lambda cfg, pid: pending_op(PROTO, default_inputs(2), cfg, pid),
         lambda cfg, pid: apply_crash(cfg, pid),
-        lambda cfg, pid: check_commutation(PROTO, default_inputs(2), 2, cfg, pid, 1),
+        lambda cfg, pid: check_commutation(PROTO, default_inputs(2), cfg, pid, 1),
     ],
     ids=["apply_exec", "pending_op", "apply_crash", "check_commutation"],
 )
@@ -197,7 +196,7 @@ def _writes(reg, value):
 
 
 def _after(*names):
-    return run_schedule(PROTO, default_inputs(2), 2, sched(*names)).final_config
+    return run_schedule(PROTO, default_inputs(2), 2, sched(*names))
 
 
 @pytest.mark.parametrize(
@@ -221,7 +220,7 @@ def _after(*names):
 )
 def test_step_errors_in_precedence_order(proto, cfg, pid, error, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
-        apply_exec(proto, default_inputs(2), 2, cfg, pid)
+        apply_exec(proto, default_inputs(2), cfg, pid)
     assert type(info.value) is error
 
 
@@ -244,10 +243,10 @@ def test_equal_proposals_keep_their_own_objects():
     # one protocol object across every proposal vector, as the CLI uses it
     for inputs in EQUAL_PROPOSALS:
         own = [inputs[pid] for pid in (1, 2, 3)]
-        out = run_schedule(PROTO, inputs, 3, sched("E1", "E2", "E3"))
-        assert _same_objects(out.final_config.registers[0], own)
-        out = run_schedule(PROTO, inputs, 1, sched("E1", "E1", "E2", "E2", "E3", "E3"))
-        assert _same_objects([out.decisions[pid] for pid in (1, 2, 3)], own)
+        end = run_schedule(PROTO, inputs, 3, sched("E1", "E2", "E3"))
+        assert _same_objects(end.registers[0], own)
+        end = run_schedule(PROTO, inputs, 1, sched("E1", "E1", "E2", "E2", "E3", "E3"))
+        assert _same_objects([value for _, value in end.decided], own)
 
 
 def test_equal_proposals_keep_their_own_objects_in_violations():
@@ -267,7 +266,7 @@ def test_equal_proposals_keep_their_own_objects_in_decision_sets():
         explorer = Explorer(PROTO, inputs, 3)
         for pid in (1, 2, 3):
             # pid writes and reads alone first, so everyone decides its object
-            solo = run_schedule(PROTO, inputs, 3, (Exec(pid), Exec(pid))).final_config
+            solo = run_schedule(PROTO, inputs, 3, (Exec(pid), Exec(pid)))
             (value,) = explorer.reachable_decisions(solo)
             assert value is inputs[pid]
 
@@ -302,12 +301,12 @@ def _valid_schedule(n, picks):
 def test_run_schedule_matches_independent_replay(n, k, proposals, picks):
     proposals = proposals[:n]
     schedule = _valid_schedule(n, picks)
-    out = run_schedule(PROTO, dict(enumerate(proposals, 1)), k, schedule)
+    end = run_schedule(PROTO, dict(enumerate(proposals, 1)), k, schedule)
     window, decisions, crashed = replay_consensus(k, proposals, schedule)
-    assert _same_objects(out.final_config.registers[0], window)
-    assert out.decisions == decisions
-    assert all(out.decisions[pid] is decisions[pid] for pid in decisions)
-    assert out.crashed == crashed
+    assert _same_objects(end.registers[0], window)
+    assert end.decided == tuple(sorted(decisions.items()))
+    assert all(value is decisions[pid] for pid, value in end.decided)
+    assert end.crashed == tuple(sorted(crashed))
 
 
 # ---------------------------------------------------------------- counting
@@ -363,8 +362,8 @@ def test_crash_enumeration_shape():
 
 def test_every_enumerated_schedule_runs_clean():
     for s in enumerate_schedules(2, 2, with_crashes=True):
-        out = run_schedule(PROTO, default_inputs(2), 2, s)
-        assert out.decisions.keys().isdisjoint(out.crashed)
+        end = run_schedule(PROTO, default_inputs(2), 2, s)
+        assert dict(end.decided).keys().isdisjoint(end.crashed)
 
 
 # ---------------------------------------------------------------- verify
@@ -393,8 +392,8 @@ def test_verify_violations_follow_oracle_order(k, n, crashes):
     schedules = schedule_order(n, 2, crashes)
     violating = []
     for s in schedules:
-        out = run_schedule(PROTO, inputs, k, s)
-        if not check_outcome(inputs, out.decisions, out.crashed).ok:
+        end = run_schedule(PROTO, inputs, k, s)
+        if not check_outcome(inputs, dict(end.decided), end.crashed).ok:
             violating.append(s)
     report = verify_all(PROTO, k, n, with_crashes=crashes)
     assert report.schedules_checked == len(schedules)
@@ -469,26 +468,23 @@ def replayed_verify(inputs, k, n, crashes, protocol=PROTO):
     violations = []
     count = 0
     for s in enumerate_schedules(n, 2, crashes):
-        out = run_schedule(protocol, inputs, k, s)
-        report = check_outcome(inputs, out.decisions, out.crashed)
+        end = run_schedule(protocol, inputs, k, s)
+        report = check_outcome(inputs, dict(end.decided), end.crashed)
         count += 1
         if not report.ok:
-            final = out.final_config
-            violations.append((s, report, final.decided, final.crashed))
+            violations.append((s, report, end.decided, end.crashed))
     return count, tuple(violations)
 
 
 def replayed_violations(inputs, k, n, max_results, protocol=PROTO):
     """find_violation's answer, replaying every schedule from the start."""
-    first = [eviction_schedule(k, n)] if n == k + 1 and n >= 2 else []
+    first = [eviction_schedule(k)] if n == k + 1 else []
     rest = [s for s in enumerate_schedules(n, 2) if s not in first]
     found = []
     for s in first + rest:
-        out = run_schedule(protocol, inputs, k, s)
-        if not check_outcome(inputs, out.decisions, out.crashed).agreement:
-            found.append(
-                (s, tuple(sorted(out.decisions.items())), tuple(sorted(out.crashed)))
-            )
+        end = run_schedule(protocol, inputs, k, s)
+        if not check_outcome(inputs, dict(end.decided), end.crashed).agreement:
+            found.append((s, end.decided, end.crashed))
     return found if max_results is None else found[:max_results]
 
 
@@ -530,17 +526,19 @@ def test_shared_prefix_checks_match_per_schedule_replay(
 
 
 def test_eviction_schedule_shape():
-    assert format_schedule(eviction_schedule(2, 3)) == ["E1", "E1", "E2", "E3", "E2"]
-    with pytest.raises(ValueError):
-        eviction_schedule(2, 2)
+    assert format_schedule(eviction_schedule(1)) == ["E1", "E1", "E2", "E2"]
+    assert format_schedule(eviction_schedule(2)) == ["E1", "E1", "E2", "E3", "E2"]
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="window size of at least 1"):
+            eviction_schedule(k)
 
 
 def test_find_violation_k2_leads_with_the_eviction_run():
     found = find_violation(PROTO, 2, 3, max_results=1)
     assert [format_schedule(s) for s, _, _ in found] == [["E1", "E1", "E2", "E3", "E2"]]
     assert found[0][1:] == (((1, 0), (2, 1)), ())
-    out = run_schedule(PROTO, default_inputs(3), 2, found[0][0])
-    assert out.decisions == {1: 0, 2: 1}
+    end = run_schedule(PROTO, default_inputs(3), 2, found[0][0])
+    assert end.decided == ((1, 0), (2, 1))
 
 
 def test_find_violation_k1_is_exhaustive():
@@ -605,11 +603,22 @@ def test_random_schedule_rejects_bad_probability():
         random_schedule(2, 2, seed=0, crash_probability=1.5)
 
 
+@pytest.mark.parametrize("n, m", [(0, 2), (-1, 2), (2, -1), (2, -3), (0, 0)])
+def test_schedule_makers_reject_bad_counts(n, m):
+    with pytest.raises(ValueError, match=f"got {n} and {m}$"):
+        list(enumerate_schedules(n, m))
+    with pytest.raises(ValueError, match=f"got {n} and {m}$"):
+        random_schedule(n, m)
+    # zero steps each stays legal: the one empty schedule
+    assert list(enumerate_schedules(2, 0)) == [()]
+    assert random_schedule(2, 0) == ()
+
+
 @given(st.integers(1, 4), st.integers(0, 999), st.floats(0.0, 1.0))
 @settings(max_examples=60)
 def test_random_schedules_always_run_clean(n, seed, p):
     s = random_schedule(n, 2, seed=seed, crash_probability=p)
-    out = run_schedule(PROTO, default_inputs(n), 2, s)
+    end = run_schedule(PROTO, default_inputs(n), 2, s)
     for pid in range(1, n + 1):
-        if pid not in out.crashed:
-            assert pid in out.decisions
+        if pid not in end.crashed:
+            assert pid in dict(end.decided)

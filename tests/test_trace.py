@@ -180,8 +180,27 @@ def test_parse_rejects_bad_lines(line):
             "unsupported schema version 2",
         ),
         ('{"type": "mystery", "schema_version": 1}', "unknown record type 'mystery'"),
+        # a type that is not a string names no record, and the version is
+        # never coerced: an array or object type used to raise TypeError
+        (
+            '{"type": ["schedule"], "schema_version": 1, "steps": []}',
+            "unknown record type ['schedule']",
+        ),
+        (
+            '{"type": {"schedule": 1}, "schema_version": 1, "steps": []}',
+            "unknown record type {'schedule': 1}",
+        ),
+        (
+            '{"type": "schedule", "schema_version": true, "steps": []}',
+            "unsupported schema version True",
+        ),
+        (
+            '{"type": "schedule", "schema_version": 1.0, "steps": []}',
+            "unsupported schema version 1.0",
+        ),
     ],
-    ids=["trailing-data", "surrounding-space", "array", "schema-version", "unknown-type"],
+    ids=["trailing-data", "surrounding-space", "array", "schema-version", "unknown-type",
+         "array-type", "object-type", "bool-schema-version", "float-schema-version"],
 )
 def test_parse_results_are_pinned(line, expected):
     if isinstance(expected, str):
@@ -200,8 +219,8 @@ def test_serialize_rejects_foreign_objects():
 
 def test_outcome_record_from_run():
     proto = consensus_protocol()
-    out = run_schedule(proto, default_inputs(2), 1, parse_schedule(["E1", "E1", "E2", "E2"]))
-    record = outcome_record(out)
+    end = run_schedule(proto, default_inputs(2), 1, parse_schedule(["E1", "E1", "E2", "E2"]))
+    record = outcome_record(end)
     assert record == OutcomeRecord(decisions=((1, 0), (2, 1)), crashed=())
     assert parse(serialize(record)) == record
 
@@ -209,8 +228,8 @@ def test_outcome_record_from_run():
 def test_violation_record_keeps_replay_context():
     proto = consensus_protocol()
     sched = parse_schedule(["E1", "E1", "E2", "E3", "E2"])
-    out = run_schedule(proto, default_inputs(3), 2, sched)
-    record = violation_record(2, 3, default_inputs(3), sched, out.decisions.items(), out.crashed)
+    end = run_schedule(proto, default_inputs(3), 2, sched)
+    record = violation_record(2, 3, default_inputs(3), sched, end.decided, end.crashed)
     assert record.schedule == ("E1", "E1", "E2", "E3", "E2")
     assert record.inputs == ((1, 0), (2, 1), (3, 2))
     assert record.decisions == ((1, 0), (2, 1))
@@ -220,7 +239,7 @@ def test_violation_record_keeps_replay_context():
         record.k,
         parse_schedule(record.schedule),
     )
-    assert tuple(sorted(replayed.decisions.items())) == record.decisions
+    assert replayed.decided == record.decisions
 
 
 def test_history_records_round_trip():

@@ -62,9 +62,9 @@ def test_mixed_proposals_start_bivalent(k):
 def test_first_write_pins_the_decision_when_window_fits():
     ex = explorer(2, 2)
     root = initial_config(PROTO, default_inputs(2), 2)
-    after_e1 = apply_exec(PROTO, default_inputs(2), 2, root, 1)
+    after_e1 = apply_exec(PROTO, default_inputs(2), root, 1)
     assert ex.reachable_decisions(after_e1) == frozenset({0})
-    after_e2 = apply_exec(PROTO, default_inputs(2), 2, root, 2)
+    after_e2 = apply_exec(PROTO, default_inputs(2), root, 2)
     assert ex.reachable_decisions(after_e2) == frozenset({1})
 
 
@@ -73,7 +73,7 @@ def test_k1_successors_stay_bivalent():
     # so taking one step does not settle anything
     ex = explorer(1, 2)
     root = initial_config(PROTO, default_inputs(2), 1)
-    after_e1 = apply_exec(PROTO, default_inputs(2), 1, root, 1)
+    after_e1 = apply_exec(PROTO, default_inputs(2), root, 1)
     assert ex.reachable_decisions(after_e1) == frozenset({0, 1})
 
 
@@ -108,7 +108,7 @@ def test_monotonicity_on_every_edge():
     # fill, which makes each set a superset of its successors' by construction
     for k in (1, 2):
         vmap = explorer(k, 2).valence_map()
-        searched = list(map(decided_below(PROTO, default_inputs(2), k), vmap.nodes))
+        searched = list(map(decided_below(PROTO, default_inputs(2)), vmap.nodes))
         assert [v.values for v in vmap.valences] == searched
         for src, _, dst in vmap.edges:
             assert searched[dst] <= searched[src]
@@ -172,7 +172,7 @@ def test_critical_configs_recheck_independently(k):
         for pid, succ, valence in cc.successors:
             assert Valence(fresh.reachable_decisions(succ)).monovalent
             assert fresh.reachable_decisions(succ) == valence.values
-            assert succ == apply_exec(PROTO, default_inputs(2), k, cc.config, pid)
+            assert succ == apply_exec(PROTO, default_inputs(2), cc.config, pid)
 
 
 def test_bivalent_root_always_yields_a_critical_config():
@@ -239,7 +239,7 @@ def test_operations_on_distinct_registers_commute_everywhere():
     checked = 0
     for cfg in ex.valence_map().nodes:
         if all(pending_op(proto, inputs, cfg, pid) is not None for pid in (1, 2)):
-            assert check_commutation(proto, inputs, 2, cfg, 1, 2)
+            assert check_commutation(proto, inputs, cfg, 1, 2)
             checked += 1
     assert checked > 0
 
@@ -247,26 +247,26 @@ def test_operations_on_distinct_registers_commute_everywhere():
 def test_same_register_writes_do_not_commute():
     inputs = default_inputs(2)
     cfg = initial_config(PROTO, inputs, 2)
-    assert not check_commutation(PROTO, inputs, 2, cfg, 1, 2)
+    assert not check_commutation(PROTO, inputs, cfg, 1, 2)
 
 
 def test_same_register_reads_commute():
     inputs = default_inputs(2)
     cfg = initial_config(PROTO, inputs, 2)
-    cfg = apply_exec(PROTO, inputs, 2, cfg, 1)
-    cfg = apply_exec(PROTO, inputs, 2, cfg, 2)
+    cfg = apply_exec(PROTO, inputs, cfg, 1)
+    cfg = apply_exec(PROTO, inputs, cfg, 2)
     # both pending operations are now reads of register 0
-    assert check_commutation(PROTO, inputs, 2, cfg, 1, 2)
+    assert check_commutation(PROTO, inputs, cfg, 1, 2)
 
 
 def test_commutation_requires_pending_operations():
     inputs = default_inputs(2)
     cfg = initial_config(PROTO, inputs, 2)
     with pytest.raises(ValueError):
-        check_commutation(PROTO, inputs, 2, cfg, 1, 1)
+        check_commutation(PROTO, inputs, cfg, 1, 1)
     done = apply_crash(cfg, 2)
     with pytest.raises(ValueError):
-        check_commutation(PROTO, inputs, 2, done, 1, 2)
+        check_commutation(PROTO, inputs, done, 1, 2)
 
 
 # ------------------------------------------------------------ oracle, depth
@@ -290,7 +290,7 @@ def test_decision_sets_match_the_replay_oracle(case, crash_aware):
     inputs = dict(enumerate(proposals, 1))
     cfg = initial_config(PROTO, inputs, k)
     for pid in prefix:
-        cfg = apply_exec(PROTO, inputs, k, cfg, pid)
+        cfg = apply_exec(PROTO, inputs, cfg, pid)
     ex = Explorer(PROTO, inputs, k, crash_aware=crash_aware)
     assert ex.reachable_decisions(cfg) == decision_set(k, proposals, prefix)
 

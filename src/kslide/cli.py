@@ -132,8 +132,7 @@ def cmd_violate(args) -> int:
     k = _require_positive("--k", args.k)
     n = k + 1
     inputs = _parse_inputs(args.inputs, n)
-    if args.max is not None:
-        _require_positive("--max", args.max)
+    _require_positive("--max", args.max)
     protocol = consensus_protocol()
     found = find_violation(protocol, k, n, inputs, max_results=args.max)
     if not found:

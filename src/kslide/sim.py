@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .consensus import PropertyReport, check_outcome
@@ -116,19 +115,12 @@ class Protocol(NamedTuple):
 
 def consensus_protocol() -> Protocol:
     """The built-in two-step protocol: write the proposal, read the window,
-    decide the oldest visible value. Operations are built once; a process's
-    write is reused while it proposes the same object, so 1, 1.0 and True
-    stay distinct."""
+    decide the oldest visible value. Each process writes its own proposal
+    object, so 1, 1.0 and True stay distinct."""
     read = ReadOp(0)
-    writes: dict[int, WriteOp] = {}
 
     def next_op(pid: int, proposal: Value, results: tuple) -> RegisterOp:
-        if results:
-            return read
-        op = writes.get(pid)
-        if op is None or op.value is not proposal:
-            op = writes[pid] = WriteOp(0, proposal)
-        return op
+        return read if results else WriteOp(0, proposal)
 
     def decide(pid: int, proposal: Value, results: tuple) -> Value:
         return first_non_bottom(results[-1])
@@ -221,11 +213,12 @@ def apply_exec(
     return tuple.__new__(Configuration, (locals_, registers, crashed, decided))
 
 
-def apply_crash(cfg: Configuration, pid: int) -> Configuration:
-    if pid in cfg.crashed:
-        raise ScheduleError(f"process {pid} crashed twice")
-    if not 1 <= pid <= len(cfg.locals):
-        raise ScheduleError(f"unknown process id {pid}")
+def apply_crash(protocol: Protocol, cfg: Configuration, pid: int) -> Configuration:
+    """Crash pid. Only a live process can crash: an unknown pid, a second
+    crash and a crash after the last step raise ScheduleError."""
+    if not is_live(protocol, cfg, pid):
+        state = "crashed twice" if pid in cfg.crashed else "already finished"
+        raise ScheduleError(f"process {pid} {state}")
     return Configuration(
         cfg.locals, cfg.registers, tuple(sorted(cfg.crashed + (pid,))), cfg.decided
     )
@@ -241,7 +234,7 @@ def run_schedule(
 
     Exec steps are atomic; a Crash step removes the process. Steps that are
     not applicable (an unknown pid, a crashed or finished process taking a
-    step, a second crash) raise ScheduleError. Incomplete schedules are
+    step or crashing) raise ScheduleError. Incomplete schedules are
     fine: processes that never finish simply decide nothing.
     """
     cfg = initial_config(protocol, inputs, k)
@@ -249,7 +242,7 @@ def run_schedule(
         if isinstance(step, Exec):
             cfg = apply_exec(protocol, inputs, cfg, step.pid)
         elif isinstance(step, Crash):
-            cfg = apply_crash(cfg, step.pid)
+            cfg = apply_crash(protocol, cfg, step.pid)
         else:
             raise TypeError(f"not a schedule step: {step!r}")
     return cfg
@@ -260,7 +253,7 @@ def _no_state(state: tuple, pid: int) -> tuple:
 
 
 def _walk(
-    n: int, m: int, with_crashes: bool, root, exec_step: Callable, crash_step: Callable
+    n: int, m: int, with_crashes: bool, root, exec_step: Callable, crash_step: Optional[Callable]
 ) -> Iterator[list[tuple]]:
     """Depth-first over every schedule of n processes with m steps each, in
     enumerate_schedules' order. stack[d] is the (state, process index, step)
@@ -468,7 +461,8 @@ def find_violation(
             found.append((evict, cfg.decided, cfg.crashed))
             if len(found) == max_results:
                 return found
-    for stack in _walk(n, protocol.steps_per_process, False, root, exec_step, apply_crash):
+    # without crashes _walk never takes a crash step
+    for stack in _walk(n, protocol.steps_per_process, False, root, exec_step, None):
         cfg = stack[-1][0]
         if not judge(cfg.decided, cfg.crashed).agreement:
             sched = _schedule(stack)
@@ -478,29 +472,3 @@ def find_violation(
                     break
     return found
 
-
-def random_schedule(
-    n: int,
-    ops_per_process: int = 2,
-    seed: int = 0,
-    crash_probability: float = 0.0,
-) -> Schedule:
-    """One valid complete-or-crash-truncated schedule, deterministic in seed."""
-    if n < 1 or ops_per_process < 0:
-        raise ValueError(f"need n >= 1 and ops_per_process >= 0, got {n} and {ops_per_process}")
-    if not 0.0 <= crash_probability <= 1.0:
-        raise ValueError("crash probability must be within [0, 1]")
-    rng = random.Random(seed)
-    remaining = dict.fromkeys(range(1, n + 1), ops_per_process)  # 0 once crashed
-    steps: list[Step] = []
-    while True:
-        choices = [pid for pid, left in remaining.items() if left > 0]
-        if not choices:
-            return tuple(steps)
-        pid = rng.choice(choices)
-        if crash_probability > 0.0 and rng.random() < crash_probability:
-            steps.append(Crash(pid))
-            remaining[pid] = 0
-        else:
-            steps.append(Exec(pid))
-            remaining[pid] -= 1

@@ -336,7 +336,7 @@ def _orbit_graph(protocol: Protocol, inputs: dict, k: int, crash_aware: bool):
         movers = [label for label in labels if is_live(protocol, cfg, label[0])]
         steps = [(exec_, exec_step(cfg, pid)) for pid, exec_, _ in movers]
         if crash_aware:
-            steps += [(crash, apply_crash(cfg, pid)) for pid, _, crash in movers]
+            steps += [(crash, apply_crash(protocol, cfg, pid)) for pid, _, crash in movers]
         out = []
         for step, nxt in steps:
             rep, stab, renaming = canon(nxt)

@@ -243,7 +243,7 @@ def decided_below(protocol, inputs):
         return frozenset().union(*(
             below(nxt)
             for pid in live
-            for nxt in (apply_exec(protocol, inputs, cfg, pid), apply_crash(cfg, pid))
+            for nxt in (apply_exec(protocol, inputs, cfg, pid), apply_crash(protocol, cfg, pid))
         ))
 
     return below
@@ -270,7 +270,7 @@ def forward_census(protocol, inputs, k, crash_aware: bool) -> tuple:
         cfg = stack.pop()
         live = [pid for pid in inputs if is_live(protocol, cfg, pid)]
         execs = [apply_exec(protocol, inputs, cfg, pid) for pid in live]
-        crashes = [apply_crash(cfg, pid) for pid in live] if crash_aware else []
+        crashes = [apply_crash(protocol, cfg, pid) for pid in live] if crash_aware else []
         for nxt in execs + crashes:
             key = _exact(nxt)
             if key not in seen:
@@ -302,7 +302,7 @@ def breadth_first_graph(protocol, inputs, k, crash_aware: bool) -> tuple:
         live = [pid for pid in sorted(inputs) if is_live(protocol, cfg, pid)]
         steps = [(Exec(pid), apply_exec(protocol, inputs, cfg, pid)) for pid in live]
         if crash_aware:
-            steps += [(Crash(pid), apply_crash(cfg, pid)) for pid in live]
+            steps += [(Crash(pid), apply_crash(protocol, cfg, pid)) for pid in live]
         for step, nxt in steps:
             key = _exact(nxt)
             if key not in ids:

@@ -113,6 +113,14 @@ def test_verify_replay_rejects_bad_schedule(capsys):
         assert (code, out, err.startswith("error:")) == (2, "", True)
 
 
+def test_verify_replay_rejects_a_crash_after_deciding(capsys):
+    # a process that has decided has finished, so it cannot crash
+    code, out, err = run_cli(
+        capsys, "verify", "--k", "2", "--n", "1", "--schedule", "E1,E1,C1"
+    )
+    assert (code, out, err) == (2, "", "error: process 1 already finished\n")
+
+
 @pytest.mark.parametrize(
     "argv, code, out_digest, records_digest",
     [
@@ -657,6 +665,18 @@ def test_start_up_imports_neither_dataclasses_nor_inspect():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize(
+    "module", ["register", "consensus", "sim", "valence", "lincheck", "trace", "cli"]
+)
+def test_each_module_imports_on_its_own(module):
+    # the package itself imports nothing, so a module imported first in a
+    # fresh interpreter shows any import cycle it takes part in
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import kslide.{module}"], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 CENSUS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "valence_census.py")

@@ -1,3 +1,4 @@
+import functools
 import re
 
 import pytest
@@ -27,7 +28,6 @@ from kslide.sim import (
     parse_schedule,
     parse_step,
     pending_op,
-    random_schedule,
     run_schedule,
     verify_all,
 )
@@ -147,17 +147,24 @@ def test_bad_window_size_is_rejected(k):
 # ------------------------------------------------------- pure stepping path
 
 
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 10_000))
+@functools.cache
+def _crash_schedules(n):
+    return list(enumerate_schedules(n, 2, with_crashes=True))
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
 @settings(max_examples=60)
-def test_run_schedule_agrees_with_pure_stepping(n, k, seed):
-    schedule = random_schedule(n, 2, seed=seed, crash_probability=0.2)
+def test_run_schedule_agrees_with_pure_stepping(n, k, data):
+    # a complete schedule or any prefix of one
+    schedule = data.draw(st.sampled_from(_crash_schedules(n)))
+    schedule = schedule[: data.draw(st.integers(0, len(schedule)))]
     end = run_schedule(PROTO, default_inputs(n), k, schedule)
     cfg = initial_config(PROTO, default_inputs(n), k)
     for step in schedule:
         if isinstance(step, Exec):
             cfg = apply_exec(PROTO, default_inputs(n), cfg, step.pid)
         else:
-            cfg = apply_crash(cfg, step.pid)
+            cfg = apply_crash(PROTO, cfg, step.pid)
     assert cfg == end
 
 
@@ -169,7 +176,7 @@ def test_pending_op_reflects_protocol_position():
     cfg = apply_exec(PROTO, inputs, cfg, 1)
     cfg = apply_exec(PROTO, inputs, cfg, 1)
     assert pending_op(PROTO, inputs, cfg, 1) is None
-    cfg = apply_crash(cfg, 2)
+    cfg = apply_crash(PROTO, cfg, 2)
     assert pending_op(PROTO, inputs, cfg, 2) is None
 
 
@@ -179,7 +186,7 @@ def test_pending_op_reflects_protocol_position():
     [
         lambda cfg, pid: apply_exec(PROTO, default_inputs(2), cfg, pid),
         lambda cfg, pid: pending_op(PROTO, default_inputs(2), cfg, pid),
-        lambda cfg, pid: apply_crash(cfg, pid),
+        lambda cfg, pid: apply_crash(PROTO, cfg, pid),
         lambda cfg, pid: check_commutation(PROTO, default_inputs(2), cfg, pid, 1),
     ],
     ids=["apply_exec", "pending_op", "apply_crash", "check_commutation"],
@@ -205,7 +212,7 @@ def _after(*names):
         # a crashed set naming a pid out of range is still an unknown pid
         (PROTO, Configuration(((), ()), ((BOTTOM,) * 2,), (3,), ()), 3,
          ScheduleError, "unknown process id 3"),
-        (PROTO, _after("E1", "E1", "C1"), 1,
+        (PROTO, _after("E1", "C1"), 1,
          ScheduleError, "process 1 crashed and cannot take steps"),
         (PROTO, _after("E1", "E1"), 1, ScheduleError, "process 1 already finished"),
         # liveness is checked before the protocol names an operation
@@ -222,6 +229,21 @@ def test_step_errors_in_precedence_order(proto, cfg, pid, error, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
         apply_exec(proto, default_inputs(2), cfg, pid)
     assert type(info.value) is error
+
+
+@pytest.mark.parametrize(
+    "cfg,pid,message",
+    [
+        (Configuration(((), ()), ((BOTTOM,) * 2,), (3,), ()), 3, "unknown process id 3"),
+        (_after("E1", "C1"), 1, "process 1 crashed twice"),
+        # a process that has decided has finished, so it cannot crash
+        (_after("E1", "E1"), 1, "process 1 already finished"),
+    ],
+    ids=["unknown-pid", "crashed-twice", "finished"],
+)
+def test_crash_errors_in_precedence_order(cfg, pid, message):
+    with pytest.raises(ScheduleError, match=f"^{re.escape(message)}$"):
+        apply_crash(PROTO, cfg, pid)
 
 
 # Proposals that compare (and hash) equal but are distinct objects of
@@ -361,9 +383,43 @@ def test_crash_enumeration_shape():
 
 
 def test_every_enumerated_schedule_runs_clean():
-    for s in enumerate_schedules(2, 2, with_crashes=True):
-        end = run_schedule(PROTO, default_inputs(2), 2, s)
-        assert dict(end.decided).keys().isdisjoint(end.crashed)
+    # 1, 38 and 1,158 schedules: every process either crashes or decides
+    for n in (1, 2, 3):
+        for s in _crash_schedules(n):
+            end = run_schedule(PROTO, default_inputs(n), 2, s)
+            decided = dict(end.decided)
+            assert decided.keys().isdisjoint(end.crashed)
+            assert decided.keys() | set(end.crashed) == set(range(1, n + 1))
+
+
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=60)
+def test_random_schedules_always_run_clean(n, data):
+    # a random complete schedule: each process takes its 2 steps or crashes first
+    remaining = dict.fromkeys(range(1, n + 1), 2)
+    schedule = []
+    while remaining:
+        pid = data.draw(st.sampled_from(sorted(remaining)))
+        if data.draw(st.booleans()):
+            schedule.append(Crash(pid))
+            remaining[pid] = 0
+        else:
+            schedule.append(Exec(pid))
+            remaining[pid] -= 1
+        if remaining[pid] == 0:
+            del remaining[pid]
+    end = run_schedule(PROTO, default_inputs(n), 2, schedule)
+    for pid in range(1, n + 1):
+        if pid not in end.crashed:
+            assert pid in dict(end.decided)
+
+
+@pytest.mark.parametrize("n, m", [(0, 2), (-1, 2), (2, -1), (2, -3), (0, 0)])
+def test_schedule_makers_reject_bad_counts(n, m):
+    with pytest.raises(ValueError, match=f"got {n} and {m}$"):
+        list(enumerate_schedules(n, m))
+    # zero steps each stays legal: the one empty schedule
+    assert list(enumerate_schedules(2, 0)) == [()]
 
 
 # ---------------------------------------------------------------- verify
@@ -572,53 +628,3 @@ def test_inputs_must_hold_one_proposal_per_process(check, k, n, inputs):
     # n counts the processes, so inputs must hold exactly n proposals
     with pytest.raises(ValueError, match=f"{len(inputs)} proposals given for {n} processes"):
         check(PROTO, k, n, inputs=inputs)
-
-
-# ---------------------------------------------------------------- random
-
-
-def test_random_schedule_is_deterministic_in_seed():
-    a = random_schedule(3, 2, seed=7, crash_probability=0.3)
-    b = random_schedule(3, 2, seed=7, crash_probability=0.3)
-    assert a == b
-    schedules = {random_schedule(3, 2, seed=s, crash_probability=0.3) for s in range(20)}
-    assert len(schedules) == 20
-
-
-def test_random_schedule_without_crashes_is_complete():
-    s = random_schedule(2, 2, seed=3)
-    assert all(isinstance(step, Exec) for step in s)
-    for pid in (1, 2):
-        assert sum(1 for step in s if step == Exec(pid)) == 2
-
-
-def test_random_schedule_certain_crash_kills_everyone():
-    s = random_schedule(3, 2, seed=0, crash_probability=1.0)
-    assert sorted(step.pid for step in s) == [1, 2, 3]
-    assert all(isinstance(step, Crash) for step in s)
-
-
-def test_random_schedule_rejects_bad_probability():
-    with pytest.raises(ValueError):
-        random_schedule(2, 2, seed=0, crash_probability=1.5)
-
-
-@pytest.mark.parametrize("n, m", [(0, 2), (-1, 2), (2, -1), (2, -3), (0, 0)])
-def test_schedule_makers_reject_bad_counts(n, m):
-    with pytest.raises(ValueError, match=f"got {n} and {m}$"):
-        list(enumerate_schedules(n, m))
-    with pytest.raises(ValueError, match=f"got {n} and {m}$"):
-        random_schedule(n, m)
-    # zero steps each stays legal: the one empty schedule
-    assert list(enumerate_schedules(2, 0)) == [()]
-    assert random_schedule(2, 0) == ()
-
-
-@given(st.integers(1, 4), st.integers(0, 999), st.floats(0.0, 1.0))
-@settings(max_examples=60)
-def test_random_schedules_always_run_clean(n, seed, p):
-    s = random_schedule(n, 2, seed=seed, crash_probability=p)
-    end = run_schedule(PROTO, default_inputs(n), 2, s)
-    for pid in range(1, n + 1):
-        if pid not in end.crashed:
-            assert pid in dict(end.decided)

@@ -264,7 +264,7 @@ def test_commutation_requires_pending_operations():
     cfg = initial_config(PROTO, inputs, 2)
     with pytest.raises(ValueError):
         check_commutation(PROTO, inputs, cfg, 1, 1)
-    done = apply_crash(cfg, 2)
+    done = apply_crash(PROTO, cfg, 2)
     with pytest.raises(ValueError):
         check_commutation(PROTO, inputs, done, 1, 2)
 

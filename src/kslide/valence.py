@@ -208,36 +208,54 @@ def _symmetry(protocol: Protocol, inputs: Mapping[int, Value]) -> tuple[list, bo
 
 
 def _canonicalizer(inputs: Mapping[int, Value], classes: list, relabel: bool):
-    """(canon, key): canon(cfg) is (representative, stabilizer size,
+    """(canon, typed): canon(cfg) is (representative, stabilizer size,
     renaming), where the representative is the least image of cfg under the
     group and the renaming r sends each pid p of cfg to r[p] in it (None:
-    the identity). key(x) is what configurations and images are told apart
-    by: _typed when the inputs hold equal proposals of distinct types (1,
-    1.0, True), else x itself.
+    the identity). typed says that the inputs hold equal proposals of
+    distinct types (1, 1.0, True), so configurations and images are told
+    apart by _typed(x), not by x itself.
 
     Pids are sorted within their class by a signature that renaming and
     relabeling preserve: locals length, crashed, and where the pid's own
-    proposal sits in each read result and register window. Only the
-    permutations inside signature ties are tried; those that give the least
-    image are the stabilizer's cosets, so their count is its size. Pids that
-    took no step appear nowhere, so their ties count without being tried.
+    proposal sits in each read result and register window. Pids that took no
+    step appear nowhere, so their ties count without being tried. When the
+    signatures of the pids that took steps are pairwise distinct, they fix
+    the order with no image comparison. Otherwise only the permutations
+    inside their ties are tried; those that give the least image are the
+    stabilizer's cosets, so their count is its size.
     """
     values = inputs.values()
-    tag = _typed if len(set(values)) < len({(type(v), v) for v in values}) else (lambda x: x)
+    typed = len(set(values)) < len({(type(v), v) for v in values})
     if all(len(cls) == 1 for cls in classes):  # the trivial group
-        return (lambda cfg: (cfg, 1, None)), tag
-    targets = tuple(pid for cls in classes for pid in cls)
+        return (lambda cfg: (cfg, 1, None)), typed
+    targets = [pid for cls in classes for pid in cls]
+    position = [targets.index(pid) for pid in sorted(targets)]  # pid p's index in targets, at p - 1
+    owned = [(pid, inputs[pid]) for pid in targets]
     interned: dict = {}  # locals and windows -> small ints, to order images
 
-    def flags(window: tuple, own: Value) -> tuple:
-        return tuple(0 if slot is BOTTOM else 1 if slot == own else 2 for slot in window)
+    def image(cfg: Configuration, order: list) -> tuple:
+        """cfg with old pid order[i] renamed targets[i]: its locals,
+        registers, crashed pids, the renaming and the value map."""
+        locals_, registers, crashed, _ = cfg
+        rank = dict(zip(order, targets))
+        moved = [locals_[order[i] - 1] for i in position]
+        vmap = {}
+        if relabel:
+            vmap = {inputs[old]: inputs[new] for old, new in rank.items()}
+            moved = [
+                tuple([r if r is None else tuple(map(vmap.get, r, r)) for r in rs]) for rs in moved
+            ]
+            registers = tuple([tuple(map(vmap.get, w, w)) for w in registers])
+        return tuple(moved), registers, tuple(sorted(map(rank.get, crashed))), rank, vmap
 
     def key(image: tuple) -> tuple:
         """An image's locals, registers and crashed pids, as comparable ints."""
         moved, regs, dead = image[:3]
+        if typed:
+            moved, regs = _typed(moved), _typed(regs)
         return (
-            tuple(interned.setdefault(tag(x), len(interned)) for x in moved),
-            interned.setdefault(tag(regs), len(interned)),
+            tuple(interned.setdefault(x, len(interned)) for x in moved),
+            interned.setdefault(regs, len(interned)),
             dead,
         )
 
@@ -247,63 +265,54 @@ def _canonicalizer(inputs: Mapping[int, Value], classes: list, relabel: bool):
         for window in registers:
             where: dict = {}
             for i, value in enumerate(window):
-                where.setdefault(value, []).append(i)
+                where[value] = where.get(value, ()) + (i,)
             slots.append(where)
-
-        def signature(pid: int) -> tuple:
-            own, mine = inputs[pid], locals_[pid - 1]
-            return (
+        signatures = [
+            (
                 len(mine),
                 pid in crashed,
-                tuple(() if r is None else flags(r, own) for r in mine),
-                tuple(tuple(where.get(own, ())) for where in slots),
+                tuple([
+                    () if r is None else tuple([0 if x is BOTTOM else 1 if x == own else 2 for x in r])
+                    for r in mine
+                ]),
+                tuple([where.get(own, ()) for where in slots]),
             )
-
-        def image(order: tuple) -> tuple:
-            """cfg with old pid order[i] renamed targets[i]: its locals,
-            registers, crashed pids, the renaming and the value map."""
-            vmap = {inputs[old]: inputs[new] for old, new in zip(order, targets)} if relabel else {}
-            moved = [None] * len(targets)
-            for old, new in zip(order, targets):
-                moved[new - 1] = tuple(
-                    r if r is None else tuple(vmap.get(v, v) for v in r)
-                    for r in locals_[old - 1]
-                )
-            rank = dict(zip(order, targets))
-            regs = tuple(tuple(vmap.get(v, v) for v in w) for w in registers)
-            return tuple(moved), regs, tuple(sorted(rank[pid] for pid in crashed)), rank, vmap
-
-        stab = 1
-        runs = []  # per tie, the arrangements to try
+            for pid, own in owned
+            for mine in (locals_[pid - 1],)
+        ]
+        order, ranked, stab, tied = [], [], 1, False
         for cls in classes:
-            keyed = sorted((signature(pid), pid) for pid in cls)
-            for sig, tie in itertools.groupby(keyed, key=operator.itemgetter(0)):
-                tie = tuple(pid for _, pid in tie)
-                if len(tie) > 1 and sig[0]:
-                    runs.append(tuple(itertools.permutations(tie)))
+            keyed = sorted(zip(signatures[len(order) : len(order) + len(cls)], cls))
+            run = 1  # pids so far with this signature and no step
+            for (sig, _), (nxt, _) in zip(keyed, keyed[1:]):
+                if sig != nxt:
+                    run = 1
+                elif sig[0]:
+                    tied = True
                 else:
-                    stab *= math.factorial(len(tie))
-                    runs.append((tie,))
-        orders = [tuple(itertools.chain.from_iterable(a)) for a in itertools.product(*runs)]
-        if len(orders) == 1:
-            order, ties = orders[0], 1
-        else:
-            keys = [key(image(order)) for order in orders]
+                    run += 1
+                    stab *= run
+            order += [pid for _, pid in keyed]
+            ranked.append(keyed)
+        if tied:  # try every arrangement of each tie of pids that took steps
+            runs = []
+            for keyed in ranked:
+                for sig, tie in itertools.groupby(keyed, key=operator.itemgetter(0)):
+                    tie = tuple(pid for _, pid in tie)
+                    runs.append(tuple(itertools.permutations(tie)) if sig[0] else (tie,))
+            orders = [list(itertools.chain.from_iterable(a)) for a in itertools.product(*runs)]
+            keys = [key(image(cfg, order)) for order in orders]
             least = min(keys)
-            order, ties = orders[keys.index(least)], keys.count(least)
+            order = orders[keys.index(least)]
+            stab *= keys.count(least)
         if order == targets:
-            return cfg, stab * ties, None
-        moved, regs, dead, rank, vmap = image(order)
+            return cfg, stab, None
+        moved, regs, dead, rank, vmap = image(cfg, order)
+        decided = tuple(sorted([(rank[pid], vmap.get(v, v)) for pid, v in decided]))
         renaming = (0, *map(rank.get, range(1, len(targets) + 1)))
-        rep = tuple.__new__(Configuration, (
-            moved,
-            regs,
-            dead,
-            tuple(sorted((rank[pid], vmap.get(v, v)) for pid, v in decided)),
-        ))
-        return rep, stab * ties, renaming
+        return tuple.__new__(Configuration, (moved, regs, dead, decided)), stab, renaming
 
-    return canon, tag
+    return canon, typed
 
 
 def _typed(x):
@@ -325,12 +334,12 @@ def _orbit_graph(protocol: Protocol, inputs: dict, k: int, crash_aware: bool):
     Configurations that hold equal proposals of distinct types (1, 1.0,
     True) are distinct nodes."""
     classes, relabel = _symmetry(protocol, inputs)
-    canon, key = _canonicalizer(inputs, classes, relabel)
+    canon, typed = _canonicalizer(inputs, classes, relabel)
     # bound per call, so that a rebinding of valence.apply_exec is used
     exec_step = functools.partial(apply_exec, protocol, inputs)
     labels = [(pid, Exec(pid), Crash(pid)) for pid in sorted(inputs)]
     start, root_stab, _ = canon(initial_config(protocol, inputs, k))
-    ids = {key(start): 0}
+    ids = {_typed(start) if typed else start: 0}
     reps, stabs, succ = [start], [root_stab], []
     for cfg in reps:  # grows while it is walked: breadth-first in id order
         movers = [label for label in labels if is_live(protocol, cfg, label[0])]
@@ -340,7 +349,7 @@ def _orbit_graph(protocol: Protocol, inputs: dict, k: int, crash_aware: bool):
         out = []
         for step, nxt in steps:
             rep, stab, renaming = canon(nxt)
-            node = ids.setdefault(key(rep), len(reps))
+            node = ids.setdefault(_typed(rep) if typed else rep, len(reps))
             if node == len(reps):
                 reps.append(rep)
                 stabs.append(stab)
@@ -354,7 +363,8 @@ def _orbit_graph(protocol: Protocol, inputs: dict, k: int, crash_aware: bool):
         return None
 
     def find(cfg: Configuration) -> int:
-        node = ids.get(key(canon(cfg)[0]))
+        rep = canon(cfg)[0]
+        node = ids.get(_typed(rep) if typed else rep)
         if node is None:
             raise ValueError("configuration is not reachable from the initial one")
         return node

@@ -5,7 +5,9 @@ factorials), never by calling the code under test. The exception is the
 graph oracles at the end, decided_below, forward_census and
 breadth_first_graph: they step with kslide.sim's apply_exec and apply_crash,
 which tests/test_sim.py checks against replay, and share no code with
-kslide.valence, which they check.
+kslide.valence, which they check. group_element, group_elements and act
+apply the renaming group to a configuration element by element, for the
+canonicalizer's check.
 """
 
 from __future__ import annotations
@@ -17,7 +19,15 @@ import math
 from typing import NamedTuple, Optional
 
 from kslide.register import BOTTOM
-from kslide.sim import Crash, Exec, apply_crash, apply_exec, initial_config, is_live
+from kslide.sim import (
+    Configuration,
+    Crash,
+    Exec,
+    apply_crash,
+    apply_exec,
+    initial_config,
+    is_live,
+)
 
 
 def padded_last_k(values: list, k: int) -> tuple:
@@ -311,3 +321,41 @@ def breadth_first_graph(protocol, inputs, k, crash_aware: bool) -> tuple:
                 queue.append(nxt)
             edges.append((src, step, ids[key]))
     return nodes, edges
+
+
+def group_element(inputs, rename: dict, relabel: bool) -> tuple:
+    """(rename, values): rename[p] is the pid that pid p becomes, and with
+    relabel values sends each proposal, keyed by (type, value), to the
+    proposal of the pid its process becomes; without relabel it is empty."""
+    values = {}
+    if relabel:
+        values = {(type(inputs[old]), inputs[old]): inputs[new] for old, new in rename.items()}
+    return rename, values
+
+
+def group_elements(inputs, classes, relabel: bool):
+    """Every group_element that permutes pids within each class."""
+    for perms in itertools.product(*(itertools.permutations(cls) for cls in classes)):
+        rename = {old: new for cls, perm in zip(classes, perms) for old, new in zip(cls, perm)}
+        yield group_element(inputs, rename, relabel)
+
+
+def act(cfg, rename: dict, values: dict):
+    """The configuration cfg becomes under the group element (rename,
+    values): pid p's locals and crash move to rename[p], and every value in
+    a window, a read result or a decision is relabeled by values."""
+
+    def relabel(v):
+        return values.get((type(v), v), v)
+
+    locals_ = [None] * len(cfg.locals)
+    for old, new in rename.items():
+        locals_[new - 1] = tuple(
+            r if r is None else tuple(map(relabel, r)) for r in cfg.locals[old - 1]
+        )
+    return Configuration(
+        tuple(locals_),
+        tuple(tuple(map(relabel, w)) for w in cfg.registers),
+        tuple(sorted(rename[p] for p in cfg.crashed)),
+        tuple(sorted((rename[p], relabel(v)) for p, v in cfg.decided)),
+    )

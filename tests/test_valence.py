@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,10 +16,27 @@ from kslide.sim import (
     consensus_protocol,
     default_inputs,
     initial_config,
+    is_live,
     pending_op,
 )
-from kslide.valence import Explorer, Valence, census, check_commutation
-from oracles import breadth_first_graph, decided_below, decision_set, forward_census
+from kslide.valence import (
+    Explorer,
+    Valence,
+    _canonicalizer,
+    _symmetry,
+    census,
+    check_commutation,
+)
+from oracles import (
+    _exact,
+    act,
+    breadth_first_graph,
+    decided_below,
+    decision_set,
+    forward_census,
+    group_element,
+    group_elements,
+)
 from test_sim import EQUAL_PROPOSALS
 
 PROTO = consensus_protocol()
@@ -404,6 +423,45 @@ def test_census_matches_a_forward_search(k, proposals, crash_aware):
     assert (c.root.values, c.nodes, c.bivalent, c.monovalent, c.critical) == forward_census(
         PROTO, inputs, k, crash_aware
     )
+
+
+def random_walk(inputs, k, seed):
+    """The configurations of one seeded run: from the initial one, a random
+    live process takes a step or, one time in four, crashes, until none is
+    live."""
+    rng = random.Random(seed)
+    cfg = initial_config(PROTO, inputs, k)
+    walk = [cfg]
+    while live := [pid for pid in inputs if is_live(PROTO, cfg, pid)]:
+        pid = rng.choice(live)
+        if rng.random() < 0.25:
+            cfg = apply_crash(PROTO, cfg, pid)
+        else:
+            cfg = apply_exec(PROTO, inputs, cfg, pid)
+        walk.append(cfg)
+    return walk
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(1, 3),
+    st.lists(st.sampled_from([0, 1, 2, 1.0, True]), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_canonicalizer_matches_the_group_action(k, proposals, seed):
+    # group_elements and act apply each renaming themselves; configurations
+    # compare with 1, 1.0 and True kept apart
+    inputs = dict(enumerate(proposals, 1))
+    classes, relabel = _symmetry(PROTO, inputs)
+    canon = _canonicalizer(inputs, classes, relabel)[0]
+    group = list(group_elements(inputs, classes, relabel))
+    for cfg in random_walk(inputs, k, seed):
+        rep, stab, renaming = canon(cfg)
+        rename = {pid: pid if renaming is None else renaming[pid] for pid in inputs}
+        assert _exact(act(cfg, *group_element(inputs, rename, relabel))) == _exact(rep)
+        assert stab == sum(_exact(act(rep, *g)) == _exact(rep) for g in group)
+        for g in group:
+            assert _exact(canon(act(cfg, *g))[0]) == _exact(rep)
 
 
 @pytest.mark.parametrize("crash_aware", [False, True])

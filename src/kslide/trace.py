@@ -9,14 +9,17 @@ sorted and separators fixed, so serialization is byte-stable. A record
 decodes by field name: one table maps each field name to its decoder, and a
 record's fields are decoded in declaration order, so an error names the
 first missing or mistyped field. Decoders check each field's JSON type:
-integers, arrays and booleans must be just that. History events have their
-own decoder, which lincheck file uses straight, without building records.
+integers, arrays and booleans must be just that. lincheck file reads a
+history (read_history) by decoding each well-formed history-event line
+inline, straight to a checker event; the record decoders only word the
+error of any other line, so the errors are those of decoding every record.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import operator
 from typing import Iterable, NamedTuple, Optional
 
 from .lincheck import Event, History
@@ -35,7 +38,7 @@ def encode_window(window: Window) -> list:
 
 
 def decode_window(items: Iterable) -> Window:
-    return tuple(BOTTOM if item is None else item for item in items)
+    return tuple([BOTTOM if item is None else item for item in items])
 
 
 _JSON_TYPES = {int: "an integer", list: "an array", bool: "a boolean"}
@@ -180,7 +183,8 @@ def _payload(line: str) -> tuple[dict, type]:
         payload, end = _raw_decode(line)
         if end != len(line):
             json.loads(line)  # raises json's own "Extra data" error
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # nesting deeper than the decoder's recursion limit is malformed input too
         raise TraceError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise TraceError("trace lines must be JSON objects")
@@ -213,18 +217,49 @@ def read_records(path: str) -> list:
         return [parse(line) for line in map(str.strip, fh) if line]
 
 
+# read_history's per-line work: every field of a history-event payload in
+# one lookup, and an event built by tuple.__new__, which skips the
+# namedtuple's Python-level __new__.
+_event_fields = operator.itemgetter(
+    "type", "schema_version", "k", "kind", "pid", "op", "timestamp", "value", "result"
+)
+_new_event = functools.partial(tuple.__new__, Event)
+
+
 def read_history(path: str) -> History:
-    """The history in a history-event file, each line decoded straight to an event."""
-    pairs, foreign = [], []
+    """The history in a history-event file. A well-formed event line (one
+    history-event object of schema version 1, integer k, pid and timestamp,
+    null or array result) is decoded once, straight to an event. Any other
+    line goes through parse, so each error is the one decoding every record
+    would give: a bad line raises at once, a record of another type last."""
+    events, ks, foreign = [], set(), []
     with open(path, "r", encoding="utf-8") as fh:
-        for payload, cls in map(_payload, filter(None, map(str.strip, fh))):
-            if cls is HistoryEventRecord:
-                pairs.append(_decoded(_history_event, payload))
+        for line in filter(None, map(str.strip, fh)):
+            try:
+                payload, end = _raw_decode(line)
+                name, version, k, kind, pid, op, ts, value, result = _event_fields(payload)
+                if (
+                    end == len(line) and name == "history-event"
+                    and type(version) is int and version == SCHEMA_VERSION
+                    and type(k) is int and type(pid) is int and type(ts) is int
+                    and (result is None or type(result) is list)
+                ):
+                    events.append(_new_event((
+                        kind, pid, op, ts, value, None if result is None else decode_window(result)
+                    )))
+                    ks.add(k)
+                    continue
+            except (KeyError, TypeError, ValueError, RecursionError):
+                pass  # not a well-formed event line: parse says what is wrong
+            record = parse(line)
+            if type(record) is HistoryEventRecord:
+                events.append(Event._make(record[1:]))
+                ks.add(record.k)
             else:
-                foreign.append(_decoded(functools.partial(_record, cls), payload))
+                foreign.append(record)
     if foreign:
         raise TraceError(f"history files hold history-event records, got {foreign[0]!r}")
-    return _history(pairs)
+    return _history(ks, events)
 
 
 def outcome_record(cfg: Configuration) -> OutcomeRecord:
@@ -250,13 +285,15 @@ def history_to_records(history: History) -> list[HistoryEventRecord]:
 
 def history_from_records(records: Iterable[HistoryEventRecord]) -> History:
     # An event is a history-event record without its leading k.
-    return _history([(r.k, Event._make(r[1:])) for r in records])
+    records = list(records)
+    return _history({r.k for r in records}, [Event._make(r[1:]) for r in records])
 
 
-def _history(pairs: list) -> History:
-    if not pairs:
+def _history(ks: set, events: list) -> History:
+    """The history of events whose records carried the k values ks."""
+    if not events:
         raise TraceError("history file holds no events")
-    ks = {k for k, _ in pairs}
     if len(ks) != 1:
         raise TraceError(f"history events disagree on k: {sorted(ks)}")
-    return History(ks.pop(), [event for _, event in pairs])
+    (k,) = ks
+    return History(k, events)

@@ -516,6 +516,11 @@ READ = [
     event_line(kind="respond", pid=2, op="read", timestamp=3, value=None, result=[None, 5]),
 ]
 OUTCOME = '{"crashed":[],"decisions":[[1,0]],"schema_version":1,"type":"outcome"}'
+# nesting past the decoder's recursion limit is malformed input, not an internal error
+DEEP_ERROR = (
+    "error: not valid JSON: maximum recursion depth exceeded "
+    "while decoding a JSON {} from a unicode string"
+)
 NOT_OBJECT_KEY = (
     "error: not valid JSON: Expecting property name enclosed in double quotes: "
     "line 1 column 2 (char 1)"
@@ -567,6 +572,10 @@ NOT_OBJECT_KEY = (
          "error: malformed history-event record: result must be an array, got 'ab'"),
         (WRITE + [READ[0], event_line(**{**json.loads(READ[1]), "result": {"a": 5}})], 2,
          "error: malformed history-event record: result must be an array, got {'a': 5}"),
+        (WRITE[:1] + ["[" * 100_000], 2, DEEP_ERROR.format("array")),
+        (WRITE[:1] + ['{"a":' * 100_000 + "1" + "}" * 100_000], 2, DEEP_ERROR.format("object")),
+        ([WRITE[0][:-1] + ',"deep":' + "[" * 100_000 + "]" * 100_000 + "}", WRITE[1]], 2,
+         DEEP_ERROR.format("array")),
     ],
     ids=[
         "valid", "blank-and-padded", "not-linearizable", "window-too-short",
@@ -575,7 +584,8 @@ NOT_OBJECT_KEY = (
         "bool-schema", "float-schema", "wrong-record-type",
         "wrong-record-type-then-bad-line", "missing-key", "bad-int", "mixed-k", "empty",
         "blank-only", "unhashable-value", "malformed-outcome", "bool-k", "float-pid",
-        "float-timestamp", "string-window", "object-window",
+        "float-timestamp", "string-window", "object-window", "deep-array", "deep-object",
+        "deep-event",
     ],
 )
 def test_lincheck_file_exit_code_and_first_error_line(capsys, tmp_path, lines, code, first_err):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kslide.cli import main
 from kslide.lincheck import Event, History
 from kslide.register import BOTTOM
 from kslide.sim import consensus_protocol, default_inputs, parse_schedule, run_schedule
@@ -385,21 +386,41 @@ def reference_history(path):
     return history_from_records(records)
 
 
+# alterations that set one field of a history-event line to a constant
+FIELD_VALUES = {
+    "schema": ("schema_version", 2),
+    "bool-schema": ("schema_version", True),
+    "float-schema": ("schema_version", 1.0),
+    "array-type": ("type", ["history-event"]),
+    "bool-k": ("k", True),
+    "string-result": ("result", "ab"),
+    "object-result": ("result", {"a": 5}),
+    "extra-key": ("note", 1),  # accepted, like any field no record has
+}
+
+
 def alter(line, how):
     """One history-event line changed the way `how` names."""
     payload = json.loads(line)
     if how == "bad-json":
         return line[:-1]
+    if how == "trailing-data":
+        return f"{line} x"
+    if how == "deep":  # nested past the JSON decoder's recursion limit
+        return f'{line[:-1]},"deep":{"[" * 100_000}{"]" * 100_000}}}'
     if how == "outcome":
         return serialize(OutcomeRecord(((1, 0),), ()))
     if how == "missing-key":
         del payload["op"]
-    elif how == "schema":
-        payload["schema_version"] = 2
+    elif how in FIELD_VALUES:
+        name, value = FIELD_VALUES[how]
+        payload[name] = value
     elif how == "other-k":
         payload["k"] += 1
     elif how == "float-pid":
         payload["pid"] += 0.5
+    elif how == "float-timestamp":
+        payload["timestamp"] += 0.5
     elif how == "blank":
         return "  "
     elif how == "padded":
@@ -421,14 +442,14 @@ history_lines = st.lists(
     ]
 )
 alterations = st.sampled_from(
-    [None, "bad-json", "outcome", "missing-key", "schema", "other-k", "float-pid",
-     "blank", "padded"]
+    [None, "bad-json", "outcome", "missing-key", "other-k", "float-pid", "float-timestamp",
+     "blank", "padded", "trailing-data", "deep", *FIELD_VALUES]
 )
 
 
 @given(history_lines, alterations, st.integers(0, 5), st.booleans())
 @example(["{}", "{}"], "outcome", 0, False)  # a record of another type, then a bad line
-@settings(deadline=None)
+@settings(deadline=None, max_examples=300)
 def test_read_history_matches_records_then_history(lines, how, where, blank_lines):
     if how is not None and lines:
         where %= len(lines)
@@ -447,3 +468,15 @@ def test_read_history_matches_records_then_history(lines, how, where, blank_line
             assert str(raised.value) == str(exc)
         else:
             assert read_history(path) == expected
+
+
+def test_read_history_matches_records_on_a_saved_stress_history(capsys, tmp_path):
+    path = str(tmp_path / "history.jsonl")
+    argv = ["lincheck", "stress", "--threads", "4", "--ops", "250", "--histories", "1"]
+    assert main(argv + ["--save", path]) == 0
+    with open(path, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 2000
+    assert read_history(path) == reference_history(path)
+    capsys.readouterr()
+    assert main(["lincheck", "file", "--path", path]) == 0
+    assert capsys.readouterr().out == "linearizable (1000 operations ordered)\n"

@@ -41,58 +41,15 @@ class History(NamedTuple):
     events: List[Event]
 
     def validate(self) -> None:
-        """Raise MalformedHistoryError unless events form per-process
-        alternating invoke/respond pairs with strictly increasing timestamps,
-        hashable written values and hashable read windows of exactly k
-        slots. Pending invocations at the end of the history are allowed."""
-        self.operations()
+        """Raise MalformedHistoryError unless events form per-process invoke and
+        respond pairs with strictly increasing timestamps, hashable written
+        values and hashable read windows of k slots; pending invokes are fine."""
+        _table(self)
 
     def operations(self) -> "list[OpRecord]":
         """Pair events into operation records, ordered by invocation time,
         validating them on the way (see validate)."""
-        ops: list = []  # OpRecord per operation, None while it is open
-        open_ops: dict = {}  # pid -> (index, op, value, invoked) of its open operation
-        last_ts = None
-        for kind, pid, op, ts, value, result in self.events:
-            if kind not in ("invoke", "respond"):
-                raise MalformedHistoryError(f"unknown event kind {kind!r}")
-            if op not in ("write", "read"):
-                raise MalformedHistoryError(f"unknown operation {op!r}")
-            if last_ts is not None and ts <= last_ts:
-                raise MalformedHistoryError(
-                    f"timestamps must increase strictly, got {ts} after {last_ts}"
-                )
-            last_ts = ts
-            if kind == "invoke":
-                if pid in open_ops:
-                    raise MalformedHistoryError(
-                        f"process {pid} invoked while an operation is open"
-                    )
-                if op == "write" and (value is None or value is BOTTOM):
-                    raise MalformedHistoryError("write invocation needs a real value")
-                if op == "write" and not _hashable(value):
-                    raise MalformedHistoryError(f"written value {value!r} is not hashable")
-                open_ops[pid] = (len(ops), op, value, ts)
-                ops.append(None)
-            else:
-                started = open_ops.pop(pid, None)
-                if started is None or started[1] != op:
-                    raise MalformedHistoryError(
-                        f"response without matching invocation for process {pid}"
-                    )
-                if op == "read" and not isinstance(result, tuple):
-                    raise MalformedHistoryError("read response needs a window tuple")
-                if op == "read" and not _hashable(result):
-                    raise MalformedHistoryError(f"read window {result!r} is not hashable")
-                if op == "read" and len(result) != self.k:
-                    raise MalformedHistoryError(
-                        f"read window {result!r} has {len(result)} slots, expected {self.k}"
-                    )
-                i, _, invoked_value, invoked = started
-                ops[i] = OpRecord(pid, op, invoked_value, result, invoked, ts)
-        for pid, (i, op, value, invoked) in open_ops.items():
-            ops[i] = OpRecord(pid, op, value, None, invoked, None)
-        return ops
+        return _table(self)[0]
 
 
 def _hashable(value) -> bool:
@@ -116,87 +73,130 @@ class OpRecord(NamedTuple):
         return self.responded is None
 
 
+def _table(history: History) -> tuple:
+    """(ops, preds, done) from one validating pass over the events (see
+    History.validate): OpRecords in invocation order, and as bitmasks over
+    them, the operations that responded before each invoke and all that did.
+    Timestamps increase strictly, so preds[i] is the mask of responses seen."""
+    ops: list = []  # OpRecord per operation, None while it is open
+    preds: list = []
+    done = 0
+    open_ops: dict = {}  # pid -> (index, op, value, invoked) of its open operation
+    last_ts = None
+    for kind, pid, op, ts, value, result in history.events:
+        if kind not in ("invoke", "respond"):
+            raise MalformedHistoryError(f"unknown event kind {kind!r}")
+        if op not in ("write", "read"):
+            raise MalformedHistoryError(f"unknown operation {op!r}")
+        if last_ts is not None and ts <= last_ts:
+            raise MalformedHistoryError(
+                f"timestamps must increase strictly, got {ts} after {last_ts}"
+            )
+        last_ts = ts
+        if kind == "invoke":
+            if pid in open_ops:
+                raise MalformedHistoryError(f"process {pid} invoked while an operation is open")
+            if op == "write" and (value is None or value is BOTTOM):
+                raise MalformedHistoryError("write invocation needs a real value")
+            if op == "write" and not _hashable(value):
+                raise MalformedHistoryError(f"written value {value!r} is not hashable")
+            open_ops[pid] = (len(ops), op, value, ts)
+            ops.append(None)
+            preds.append(done)
+        else:
+            started = open_ops.pop(pid, None)
+            if started is None or started[1] != op:
+                raise MalformedHistoryError(
+                    f"response without matching invocation for process {pid}"
+                )
+            if op == "read" and not isinstance(result, tuple):
+                raise MalformedHistoryError("read response needs a window tuple")
+            if op == "read" and not _hashable(result):
+                raise MalformedHistoryError(f"read window {result!r} is not hashable")
+            if op == "read" and len(result) != history.k:
+                raise MalformedHistoryError(
+                    f"read window {result!r} has {len(result)} slots, expected {history.k}"
+                )
+            i, _, invoked_value, invoked = started
+            ops[i] = tuple.__new__(OpRecord, (pid, op, invoked_value, result, invoked, ts))
+            done |= 1 << i
+    for pid, (i, op, value, invoked) in open_ops.items():
+        ops[i] = tuple.__new__(OpRecord, (pid, op, value, None, invoked, None))
+    return ops, preds, done
+
+
 def check_linearizable(history: History) -> Optional[List[OpRecord]]:
     """Witness linearization of a history, or None if there is none.
 
-    Depth-first search over linearization orders (Wing and Gong), run on an
-    explicit stack so history length is not bounded by the recursion limit.
-    An operation becomes a candidate once every completed operation that
-    responded before it was invoked has been placed. Writes replay
-    unconditionally; a read is kept only when the sequential register would
-    return exactly the recorded window. Visited (placed-set, window) pairs
-    are memoized; the window determines the register state because the
-    placed-set fixes how many writes happened.
+    Depth-first search over linearization orders (Wing and Gong), on an
+    explicit stack, so history length is not bounded by the recursion limit. An
+    operation becomes a candidate once every completed operation that responded
+    before it was invoked has been placed. Writes replay unconditionally; a
+    read is kept only when the sequential register would return exactly the
+    recorded window. Visited (placed-set, window) pairs are memoized; the
+    placed-set fixes the write count, so the window fixes the state.
 
-    Completed operations must all be placed. Pending writes at the end of
-    the history may or may not have taken effect, so both branches are
-    explored; pending reads returned nothing and constrain nothing, so they
-    are dropped.
+    One validating pass over the events (_table) builds the table, with no
+    sort: the operations in invocation order, and for each the operations that
+    had responded when it was invoked. Placed-sets and these predecessor sets
+    are int bitmasks over that order. Predecessor sets only grow along it, so a
+    node's candidate scan starts at its lowest unplaced operation and ends at
+    the first one still waiting on a predecessor. Completed operations must all
+    be placed. Pending writes may or may not have taken effect, so both
+    branches are explored; pending reads constrain nothing, so they start out
+    placed and never enter a witness.
 
-    Placed-sets and predecessor sets are int bitmasks over the operations
-    in invocation order. Predecessor sets only grow along that order, so a
-    node's candidate scan starts at its lowest unplaced operation and ends
-    at the first one still waiting on a predecessor.
-
-    Dead reads are pruned. A completed read whose newest slot is v fits
-    only while v is the newest write. When every written value, pending
-    writes included, is distinct, v never becomes newest again once a
-    write lands on it, so no write is placed while an unplaced read still
-    expects the current newest value. A newest slot of BOTTOM means no write
-    yet, which holds even when values repeat. The cut subtrees hold no
-    linearization and the scan order is unchanged, so the witness is the
-    one the unpruned search finds.
+    Dead reads are pruned. A completed read whose newest slot is v fits only
+    while v is the newest write. With distinct written values (pending writes
+    included), v never becomes newest again once a write lands on it, so no
+    write is placed while an unplaced read still expects the newest value. A
+    newest slot of BOTTOM means no write yet, even when values repeat. The cut
+    subtrees hold no linearization and the scan order is unchanged, so the
+    witness is the one the unpruned search finds.
     """
-    ops = history.operations()
-    usable = [o for o in ops if not o.pending or o.op == "write"]
-    written = [o.value for o in usable if o.op == "write"]
-    distinct = len(set(written)) == len(written)
+    ops, preds, must = _table(history)
+    root, written = 0, []  # root: the pending reads, placed from the start
     expect: dict = {}  # newest slot -> bitmask of the reads that return it
-    for i, o in enumerate(usable):
-        if o.op == "read" and o.result and (distinct or o.result[-1] is BOTTOM):
-            expect[o.result[-1]] = expect.get(o.result[-1], 0) | 1 << i
-    n = len(usable)
-    done = sorted((o.responded, i) for i, o in enumerate(usable) if not o.pending)
-    must = sum(1 << i for _, i in done)
-    preds = []
-    mask = j = 0
-    for o in usable:
-        while j < len(done) and done[j][0] < o.invoked:
-            mask |= 1 << done[j][1]
-            j += 1
-        preds.append(mask)
-
+    for i, (_, op, value, result, _, _) in enumerate(ops):
+        if op == "write":
+            written.append(value)
+        elif result is None:
+            root |= 1 << i
+        elif result:
+            expect[result[-1]] = expect.get(result[-1], 0) | 1 << i
+    if len(set(written)) != len(written):  # a value can be newest twice: keep only BOTTOM
+        expect = {BOTTOM: expect[BOTTOM]} if BOTTOM in expect else {}
     start = empty_window(history.k)
     if not must:
         return []
-    seen = {(0, start)}
+    seen = {(root, start)}
     order: list[OpRecord] = []
     # One frame per placed prefix: [placed, window, next index to try].
-    stack = [[0, start, 0]]
+    stack = [[root, start, 0]]
     while stack:
         frame = stack[-1]
         placed, window, resume = frame
         unplaced = ~placed
         stranding = expect.get(window[-1], 0) & unplaced  # reads a write would kill
-        for i in range(resume, n):
+        for i in range(resume, len(ops)):
             bit = 1 << i
             if placed & bit:
                 continue
             if preds[i] & unplaced:
                 break
-            op = usable[i]
-            if op.op == "write":
+            _, op, value, result, _, _ = record = ops[i]
+            if op == "write":
                 if stranding:
                     continue
-                after = slide(window, op.value)
-            elif window == op.result:
+                after = slide(window, value)
+            elif window == result:
                 after = window
             else:
                 continue
             now = placed | bit
             if (now, after) in seen:
                 continue
-            order.append(op)
+            order.append(record)
             if not must & ~now:
                 return order
             seen.add((now, after))

@@ -14,12 +14,13 @@ from kslide.lincheck import (
     History,
     MalformedHistoryError,
     OpRecord,
+    _table,
     check_linearizable,
     stress,
 )
 from kslide.register import BOTTOM, LockedSlidingRegister, SlidingRegister, WindowShortRegister
 from histories import overlap
-from oracles import FullSequenceRegister, brute_force_linearizable, padded_last_k
+from oracles import FullSequenceRegister, _pair_events, brute_force_linearizable, padded_last_k
 
 
 def ev(kind, pid, op, ts, value=None, result=None):
@@ -87,9 +88,11 @@ BROKEN_HISTORIES = [
     ids=[f"events{i}" for i in range(len(BROKEN_HISTORIES))],
 )
 def test_validate_rejects_broken_histories(events, message):
-    with pytest.raises(MalformedHistoryError) as raised:
-        History(1, events).validate()
-    assert str(raised.value) == message
+    # the checker validates in its own pass and must raise the same error
+    for check in (History.validate, check_linearizable):
+        with pytest.raises(MalformedHistoryError) as raised:
+            check(History(1, events))
+        assert str(raised.value) == message
 
 
 def test_operations_pairs_events():
@@ -228,7 +231,7 @@ def test_malformed_history_raises_not_returns():
         check_linearizable(History(1, [ev("respond", 1, "write", 0)]))
 
 
-def random_history(pick, number, fresh=False):
+def random_history(pick, number, fresh=False, halting=False):
     """(k, events) of at most 7 operations by up to 3 processes.
 
     Each operation takes three separately chosen steps: invoke, an effect on
@@ -236,17 +239,23 @@ def random_history(pick, number, fresh=False):
     every step is taken, which leaves pending operations at the tails, and
     a completed read may report a corrupted window. Written values are all
     distinct when fresh is set; otherwise they come from a small pool, so
-    they can repeat. pick(options) and number(lo, hi) make every choice."""
+    they can repeat. With halting, one drawn process stops for good in the
+    middle of an operation once it has taken a drawn number of steps, and
+    the others carry on, which leaves that operation pending mid-history.
+    pick(options) and number(lo, hi) make every choice."""
     k = number(1, 3)
     size = number(1, 7)
     todo = {}
     for _ in range(size):
         todo.setdefault(number(1, 3), []).append(pick(("read", "write")))
     steps = 3 * size - number(0, 3)  # cut short: pending tails
+    halter, halt_after = (number(1, 3), number(1, 6)) if halting else (None, None)
     fresh_values = itertools.count(1)
     written, events, phase, carried = [], [], {}, {}
-    clock = 0
+    clock = taken = 0
     for _ in range(steps):
+        if not todo:
+            break
         pid = pick(sorted(todo))
         op = todo[pid][0]
         step = phase.get(pid, 0)
@@ -274,23 +283,31 @@ def random_history(pick, number, fresh=False):
             if not todo[pid]:
                 del todo[pid]
         phase[pid] = (step + 1) % 3
+        if pid == halter:
+            taken += 1
+            if taken >= halt_after and phase[pid]:
+                del todo[pid]  # stops inside its open operation
     return k, events
 
 
 @st.composite
-def small_histories(draw, fresh=False):
+def small_histories(draw, fresh=False, halting=False):
     return random_history(
         lambda options: draw(st.sampled_from(options)),
         lambda lo, hi: draw(st.integers(lo, hi)),
         fresh,
+        halting,
     )
 
 
-def seeded_histories(count, seed):
+def seeded_histories(count, seed, halting=False):
     """count random_history cases from one seed, every other one with
     fresh written values."""
     rng = random.Random(seed)
-    return [random_history(rng.choice, rng.randint, fresh=i % 2 == 0) for i in range(count)]
+    return [
+        random_history(rng.choice, rng.randint, fresh=i % 2 == 0, halting=halting)
+        for i in range(count)
+    ]
 
 
 def assert_witness(history, witness):
@@ -337,6 +354,21 @@ def test_fresh_value_histories_agree_with_the_oracle(case):
     assert (witness is not None) == brute_force_linearizable(k, events)
     if witness is not None:
         assert_witness(history, witness)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(small_histories(), small_histories(halting=True)))
+def test_table_masks_are_real_time_order(case):
+    # The pass reads predecessor sets off the event order; by definition,
+    # j precedes i iff j responded before i was invoked.
+    history = History(*case)
+    ops, preds, done = _table(history)
+    assert [(o.op, o.value, o.result, o.invoked, o.responded) for o in ops] == [
+        tuple(o) for o in _pair_events(history.events)
+    ]
+    responded = [(j, o.responded) for j, o in enumerate(ops) if not o.pending]
+    assert done == sum(1 << j for j, _ in responded)
+    assert preds == [sum(1 << j for j, t in responded if t < o.invoked) for o in ops]
 
 
 def test_rewritten_value_keeps_a_history_linearizable():
@@ -392,19 +424,49 @@ def test_read_window_of_another_length_is_malformed(window):
     )
 
 
-def test_witnesses_are_pinned():
-    # Every witness, or None, over a seeded set of small histories with
-    # repeated and with fresh values: a search change that prunes or
-    # reorders must still return exactly these.
+def witness_digest(cases):
+    """(verdict counts, sha256 over every witness or None) of (k, events) cases."""
     digest = hashlib.sha256()
     verdicts = Counter()
-    for k, events in seeded_histories(3000, seed=5):
+    for k, events in cases:
         witness = check_linearizable(History(k, events))
         verdicts[witness is not None] += 1
         key = None if witness is None else [(o.pid, o.op, o.value, o.invoked) for o in witness]
         digest.update(repr(key).encode())
+    return verdicts, digest.hexdigest()
+
+
+def test_witnesses_are_pinned():
+    # Every witness, or None, over a seeded set of small histories with
+    # repeated and with fresh values: a search change that prunes or
+    # reorders must still return exactly these.
+    verdicts, digest = witness_digest(seeded_histories(3000, seed=5))
     assert verdicts == {True: 2157, False: 843}
-    assert digest.hexdigest() == "b222a7b6b33fb593cbf88ac2ec7a3e478c75288e28e0ae987b6cc3c78788f1e3"
+    assert digest == "b222a7b6b33fb593cbf88ac2ec7a3e478c75288e28e0ae987b6cc3c78788f1e3"
+
+
+def pending_mid_history(events):
+    """Whether an operation that never responds was invoked before another
+    operation's response."""
+    opened = {}
+    for e in events:
+        if e.kind == "invoke":
+            opened[e.pid] = e.timestamp
+        else:
+            del opened[e.pid]
+    last_response = max((e.timestamp for e in events if e.kind == "respond"), default=-1)
+    return any(invoked < last_response for invoked in opened.values())
+
+
+def test_mid_history_pending_witnesses_are_pinned():
+    # As test_witnesses_are_pinned, over histories where one process stops
+    # inside an operation while the others carry on, so pending operations
+    # sit in the middle of the history and not only at its tail.
+    cases = seeded_histories(3000, seed=7, halting=True)
+    assert sum(pending_mid_history(events) for _, events in cases) == 1288
+    verdicts, digest = witness_digest(cases)
+    assert verdicts == {True: 2242, False: 758}
+    assert digest == "4d857b6748fe8c85cbbba78a48513361ff2d7988772e9dfeb4a6dfdefc10bb0c"
 
 
 def two_process_history(rounds, k, last_read=None):
@@ -435,6 +497,19 @@ def test_deep_history_is_checked_fast_without_recursion():
     elapsed = time.perf_counter() - started
     assert witness is not None and len(witness) == 3000
     assert_witness(history, witness)
+    assert elapsed < 1.0
+
+
+def test_pending_read_invoked_first_does_not_slow_the_search():
+    # A read that is invoked before everything else and never answered
+    # constrains nothing; the search must not keep stopping at it.
+    history = two_process_history(3000, 2)
+    stalled = History(2, [ev("invoke", 3, "read", 0)] + history.events)
+    started = time.perf_counter()
+    witness = check_linearizable(stalled)
+    elapsed = time.perf_counter() - started
+    assert witness == check_linearizable(history)
+    assert len(witness) == 6000
     assert elapsed < 1.0
 
 

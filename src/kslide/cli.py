@@ -44,7 +44,7 @@ from .trace import (
     violation_record,
     write_records,
 )
-from .valence import Explorer, census, sorted_values
+from .valence import Explorer, _mixes_types, _typed, census, sorted_values
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -94,6 +94,62 @@ def _export(lines: list[str], output: Optional[str]) -> None:
             fh.write(text)
 
 
+def _write_violations(k, n, inputs, violations, label, ending, output) -> None:
+    """Print one entry per violation, label, its steps and ending(violation),
+    in one write; with output, write its violation record to that file, one
+    line each, in one write as well (the file is made even when there are no
+    violations). A violation is a tuple that starts with its schedule and
+    ends with the final decided and crashed tuples, as verify_all's and
+    find_violation's do.
+
+    Violations with one outcome share every record field but the schedule,
+    so each distinct outcome is serialized once, with an empty schedule, and
+    split there: keys are unique and a '"' inside a JSON string is escaped,
+    so '"schedule":[]' occurs once. Step names ("E1", "C2") need no escaping,
+    so joining them in gives serialize's own bytes. ending is called once per
+    distinct outcome too, which is exact because the properties and the
+    decisions are functions of the outcome.
+    """
+    # Equal proposals of distinct types (1, 1.0, True) encode differently,
+    # so then outcomes are told apart by _typed. CLI proposals are ints
+    # (_parse_inputs), so there the plain value is an exact key.
+    typed = _mixes_types(inputs.values())
+    quoted = functools.cache(lambda step: f'"{format_step(step)}"')
+    templates = {}  # outcome -> (record head, record tail, stdout ending)
+    out, trace = [], []
+    for violation in violations:
+        outcome = violation[-2:]
+        key = _typed(outcome) if typed else outcome
+        template = templates.get(key)
+        if template is None:
+            head = tail = ""
+            if output:
+                record = serialize(violation_record(k, n, inputs, (), *outcome))
+                head, tail = record.split('"schedule":[]')
+            template = head + '"schedule":[', "]" + tail + "\n", ending(violation) + "\n"
+            templates[key] = template
+        head, tail, end = template
+        steps = ",".join(map(quoted, violation[0]))
+        out.append(label + steps.replace('"', "") + end)
+        if output:
+            trace.append(head + steps + tail)
+    sys.stdout.write("".join(out))
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write("".join(trace))
+
+
+def _breaks(violation: tuple) -> str:
+    """The " breaks <properties>" text of a verify_all violation."""
+    prop = violation[1]
+    return " breaks " + ",".join(name for name, held in zip(prop._fields, prop) if not held)
+
+
+def _decides(violation: tuple) -> str:
+    """One "  p<pid> decides <value>" line per decision of a find_violation hit."""
+    return "".join(f"\n  p{pid} decides {value}" for pid, value in violation[-2])
+
+
 def cmd_verify(args) -> int:
     k = _require_positive("--k", args.k)
     n = _require_positive("--n", args.n)
@@ -118,13 +174,7 @@ def cmd_verify(args) -> int:
         "schedules including crash truncations" if args.crashes else "crash-free schedules"
     )
     print(f"{report.schedules_checked} {label}, {len(report.violations)} violations")
-    records = []
-    for sched, prop, decided, crashed in report.violations:
-        failed = [name for name, held in zip(prop._fields, prop) if not held]
-        records.append(violation_record(k, n, inputs, sched, decided, crashed))
-        print(f"violation: {','.join(records[-1].schedule)} breaks {','.join(failed)}")
-    if args.output:
-        write_records(args.output, records)
+    _write_violations(k, n, inputs, report.violations, "violation: ", _breaks, args.output)
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
@@ -138,14 +188,7 @@ def cmd_violate(args) -> int:
     if not found:
         print("no agreement violation found")
         return EXIT_OK
-    records = []
-    for sched, decided, crashed in found:
-        records.append(violation_record(k, n, inputs, sched, decided, crashed))
-        print(f"schedule: {','.join(records[-1].schedule)}")
-        for pid, value in decided:
-            print(f"  p{pid} decides {value}")
-    if args.output:
-        write_records(args.output, records)
+    _write_violations(k, n, inputs, found, "schedule: ", _decides, args.output)
     return EXIT_VIOLATION
 
 

@@ -25,13 +25,14 @@ def test_tracer_patches_install_and_close():
 
 
 def test_verify_builds_violation_records_without_replaying(tmp_path, capsys):
-    # the benchmark's evict job: 1,944 violating schedules, none re-run
+    # the benchmark's evict job: 1,944 violating schedules, none re-run, and
+    # one record built per distinct (decided, crashed) outcome: 84
     with Tracer() as tracer:
         layers.install(tracer)
         argv = ["verify", "--k", "3", "--n", "4", "--output", str(tmp_path / "v.jsonl")]
         assert cli.main(argv) == 1
     calls = tracer.summary().calls
-    assert calls["trace.violation_record"] == 1944
+    assert calls["trace.violation_record"] == 84
     assert calls["sim.run_schedule"] == 0
     # one check per distinct (decided, crashed) outcome of an orbit
     # representative: 10, where the 88 concrete outcomes were judged before
@@ -63,12 +64,14 @@ def test_lincheck_file_decodes_without_per_line_parse(tmp_path):
     assert calls["trace.read_records"] == 0
 
 
-def test_violate_builds_violation_records_without_replaying():
+def test_violate_builds_violation_records_without_replaying(tmp_path, capsys):
+    # 50 violating schedules with 12 distinct outcomes, one record built each
     with Tracer() as tracer:
         layers.install(tracer)
-        assert cli.main(["violate", "--k", "3", "--max", "50"]) == 1
+        argv = ["violate", "--k", "3", "--max", "50", "--output", str(tmp_path / "v.jsonl")]
+        assert cli.main(argv) == 1
     calls = tracer.summary().calls
-    assert calls["trace.violation_record"] == 50
+    assert calls["trace.violation_record"] == 12
     assert calls["sim.run_schedule"] == 0
 
 

@@ -1,16 +1,28 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kslide import cli
 from kslide.cli import main
-from kslide.sim import consensus_protocol, parse_schedule, run_schedule
+from kslide.sim import (
+    consensus_protocol,
+    find_violation,
+    format_schedule,
+    parse_schedule,
+    run_schedule,
+    verify_all,
+)
 from kslide.trace import (
     HistoryEventRecord,
     OutcomeRecord,
@@ -20,6 +32,7 @@ from kslide.trace import (
     parse,
     read_records,
     serialize,
+    violation_record,
     write_records,
 )
 
@@ -379,6 +392,130 @@ def test_repeated_input_violations_match_pinned_digests(
     assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == out_digest
     assert hashlib.sha256(path.read_bytes()).hexdigest() == records_digest
+
+
+@pytest.mark.parametrize(
+    "argv, out_digest, records_digest",
+    [
+        (
+            # 113,400 schedules, 99,000 violations, 300 distinct outcomes
+            ("--k", "4", "--n", "5"),
+            "d1c1dc3d63035325b466e75b8f6e598051a6666a1da27454190a6939e45305fd",
+            "218a21329bed5c014fcf57153a9a0da2ae6a3bf468f62c2f7eb40d8ee0bed87c",
+        ),
+        (
+            # 65,304 schedules, 15,048 violations
+            ("--k", "3", "--n", "4", "--crashes"),
+            "2f8df600b7b9ed5e00b34a59539be8b2243929d9bef5e2108de526bce486f5a7",
+            "30a51d1ed4ab83e30b6c9a8da2f74990189c1fe34e5ffaf71aae38fd2e273713",
+        ),
+    ],
+)
+def test_violation_records_match_pinned_digests(
+    capsys, tmp_path, argv, out_digest, records_digest
+):
+    # stdout and the violation records as one record build, one
+    # serialize and one print per violation wrote them
+    path = tmp_path / "violations.jsonl"
+    code, out, _ = run_cli(capsys, "verify", *argv, "--output", str(path))
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == records_digest
+
+
+def listed(argv: list, output: str) -> tuple[int, str]:
+    """(exit code, stdout) of one cli.main run, without a pytest fixture."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(argv + ["--output", output])
+    return code, buffer.getvalue()
+
+
+def text_lines(path: str) -> list[str]:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+def breaks(prop) -> str:
+    return ",".join(name for name, held in zip(prop._fields, prop) if not held)
+
+
+@st.composite
+def proposals(draw, n: int) -> list[int]:
+    """n integer proposals from a small range, so repeats are common."""
+    return draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_verify_listing_is_one_serialize_per_violation(data):
+    k, n = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 4))
+    crashes = data.draw(st.booleans())
+    values = data.draw(proposals(n))
+    inputs = dict(enumerate(values, 1))
+    argv = ["verify", "--k", str(k), "--n", str(n), f"--inputs={','.join(map(str, values))}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "v.jsonl")
+        code, out = listed(argv + ["--crashes"] * crashes, path)
+        lines = text_lines(path)
+    report = verify_all(consensus_protocol(), k, n, inputs, with_crashes=crashes)
+    assert code == (1 if report.violations else 0)
+    assert lines == [
+        serialize(violation_record(k, n, inputs, sched, decided, crashed))
+        for sched, _, decided, crashed in report.violations
+    ]
+    assert out.splitlines()[1:] == [
+        f"violation: {','.join(format_schedule(sched))} breaks {breaks(prop)}"
+        for sched, prop, _, _ in report.violations
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_violate_listing_is_one_serialize_per_violation(data):
+    k, most = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 200))
+    values = data.draw(proposals(k + 1))
+    inputs = dict(enumerate(values, 1))
+    argv = ["violate", "--k", str(k), "--max", str(most)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "v.jsonl")
+        code, out = listed(argv + [f"--inputs={','.join(map(str, values))}"], path)
+        lines = text_lines(path) if os.path.exists(path) else None
+    found = find_violation(consensus_protocol(), k, k + 1, inputs, max_results=most)
+    if not found:
+        assert (code, out, lines) == (0, "no agreement violation found\n", None)
+        return
+    assert code == 1
+    assert lines == [
+        serialize(violation_record(k, k + 1, inputs, sched, decided, crashed))
+        for sched, decided, crashed in found
+    ]
+    expected = []
+    for sched, decided, _ in found:
+        expected.append(f"schedule: {','.join(format_schedule(sched))}")
+        expected.extend(f"  p{pid} decides {value}" for pid, value in decided)
+    assert out.splitlines() == expected
+
+
+def test_violation_listing_keeps_equal_proposals_of_distinct_types_apart(tmp_path):
+    # 1, 1.0 and True are equal and hash alike but encode as 1, 1.0 and
+    # true: outcomes that differ only so must not share a record template
+    inputs = {1: 1, 2: 1.0, 3: True, 4: 2}
+    report = verify_all(consensus_protocol(), 3, 4, inputs)
+    decided = [d for _, _, d, _ in report.violations]
+    assert len(set(map(repr, decided))) > len(set(decided))  # value-equal, type-distinct
+    path = str(tmp_path / "v.jsonl")
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        cli._write_violations(3, 4, inputs, report.violations, "violation: ", cli._breaks, path)
+    assert text_lines(path) == [
+        serialize(violation_record(3, 4, inputs, sched, decided, crashed))
+        for sched, _, decided, crashed in report.violations
+    ]
+    assert buffer.getvalue().splitlines() == [
+        f"violation: {','.join(format_schedule(sched))} breaks {breaks(prop)}"
+        for sched, prop, _, _ in report.violations
+    ]
 
 
 @pytest.mark.parametrize(

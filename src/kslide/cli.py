@@ -44,7 +44,7 @@ from .trace import (
     violation_record,
     write_records,
 )
-from .valence import Explorer, _mixes_types, _typed, census, sorted_values
+from .valence import Explorer, census, sorted_values
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -110,24 +110,21 @@ def _write_violations(k, n, inputs, violations, label, ending, output) -> None:
     distinct outcome too, which is exact because the properties and the
     decisions are functions of the outcome.
     """
-    # Equal proposals of distinct types (1, 1.0, True) encode differently,
-    # so then outcomes are told apart by _typed. CLI proposals are ints
-    # (_parse_inputs), so there the plain value is an exact key.
-    typed = _mixes_types(inputs.values())
+    # CLI proposals are ints (_parse_inputs, default_inputs), so an outcome
+    # is an exact key: no two distinct outcomes encode alike.
     quoted = functools.cache(lambda step: f'"{format_step(step)}"')
     templates = {}  # outcome -> (record head, record tail, stdout ending)
     out, trace = [], []
     for violation in violations:
         outcome = violation[-2:]
-        key = _typed(outcome) if typed else outcome
-        template = templates.get(key)
+        template = templates.get(outcome)
         if template is None:
             head = tail = ""
             if output:
                 record = serialize(violation_record(k, n, inputs, (), *outcome))
                 head, tail = record.split('"schedule":[]')
             template = head + '"schedule":[', "]" + tail + "\n", ending(violation) + "\n"
-            templates[key] = template
+            templates[outcome] = template
         head, tail, end = template
         steps = ",".join(map(quoted, violation[0]))
         out.append(label + steps.replace('"', "") + end)

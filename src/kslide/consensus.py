@@ -58,17 +58,17 @@ def check_outcome(
 class ConsensusInstance:
     """A consensus object for up to k participants.
 
-    Holds a size-k register (a thread-safe one by default) and enforces the
-    usage contract at runtime: each process id proposes at most once, and at
-    most k distinct processes join. The capacity check can be switched off
-    to demonstrate what goes wrong with k + 1 participants.
+    Holds a thread-safe size-k register and enforces the usage contract at
+    runtime: each process id proposes at most once, and at most k distinct
+    processes join. The capacity check can be switched off to demonstrate
+    what goes wrong with k + 1 participants.
     """
 
-    def __init__(self, k: int, register=None, enforce_capacity: bool = True):
+    def __init__(self, k: int, enforce_capacity: bool = True):
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ValueError(f"participant bound must be a positive integer, got {k!r}")
         self.k = k
-        self.register = LockedSlidingRegister(k) if register is None else register
+        self.register = LockedSlidingRegister(k)
         self.enforce_capacity = enforce_capacity
         self._guard = threading.Lock()
         self._participants: set[int] = set()

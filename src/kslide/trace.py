@@ -5,14 +5,15 @@ violation, valence-node, or history-event) and a "schema_version" field.
 Conventions: the missing-value marker encodes as JSON null inside window
 arrays, schedule steps are strings like "E1" or "C2", and map-like payloads
 are sorted key/value pair lists. A record encodes as its own fields, keys
-sorted and separators fixed, so serialization is byte-stable. A record
-decodes by field name: one table maps each field name to its decoder, and a
-record's fields are decoded in declaration order, so an error names the
-first missing or mistyped field. Decoders check each field's JSON type:
-integers, arrays and booleans must be just that. lincheck file reads a
-history (read_history) by decoding each well-formed history-event line
-inline, straight to a checker event; the record decoders only word the
-error of any other line, so the errors are those of decoding every record.
+sorted and separators fixed, so serialization is byte-stable. parse is the
+one decoder: one table maps each field name to its decoder, for every record
+type, history events included, and a record's fields are decoded in
+declaration order, so an error names the first missing or mistyped field.
+Decoders check each field's JSON type: integers, arrays and booleans must be
+just that. lincheck file reads a history (read_history) through a fast path
+that decodes each well-formed history-event line inline, straight to a
+checker event; it accepts exactly the lines parse accepts as history events,
+and hands every other line to parse, so the errors are parse's.
 """
 
 from __future__ import annotations
@@ -70,13 +71,24 @@ def _edges(items, name: str) -> tuple:
     return tuple((step, _of(int, dst, "node")) for step, dst in _of(list, items, name))
 
 
+def _result(items, name: str) -> Optional[Window]:
+    """A history event's result: null, or a window array."""
+    return None if items is None else decode_window(_of(list, items, name))
+
+
+def _unchecked(value, name: str):
+    return value
+
+
 # The decoder of each record field, keyed by field name: a name means the
 # same thing in every record type that has it.
 _int = functools.partial(_of, int)
 _FIELDS = {
-    "k": _int, "n": _int, "node": _int, "critical": functools.partial(_of, bool),
+    "k": _int, "n": _int, "node": _int, "pid": _int, "timestamp": _int,
+    "critical": functools.partial(_of, bool),
     "steps": _array, "schedule": _array, "values": _array, "crashed": _pids,
     "inputs": _pairs, "decisions": _pairs, "decided": _pairs, "edges": _edges,
+    "kind": _unchecked, "op": _unchecked, "value": _unchecked, "result": _result,
 }
 
 
@@ -126,25 +138,6 @@ class HistoryEventRecord(NamedTuple):
     result: Optional[Window] = None
 
 
-def _history_event(payload: dict) -> tuple[int, Event]:
-    """(k, event) of a history-event payload: the one decoder of its fields."""
-    result = payload["result"]
-    return _of(int, payload["k"], "k"), Event._make((
-        payload["kind"], _of(int, payload["pid"], "pid"), payload["op"],
-        _of(int, payload["timestamp"], "timestamp"), payload["value"],
-        None if result is None else decode_window(_of(list, result, "result")),
-    ))
-
-
-def _record(cls, payload: dict):
-    """The cls record in payload, its fields decoded in declaration order,
-    so an error names the first missing or mistyped one."""
-    if cls is HistoryEventRecord:
-        k, event = _history_event(payload)
-        return cls(k, *event)
-    return cls._make([_FIELDS[name](payload[name], name) for name in cls._fields])
-
-
 _RECORD_TYPES = {
     "schedule": ScheduleRecord,
     "outcome": OutcomeRecord,
@@ -173,12 +166,10 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 def parse(line: str):
-    """The record on one trace line; surrounding whitespace is ignored."""
-    payload, cls = _payload(line.strip())
-    return _decoded(functools.partial(_record, cls), payload)
-
-
-def _payload(line: str) -> tuple[dict, type]:
+    """The record on one trace line; surrounding whitespace is ignored. Its
+    fields are decoded in declaration order, so an error names the first
+    missing or mistyped one."""
+    line = line.strip()
     try:
         payload, end = _raw_decode(line)
         if end != len(line):
@@ -196,14 +187,10 @@ def _payload(line: str) -> tuple[dict, type]:
     cls = _RECORD_TYPES.get(name) if type(name) is str else None
     if cls is None:
         raise TraceError(f"unknown record type {name!r}")
-    return payload, cls
-
-
-def _decoded(decode, payload: dict):
     try:
-        return decode(payload)
+        return cls._make([_FIELDS[field](payload[field], field) for field in cls._fields])
     except (KeyError, TypeError, ValueError) as exc:
-        raise TraceError(f"malformed {payload.get('type')} record: {exc}") from exc
+        raise TraceError(f"malformed {name} record: {exc}") from exc
 
 
 def write_records(path: str, records: Iterable) -> None:
@@ -251,12 +238,9 @@ def read_history(path: str) -> History:
                     continue
             except (KeyError, TypeError, ValueError, RecursionError):
                 pass  # not a well-formed event line: parse says what is wrong
-            record = parse(line)
-            if type(record) is HistoryEventRecord:
-                events.append(Event._make(record[1:]))
-                ks.add(record.k)
-            else:
-                foreign.append(record)
+            # the fast path takes every line parse decodes to a history
+            # event, so what parse returns here is a record of another type
+            foreign.append(parse(line))
     if foreign:
         raise TraceError(f"history files hold history-event records, got {foreign[0]!r}")
     return _history(ks, events)

@@ -224,7 +224,8 @@ def _canonicalizer(inputs: Mapping[int, Value], classes: list, relabel: bool):
     inside their ties are tried; those that give the least image are the
     stabilizer's cosets, so their count is its size.
     """
-    typed = _mixes_types(inputs.values())
+    values = inputs.values()
+    typed = len(set(values)) < len({(type(v), v) for v in values})
     if all(len(cls) == 1 for cls in classes):  # the trivial group
         return (lambda cfg: (cfg, 1, None)), typed
     targets = [pid for cls in classes for pid in cls]
@@ -312,11 +313,6 @@ def _canonicalizer(inputs: Mapping[int, Value], classes: list, relabel: bool):
         return tuple.__new__(Configuration, (moved, regs, dead, decided)), stab, renaming
 
     return canon, typed
-
-
-def _mixes_types(values) -> bool:
-    """Whether values hold equal values of distinct types (1, 1.0, True)."""
-    return len(set(values)) < len({(type(v), v) for v in values})
 
 
 def _typed(x):

@@ -497,27 +497,6 @@ def test_violate_listing_is_one_serialize_per_violation(data):
     assert out.splitlines() == expected
 
 
-def test_violation_listing_keeps_equal_proposals_of_distinct_types_apart(tmp_path):
-    # 1, 1.0 and True are equal and hash alike but encode as 1, 1.0 and
-    # true: outcomes that differ only so must not share a record template
-    inputs = {1: 1, 2: 1.0, 3: True, 4: 2}
-    report = verify_all(consensus_protocol(), 3, 4, inputs)
-    decided = [d for _, _, d, _ in report.violations]
-    assert len(set(map(repr, decided))) > len(set(decided))  # value-equal, type-distinct
-    path = str(tmp_path / "v.jsonl")
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        cli._write_violations(3, 4, inputs, report.violations, "violation: ", cli._breaks, path)
-    assert text_lines(path) == [
-        serialize(violation_record(3, 4, inputs, sched, decided, crashed))
-        for sched, _, decided, crashed in report.violations
-    ]
-    assert buffer.getvalue().splitlines() == [
-        f"violation: {','.join(format_schedule(sched))} breaks {breaks(prop)}"
-        for sched, prop, _, _ in report.violations
-    ]
-
-
 @pytest.mark.parametrize(
     "argv, nodes",
     [

@@ -136,9 +136,16 @@ MISSING = [(name, field) for name, (record, _) in PINNED.items() for field in re
         (
             PINNED["violation"][1].replace('"k":2', '"k":true').replace('"n":3', '"n":1.5'),
             "malformed violation record: k must be an integer, got True",
-        )
+        ),
+        (
+            PINNED["history-event"][1].replace('"k":2', '"k":true').replace(
+                '"result":[null,7],', ""
+            ),
+            "malformed history-event record: k must be an integer, got True",
+        ),
     ],
-    ids=[f"no-{field}-in-{name}" for name, field in MISSING] + ["bad-k-and-n"],
+    ids=[f"no-{field}-in-{name}" for name, field in MISSING]
+    + ["bad-k-and-n", "bad-k-and-no-result"],
 )
 def test_decoding_names_the_first_bad_field(line, message):
     # fields are decoded in declaration order, so the first missing or
@@ -412,6 +419,9 @@ def alter(line, how):
         return serialize(OutcomeRecord(((1, 0),), ()))
     if how == "missing-key":
         del payload["op"]
+    elif how == "two-faults":  # the error names the first in declaration order
+        payload["k"] = True
+        del payload["result"]
     elif how in FIELD_VALUES:
         name, value = FIELD_VALUES[how]
         payload[name] = value
@@ -442,7 +452,7 @@ history_lines = st.lists(
     ]
 )
 alterations = st.sampled_from(
-    [None, "bad-json", "outcome", "missing-key", "other-k", "float-pid", "float-timestamp",
+    [None, "bad-json", "outcome", "missing-key", "two-faults", "other-k", "float-pid", "float-timestamp",
      "blank", "padded", "trailing-data", "deep", *FIELD_VALUES]
 )
 

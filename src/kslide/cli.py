@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import shutil
 import sys
 from typing import Optional
@@ -55,16 +54,6 @@ REGISTER_FACTORIES = {
     None: SlidingRegister,
     "window-short": WindowShortRegister,
 }
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("KSLIDE_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"KSLIDE_SEED must be an integer, got {raw!r}")
 
 
 def _parse_inputs(text: Optional[str], n: int) -> dict:
@@ -240,13 +229,12 @@ def cmd_lincheck_stress(args) -> int:
     ops = _require_positive("--ops", args.ops)
     k = _require_positive("--k", args.k)
     histories = _require_positive("--histories", args.histories)
-    seed = args.seed if args.seed is not None else _default_seed()
     factory = REGISTER_FACTORIES[args.mutant]
     failures = 0
     first_failing = None
     last = None
     for i in range(histories):
-        history = stress(threads, ops, k, seed=seed + i, register_factory=factory)
+        history = stress(threads, ops, k, seed=args.seed + i, register_factory=factory)
         last = history
         if check_linearizable(history) is None:
             failures += 1
@@ -337,9 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stress.add_argument("--threads", type=int, default=4, help="processes per history")
     p_stress.add_argument("--ops", type=int, default=5, help="operations per process")
     p_stress.add_argument("--k", type=int, default=2, help="window size")
-    p_stress.add_argument(
-        "--seed", type=int, default=None, help="base seed (default: $KSLIDE_SEED or 0)"
-    )
+    p_stress.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
     p_stress.add_argument("--histories", type=int, default=1000)
     p_stress.add_argument(
         "--mutant",

@@ -10,7 +10,6 @@ object degenerates to a classic atomic register.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from typing import Any, Optional
 
 Value = Any  # hashable application value; never BOTTOM
@@ -60,15 +59,14 @@ def slide(window: Window, value: Value) -> Window:
 class SlidingRegister:
     """Sequential reference implementation.
 
-    State is a ring of the last k written values plus a total write counter;
-    the counter is what distinguishes a partially filled window (padded with
-    BOTTOM) from a full one.
+    State is the padded window that `slide` writes plus a total write
+    counter; the counter tells how many values the window has seen, which
+    the window alone forgets once it is full.
     """
 
     def __init__(self, k: int):
-        empty_window(k)  # rejects a bad k
         self.k = k
-        self._ring: deque = deque(maxlen=k)
+        self._window = empty_window(k)  # rejects a bad k
         self._writes = 0
 
     @property
@@ -79,28 +77,25 @@ class SlidingRegister:
         """Append one value to the logical sequence."""
         if value is BOTTOM:
             raise ValueError("BOTTOM marks missing values and cannot be written")
-        self._ring.append(value)
+        self._window = slide(self._window, value)
         self._writes += 1
 
     def read(self) -> Window:
         """Window of the last k written values, oldest first, BOTTOM padded."""
-        ring = tuple(self._ring)
-        return (BOTTOM,) * (self.k - len(ring)) + ring
+        return self._window
 
     def narrow(self, k_prime: int) -> "NarrowView":
         """Size-k' view of this register, 1 <= k' <= k."""
         return NarrowView(self, k_prime)
 
-    # Snapshots of the ring and the write counter.
+    # Snapshots of the write counter and the window.
     def state(self) -> tuple:
-        return (self._writes, tuple(self._ring))
+        return (self._writes, self._window)
 
     @classmethod
     def from_state(cls, k: int, state: tuple) -> "SlidingRegister":
-        writes, ring = state
         reg = cls(k)
-        reg._ring.extend(ring)
-        reg._writes = writes
+        reg._writes, reg._window = state
         return reg
 
     def __repr__(self) -> str:
@@ -156,11 +151,10 @@ class LockedSlidingRegister(SlidingRegister):
 class WindowShortRegister(SlidingRegister):
     """Deliberately broken register used to calibrate the history checker.
 
-    The ring is one slot too small, so once more than k - 1 values have been
-    written, reads silently lose the oldest value that should still be
-    visible and pad with an extra BOTTOM instead.
+    Reads drop the oldest slot and show BOTTOM there instead, so once k
+    values have been written, the oldest value that should still be
+    visible is silently lost. With k == 1 every read is (BOTTOM,).
     """
 
-    def __init__(self, k: int):
-        super().__init__(k)
-        self._ring = deque(maxlen=k - 1 if k > 1 else 0)
+    def read(self) -> Window:
+        return (BOTTOM,) + super().read()[1:]

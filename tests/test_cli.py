@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -35,11 +37,6 @@ from kslide.trace import (
     violation_record,
     write_records,
 )
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_seed(monkeypatch):
-    monkeypatch.delenv("KSLIDE_SEED", raising=False)
 
 
 def run_cli(capsys, *argv):
@@ -721,33 +718,21 @@ def test_lincheck_file_missing_path(capsys, tmp_path):
     assert "error:" in err
 
 
-def test_lincheck_seed_env_var(capsys, monkeypatch, tmp_path):
-    a = str(tmp_path / "a.jsonl")
-    b = str(tmp_path / "b.jsonl")
+def test_lincheck_stress_seed_comes_from_argv_alone(capsys, monkeypatch, tmp_path):
+    # the same argv gives the same histories whatever the environment holds
+    def run(name, *extra):
+        path = tmp_path / name
+        code, out, _ = run_cli(
+            capsys,
+            "lincheck", "stress", "--threads", "2", "--ops", "2", "--histories", "3",
+            "--save", str(path), *extra,
+        )
+        return code, out.replace(str(path), "FILE"), path.read_bytes()
+
     monkeypatch.setenv("KSLIDE_SEED", "9")
-    run_cli(
-        capsys,
-        "lincheck", "stress",
-        "--threads", "2", "--ops", "2", "--histories", "1", "--save", a,
-    )
+    with_env = run("env.jsonl")
     monkeypatch.delenv("KSLIDE_SEED")
-    run_cli(
-        capsys,
-        "lincheck", "stress",
-        "--threads", "2", "--ops", "2", "--histories", "1", "--seed", "9", "--save", b,
-    )
-    ops_a = [(r.pid, r.op, r.value) for r in read_records(a) if r.kind == "invoke"]
-    ops_b = [(r.pid, r.op, r.value) for r in read_records(b) if r.kind == "invoke"]
-    assert ops_a == ops_b
-
-
-def test_lincheck_rejects_bad_env_seed(capsys, monkeypatch):
-    monkeypatch.setenv("KSLIDE_SEED", "not-a-number")
-    code, _, err = run_cli(
-        capsys, "lincheck", "stress", "--threads", "2", "--ops", "2", "--histories", "1"
-    )
-    assert code == 2
-    assert "KSLIDE_SEED" in err
+    assert with_env == run("bare.jsonl") == run("zero.jsonl", "--seed", "0")
 
 
 # determinism and entry point
@@ -863,3 +848,49 @@ def test_help_is_what_argparse_formats(monkeypatch, columns):
         built = parser.format_help()
         parser.formatter_class = argparse.HelpFormatter
         assert parser.format_help() == built
+
+
+# README examples
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+
+
+def readme_examples():
+    """[argv, expected stdout lines, exit code or None] for every README.md
+    sh-block line that starts with `kslide `, in order. The `# ` lines right
+    after a command are its stdout; one ending in `(exit code N)` also gives
+    the exit code. Indented lines, such as a `for` loop's body, are skipped."""
+    examples, current, in_sh = [], None, False
+    with open(README, encoding="utf-8") as f:
+        for line in f.read().splitlines():
+            if line.startswith("```"):
+                in_sh, current = line == "```sh", None
+            elif in_sh and line.startswith("kslide "):
+                current = [shlex.split(line, comments=True)[1:], [], None]
+                examples.append(current)
+            elif in_sh and current is not None and line.startswith("# "):
+                shown = re.fullmatch(r"(.*?)\s+\(exit code (\d+)\)", line[2:])
+                if shown:
+                    current[1].append(shown[1])
+                    current[2] = int(shown[2])
+                else:
+                    current[1].append(line[2:])
+            else:
+                current = None
+    return examples
+
+
+def test_readme_command_examples_print_what_they_show(capsys, monkeypatch, tmp_path):
+    # later examples read the files earlier ones write, so all run in one directory
+    monkeypatch.chdir(tmp_path)
+    examples = readme_examples()
+    assert examples
+    for argv, expected, code in examples:
+        got, out, err = run_cli(capsys, *argv)
+        if expected:
+            assert out.splitlines() == expected, argv
+        if code is None:
+            assert got in (cli.EXIT_OK, cli.EXIT_VIOLATION), (argv, err)
+        else:
+            assert got == code, argv

@@ -225,6 +225,19 @@ def test_window_short_mutant_loses_the_oldest():
     assert reg.read() == (BOTTOM, 2)
 
 
+@given(st.integers(min_value=1, max_value=4), write_lists)
+def test_window_short_mutant_reads_bottom_in_the_oldest_slot(k, writes):
+    short = WindowShortRegister(k)
+    plain = SlidingRegister(k)
+    for i, v in enumerate(writes):
+        short.write(v)
+        plain.write(v)
+        assert short.read() == (BOTTOM,) + padded_last_k(writes[: i + 1], k)[1:]
+        assert short.writes == plain.writes == i + 1
+        for reg in (short, plain):
+            assert type(reg).from_state(k, reg.state()).read() == reg.read()
+
+
 def test_padded_last_k_oracle_shape():
     assert padded_last_k([], 2) == (BOTTOM, BOTTOM)
     assert padded_last_k([5], 2) == (BOTTOM, 5)

@@ -257,95 +257,113 @@ def cmd_lincheck_file(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # argparse makes a HelpFormatter per add_argument call, and each asks the
-    # terminal for its size: ask once per build, for the width argparse picks.
-    width = shutil.get_terminal_size().columns - 2
-    formatter = functools.partial(argparse.HelpFormatter, width=width)
-    new_parser = functools.partial(argparse.ArgumentParser, formatter_class=formatter)
-    parser = new_parser(
-        prog="kslide",
-        description="Sliding-window register verification harness.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=new_parser)
+def _verify_arguments(p, argv) -> None:
+    p.add_argument("--k", type=int, required=True, help="window size")
+    p.add_argument("--n", type=int, required=True, help="process count")
+    p.add_argument("--inputs", help="comma-separated proposals, one per process")
+    p.add_argument("--crashes", action="store_true", help="also enumerate crash truncations")
+    p.add_argument("--schedule", help="replay one schedule (comma-separated steps like E1,E2)")
+    p.add_argument("--output", help="write trace records to this file")
+    p.set_defaults(func=cmd_verify)
 
-    p_verify = sub.add_parser(
-        "verify", help="check consensus properties over exhaustive schedules"
-    )
-    p_verify.add_argument("--k", type=int, required=True, help="window size")
-    p_verify.add_argument("--n", type=int, required=True, help="process count")
-    p_verify.add_argument("--inputs", help="comma-separated proposals, one per process")
-    p_verify.add_argument(
-        "--crashes", action="store_true", help="also enumerate crash truncations"
-    )
-    p_verify.add_argument(
-        "--schedule", help="replay one schedule (comma-separated steps like E1,E2)"
-    )
-    p_verify.add_argument("--output", help="write trace records to this file")
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_violate = sub.add_parser(
-        "violate", help="produce an agreement violation with k + 1 processes"
-    )
-    p_violate.add_argument("--k", type=int, required=True, help="window size")
-    p_violate.add_argument(
-        "--inputs", help="comma-separated proposals for the k + 1 processes"
-    )
-    p_violate.add_argument(
-        "--max", type=int, default=1, help="how many violating schedules to report"
-    )
-    p_violate.add_argument("--output", help="write trace records to this file")
-    p_violate.set_defaults(func=cmd_violate)
+def _violate_arguments(p, argv) -> None:
+    p.add_argument("--k", type=int, required=True, help="window size")
+    p.add_argument("--inputs", help="comma-separated proposals for the k + 1 processes")
+    p.add_argument("--max", type=int, default=1, help="how many violating schedules to report")
+    p.add_argument("--output", help="write trace records to this file")
+    p.set_defaults(func=cmd_violate)
 
-    p_valence = sub.add_parser(
-        "valence", help="explore and export the configuration graph"
-    )
-    p_valence.add_argument("--k", type=int, required=True, help="window size")
-    p_valence.add_argument("--n", type=int, required=True, help="process count")
-    p_valence.add_argument("--inputs", help="comma-separated proposals")
-    p_valence.add_argument(
-        "--format", choices=("text", "dot", "json"), default="text"
-    )
-    p_valence.add_argument(
-        "--crash-aware", action="store_true", help="include crash steps as edges"
-    )
-    p_valence.add_argument("--output", help="write the export to this file")
-    p_valence.set_defaults(func=cmd_valence)
 
-    p_lincheck = sub.add_parser(
-        "lincheck", help="linearizability checking of register histories"
-    )
-    lincheck_sub = p_lincheck.add_subparsers(
-        dest="mode", required=True, parser_class=new_parser
-    )
+def _valence_arguments(p, argv) -> None:
+    p.add_argument("--k", type=int, required=True, help="window size")
+    p.add_argument("--n", type=int, required=True, help="process count")
+    p.add_argument("--inputs", help="comma-separated proposals")
+    p.add_argument("--format", choices=("text", "dot", "json"), default="text")
+    p.add_argument("--crash-aware", action="store_true", help="include crash steps as edges")
+    p.add_argument("--output", help="write the export to this file")
+    p.set_defaults(func=cmd_valence)
 
-    p_stress = lincheck_sub.add_parser(
-        "stress", help="generate seeded interleaved histories and check them"
-    )
-    p_stress.add_argument("--threads", type=int, default=4, help="processes per history")
-    p_stress.add_argument("--ops", type=int, default=5, help="operations per process")
-    p_stress.add_argument("--k", type=int, default=2, help="window size")
-    p_stress.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
-    p_stress.add_argument("--histories", type=int, default=1000)
-    p_stress.add_argument(
+
+def _stress_arguments(p, argv) -> None:
+    p.add_argument("--threads", type=int, default=4, help="processes per history")
+    p.add_argument("--ops", type=int, default=5, help="operations per process")
+    p.add_argument("--k", type=int, default=2, help="window size")
+    p.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
+    p.add_argument("--histories", type=int, default=1000)
+    p.add_argument(
         "--mutant",
         choices=tuple(name for name in REGISTER_FACTORIES if name),
         default=None,
         help="stress a deliberately broken register instead",
     )
-    p_stress.add_argument("--save", help="write one history (first failing, else last)")
-    p_stress.set_defaults(func=cmd_lincheck_stress)
+    p.add_argument("--save", help="write one history (first failing, else last)")
+    p.set_defaults(func=cmd_lincheck_stress)
 
-    p_file = lincheck_sub.add_parser("file", help="re-check a saved history")
-    p_file.add_argument("--path", required=True)
-    p_file.set_defaults(func=cmd_lincheck_file)
 
+def _file_arguments(p, argv) -> None:
+    p.add_argument("--path", required=True)
+    p.set_defaults(func=cmd_lincheck_file)
+
+
+# name -> (help, add_arguments(parser, argv after the name)), per level
+LINCHECK_MODES = {
+    "stress": ("generate seeded interleaved histories and check them", _stress_arguments),
+    "file": ("re-check a saved history", _file_arguments),
+}
+COMMANDS = {
+    "verify": ("check consensus properties over exhaustive schedules", _verify_arguments),
+    "violate": ("produce an agreement violation with k + 1 processes", _violate_arguments),
+    "valence": ("explore and export the configuration graph", _valence_arguments),
+    "lincheck": (
+        "linearizability checking of register histories",
+        lambda p, argv: _add_commands(p, "mode", LINCHECK_MODES, argv),
+    ),
+}
+
+
+def _add_commands(parser, dest, commands, argv) -> None:
+    """Give parser one subparser per command, or only argv[0]'s when argv
+    starts with a command name: argparse then takes that subparser whatever
+    the others are. Any other argv (help, a misspelled or missing name)
+    builds the level in full, so its errors and help are argparse's own."""
+    if argv and argv[0] in commands:
+        # A filtered level prints usage only in "unrecognized arguments"
+        # errors, so it names every command as a full level does. A full
+        # level sets no metavar: argparse names the action by it in
+        # "required" and "invalid choice" errors.
+        names = "{" + ",".join(commands) + "}"
+        sub = parser.add_subparsers(dest=dest, required=True, metavar=names)
+        chosen, rest = argv[:1], argv[1:]
+    else:
+        sub = parser.add_subparsers(dest=dest, required=True)
+        chosen, rest = commands, ()
+    for name in chosen:
+        help_text, add_arguments = commands[name]
+        subparser = sub.add_parser(name, help=help_text, formatter_class=parser.formatter_class)
+        add_arguments(subparser, rest)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The kslide parser. With argv, only the command and lincheck mode it
+    names are built: `lincheck file` builds 3 parsers, not 7. It parses argv
+    as the full parser does, byte for byte in help and errors."""
+    # argparse makes a HelpFormatter per add_argument call, and each asks the
+    # terminal for its size: ask once per build, for the width argparse picks.
+    width = shutil.get_terminal_size().columns - 2
+    parser = argparse.ArgumentParser(
+        prog="kslide",
+        description="Sliding-window register verification harness.",
+        formatter_class=functools.partial(argparse.HelpFormatter, width=width),
+    )
+    _add_commands(parser, "command", COMMANDS, argv)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

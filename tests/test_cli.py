@@ -758,7 +758,7 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert "RuntimeError: boom" in err
 
 
-def test_module_entry_point():
+def test_module_entry_point(capsys, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "kslide", "verify", "--k", "1", "--n", "1"],
         capture_output=True,
@@ -766,6 +766,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "1 crash-free schedules, 0 violations" in proc.stdout
+    # main reads sys.argv[1:] and builds the parser for both levels it names
+    path = str(tmp_path / "history.jsonl")
+    run_cli(
+        capsys, "lincheck", "stress", "--threads", "2", "--ops", "2", "--histories", "1",
+        "--save", path,
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "kslide", "lincheck", "file", "--path", path],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "linearizable (4 operations ordered)\n", ""
+    )
 
 
 def test_start_up_imports_neither_dataclasses_nor_inspect():
@@ -894,3 +908,67 @@ def test_readme_command_examples_print_what_they_show(capsys, monkeypatch, tmp_p
             assert got in (cli.EXIT_OK, cli.EXIT_VIOLATION), (argv, err)
         else:
             assert got == code, argv
+
+
+# the parser for one argv
+
+
+def _parsers(parser):
+    """parser and every subparser reachable from it."""
+    parsers = [parser]
+    for parser in parsers:  # grows as subcommand parsers are found
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    return parsers
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["lincheck", "file", "--path", "x"], 3),
+        (["verify", "--k", "1"], 2),
+        (None, 7),
+        (["--help"], 7),
+        (["verfy"], 7),
+    ],
+)
+def test_parser_builds_only_the_named_command(argv, count):
+    assert len(_parsers(cli.build_parser(argv))) == count
+
+
+def _parse(parser, argv):
+    """parse_args's Namespace, or its exit code with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+PARSE_CORPUS = [argv for argv, _, _ in readme_examples()] + [
+    ["-h"],
+    *[[command, "-h"] for command in ("verify", "violate", "valence", "lincheck")],
+    ["lincheck", "stress", "-h"],
+    ["lincheck", "file", "-h"],
+    [],
+    ["verfy"],
+    ["lincheck"],
+    ["lincheck", "stres"],
+    ["verify", "--k", "2", "--n", "2", "extra"],
+    ["lincheck", "file", "--path", "x", "extra"],
+    ["valence", "--k", "2", "--n", "2", "--format", "yaml"],
+    ["lincheck", "stress", "--mutant", "zz"],
+    ["valence", "--k", "2", "--n", "2", "--crash"],
+    ["lincheck", "file", "--pa", "x"],
+    ["--k", "2", "verify"],
+    ["lincheck", "--path", "x", "file"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=shlex.join)
+def test_parser_for_argv_parses_as_the_full_parser(monkeypatch, argv):
+    # the same Namespace, or the same exit code, help and error text
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse(cli.build_parser(argv), argv) == _parse(cli.build_parser(), argv)

@@ -1,31 +1,18 @@
-"""One-shot consensus on top of a single size-k sliding register.
+"""The three consensus properties, and the judge of a run's outcome.
 
-Each participant appends its proposal with one write, reads the window, and
-decides the oldest value it can see. As long as at most k processes take
-part, the first written proposal is never pushed out of the window before
-anyone reads, so every participant decides it in two shared-memory steps,
-without loops or waiting.
+The paper's algorithm is sim.consensus_protocol: each participant writes
+its proposal to the size-k window, reads it, and decides the oldest value
+it can see. With at most k participants the first proposal is still in the
+window at every read, so all decide it; with k + 1 the eviction run
+(sim.eviction_schedule) pushes it out. check_outcome judges a run against
+the definitions of validity, agreement and termination.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Collection, Mapping, NamedTuple, Optional
+from typing import Collection, Mapping, NamedTuple
 
-from .register import LockedSlidingRegister, Value, first_non_bottom
-
-
-class DuplicateProposalError(RuntimeError):
-    """A process id proposed more than once on the same instance."""
-
-
-class CapacityError(RuntimeError):
-    """More distinct processes joined than the instance supports."""
-
-
-class Decision(NamedTuple):
-    value: Value
-    decider: int
+from .register import Value
 
 
 class PropertyReport(NamedTuple):
@@ -53,43 +40,3 @@ def check_outcome(
     agreement = len(set(decisions.values())) <= 1
     termination = all(pid in decisions for pid in inputs if pid not in crashed)
     return PropertyReport(validity, agreement, termination)
-
-
-class ConsensusInstance:
-    """A consensus object for up to k participants.
-
-    Holds a thread-safe size-k register and enforces the usage contract at
-    runtime: each process id proposes at most once, and at most k distinct
-    processes join. The capacity check can be switched off to demonstrate
-    what goes wrong with k + 1 participants.
-    """
-
-    def __init__(self, k: int, enforce_capacity: bool = True):
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ValueError(f"participant bound must be a positive integer, got {k!r}")
-        self.k = k
-        self.register = LockedSlidingRegister(k)
-        self.enforce_capacity = enforce_capacity
-        self._guard = threading.Lock()
-        self._participants: set[int] = set()
-        self.decisions: list[Decision] = []
-
-    def propose(self, pid: int, value: Value) -> Value:
-        """Propose value on behalf of pid and return the decided value.
-
-        Exactly two shared-register operations run, in order: write(value),
-        then read(). The decision is the oldest value in the read window.
-        """
-        with self._guard:
-            if pid in self._participants:
-                raise DuplicateProposalError(f"process {pid} already proposed")
-            if self.enforce_capacity and len(self._participants) >= self.k:
-                raise CapacityError(
-                    f"instance supports at most {self.k} participants"
-                )
-            self._participants.add(pid)
-        self.register.write(value)
-        decided: Optional[Value] = first_non_bottom(self.register.read())
-        with self._guard:
-            self.decisions.append(Decision(decided, pid))
-        return decided

@@ -9,7 +9,6 @@ object degenerates to a classic atomic register.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Optional
 
 Value = Any  # hashable application value; never BOTTOM
@@ -130,22 +129,6 @@ class NarrowView:
 
     def __repr__(self) -> str:
         return f"<NarrowView k={self.k} of {self._base!r}>"
-
-
-class LockedSlidingRegister(SlidingRegister):
-    """Thread-safe variant: every operation is one mutex critical section."""
-
-    def __init__(self, k: int):
-        super().__init__(k)
-        self._lock = threading.Lock()
-
-    def write(self, value: Value) -> None:
-        with self._lock:
-            super().write(value)
-
-    def read(self) -> Window:
-        with self._lock:
-            return super().read()
 
 
 class WindowShortRegister(SlidingRegister):

@@ -454,9 +454,7 @@ def find_violation(
     # at least the two steps it uses.
     if n == k + 1 and protocol.steps_per_process >= 2:
         evict = eviction_schedule(k)
-        cfg = root
-        for step in evict:
-            cfg = exec_step(cfg, step.pid)
+        cfg = run_schedule(protocol, inputs, k, evict)
         if not judge(cfg.decided, cfg.crashed).agreement:
             found.append((evict, cfg.decided, cfg.crashed))
             if len(found) == max_results:

@@ -47,7 +47,7 @@ def sorted_values(values) -> tuple:
 
 
 class Valence(NamedTuple):
-    """Decision set of a configuration."""
+    """The set of decision values a configuration can still reach."""
 
     values: frozenset
 
@@ -438,12 +438,12 @@ def _pull(values: frozenset, back: Optional[dict]) -> frozenset:
 
 
 def _decision_sets(reps: list, succ: list, back) -> list[frozenset]:
-    """Decision set per node of an _orbit_graph. Every step adds one result
-    to a process's locals or one process to the crashed set, so every edge
-    leads one step deeper, to a higher node id: id order is topological and
-    the sets fill from the last node back. Values enter the node's own
-    decisions first, then each successor's set, read in the successor's
-    labeling, in step order."""
+    """The set of reachable decisions per node of an _orbit_graph. Every
+    step adds one result to a process's locals or one process to the
+    crashed set, so every edge leads one step deeper, to a higher node id:
+    id order is topological and the sets fill from the last node back.
+    Values enter the node's own decisions first, then each successor's set,
+    read in the successor's labeling, in step order."""
     decisions = [frozenset()] * len(reps)
     for node in range(len(reps) - 1, -1, -1):
         values = {v: None for _, v in reps[node].decided}

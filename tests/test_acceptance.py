@@ -265,7 +265,7 @@ def test_criterion_5_valence_classification_and_critical_configurations():
         vmap = explorer.valence_map()
         if not vmap.edges:
             problems.append(f"k={k}: exported graph has no edges")
-        # Decision sets by a forward search of its own, from each node to
+        # Reachable decisions by a forward search of its own, from each node to
         # every terminal it reaches, crash steps included; the explorer's
         # sets must equal them and may only shrink along an edge.
         searched = list(map(decided_below(protocol, {1: 0, 2: 1}), vmap.nodes))

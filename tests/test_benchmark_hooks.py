@@ -72,7 +72,9 @@ def test_violate_builds_violation_records_without_replaying(tmp_path, capsys):
         assert cli.main(argv) == 1
     calls = tracer.summary().calls
     assert calls["trace.violation_record"] == 12
-    assert calls["sim.run_schedule"] == 0
+    # the one run is find_violation's eviction run, made before the search;
+    # none of the 50 listed schedules is re-run
+    assert calls["sim.run_schedule"] == 1
 
 
 def test_valence_step_counts(tmp_path):

@@ -18,7 +18,7 @@ from kslide.lincheck import (
     check_linearizable,
     stress,
 )
-from kslide.register import BOTTOM, LockedSlidingRegister, SlidingRegister, WindowShortRegister
+from kslide.register import BOTTOM, SlidingRegister, WindowShortRegister
 from histories import overlap
 from oracles import FullSequenceRegister, _pair_events, brute_force_linearizable, padded_last_k
 
@@ -607,8 +607,3 @@ def test_mutant_register_is_caught():
         if check_linearizable(history) is None:
             rejected += 1
     assert rejected >= 1
-
-
-def test_stress_accepts_a_register_factory():
-    history = stress(2, 3, 3, seed=1, register_factory=LockedSlidingRegister)
-    assert history.k == 3

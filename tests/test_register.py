@@ -1,12 +1,9 @@
-import threading
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kslide.register import (
     BOTTOM,
-    LockedSlidingRegister,
     NarrowView,
     SlidingRegister,
     WindowShortRegister,
@@ -184,36 +181,6 @@ def test_nested_narrowing():
     assert view.read() == (3,)
     with pytest.raises(ValueError):
         reg.narrow(2).narrow(3)
-
-
-@given(write_lists, sizes)
-def test_locked_register_same_sequential_semantics(writes, k):
-    locked = LockedSlidingRegister(k)
-    plain = SlidingRegister(k)
-    for v in writes:
-        locked.write(v)
-        plain.write(v)
-    assert locked.read() == plain.read()
-
-
-def test_locked_register_under_contention():
-    reg = LockedSlidingRegister(3)
-    per_thread = 200
-    threads = 4
-
-    def hammer(base):
-        for i in range(per_thread):
-            reg.write(base + i)
-            window = reg.read()
-            assert len(window) == 3
-
-    workers = [threading.Thread(target=hammer, args=(t * 1000,)) for t in range(threads)]
-    for t in workers:
-        t.start()
-    for t in workers:
-        t.join()
-    assert reg.writes == threads * per_thread
-    assert all(slot is not BOTTOM for slot in reg.read())
 
 
 def test_window_short_mutant_loses_the_oldest():

@@ -74,13 +74,13 @@ class OpRecord(NamedTuple):
 
 
 def _table(history: History) -> tuple:
-    """(ops, preds, done) from one validating pass over the events (see
-    History.validate): OpRecords in invocation order, and as bitmasks over
-    them, the operations that responded before each invoke and all that did.
-    Timestamps increase strictly, so preds[i] is the mask of responses seen."""
+    """(ops, cnt, resp) from one validating pass over the events (see
+    History.validate): OpRecords in invocation order, the number of responses
+    seen before each invoke, and the completed operations' indices in response
+    order, so operation j responded before i was invoked iff j is in resp[:cnt[i]]."""
     ops: list = []  # OpRecord per operation, None while it is open
-    preds: list = []
-    done = 0
+    cnt: list = []
+    resp: list = []
     open_ops: dict = {}  # pid -> (index, op, value, invoked) of its open operation
     last_ts = None
     for kind, pid, op, ts, value, result in history.events:
@@ -102,7 +102,7 @@ def _table(history: History) -> tuple:
                 raise MalformedHistoryError(f"written value {value!r} is not hashable")
             open_ops[pid] = (len(ops), op, value, ts)
             ops.append(None)
-            preds.append(done)
+            cnt.append(len(resp))
         else:
             started = open_ops.pop(pid, None)
             if started is None or started[1] != op:
@@ -119,10 +119,10 @@ def _table(history: History) -> tuple:
                 )
             i, _, invoked_value, invoked = started
             ops[i] = tuple.__new__(OpRecord, (pid, op, invoked_value, result, invoked, ts))
-            done |= 1 << i
+            resp.append(i)
     for pid, (i, op, value, invoked) in open_ops.items():
         ops[i] = tuple.__new__(OpRecord, (pid, op, value, None, invoked, None))
-    return ops, preds, done
+    return ops, cnt, resp
 
 
 def check_linearizable(history: History) -> Optional[List[OpRecord]]:
@@ -137,72 +137,87 @@ def check_linearizable(history: History) -> Optional[List[OpRecord]]:
     placed-set fixes the write count, so the window fixes the state.
 
     One validating pass over the events (_table) builds the table, with no
-    sort: the operations in invocation order, and for each the operations that
-    had responded when it was invoked. Placed-sets and these predecessor sets
-    are int bitmasks over that order. Predecessor sets only grow along it, so a
-    node's candidate scan starts at its lowest unplaced operation and ends at
-    the first one still waiting on a predecessor. Completed operations must all
-    be placed. Pending writes may or may not have taken effect, so both
-    branches are explored; pending reads constrain nothing, so they start out
-    placed and never enter a witness.
+    sort: the operations in invocation order, for each the count of responses
+    seen before its invoke, and the completed operations in response order.
+    A node holds its frontier f (the lowest unplaced operation), its placed-set
+    as a bitmask relative to f, and g, the number of leading responders in
+    response order that are placed. Operation i waits on a predecessor iff
+    cnt[i] > g, and every completed operation is placed iff g counts them all.
+    Counts only grow along the invocation order, so a node's candidate scan
+    starts at f and ends at the first waiting operation. The mask spans only
+    operations invoked before the one at f responded, so it grows with the
+    history only behind a pending write that never takes effect. Pending
+    writes may or may not have taken effect, so both branches are explored;
+    pending reads constrain nothing, so the frontier passes them as if placed
+    and they never enter a witness.
 
     Dead reads are pruned. A completed read whose newest slot is v fits only
     while v is the newest write. With distinct written values (pending writes
     included), v never becomes newest again once a write lands on it, so no
     write is placed while an unplaced read still expects the newest value. A
-    newest slot of BOTTOM means no write yet, even when values repeat. The cut
-    subtrees hold no linearization and the scan order is unchanged, so the
-    witness is the one the unpruned search finds.
+    node counts those reads: all are unplaced when v is written, and every
+    read placed before the next write is one of them. A newest slot of BOTTOM
+    means no write yet, even when values repeat. The cut subtrees hold no
+    linearization and the scan order is unchanged, so the witness is the one
+    the unpruned search finds.
     """
-    ops, preds, must = _table(history)
-    root, written = 0, []  # root: the pending reads, placed from the start
-    expect: dict = {}  # newest slot -> bitmask of the reads that return it
+    ops, cnt, resp = _table(history)
+    if not resp:
+        return []
+    written, need, pending_reads = [], {}, set()  # need: newest slot -> reads returning it
     for i, (_, op, value, result, _, _) in enumerate(ops):
         if op == "write":
             written.append(value)
-        elif result is None:
-            root |= 1 << i
         elif result:
-            expect[result[-1]] = expect.get(result[-1], 0) | 1 << i
+            need[result[-1]] = need.get(result[-1], 0) + 1
+        else:
+            pending_reads.add(i)  # the frontier passes these as if placed
     if len(set(written)) != len(written):  # a value can be newest twice: keep only BOTTOM
-        expect = {BOTTOM: expect[BOTTOM]} if BOTTOM in expect else {}
-    start = empty_window(history.k)
-    if not must:
-        return []
-    seen = {(root, start)}
+        need = {BOTTOM: need[BOTTOM]} if BOTTOM in need else {}
+    n, last, start = len(ops), len(resp), empty_window(history.k)
+    resp.append(n)  # sentinel: never placed
+    f = next(i for i in range(n) if i not in pending_reads)
+    seen = {(f, 0, start)}
     order: list[OpRecord] = []
-    # One frame per placed prefix: [placed, window, next index to try].
-    stack = [[root, start, 0]]
+    # One frame per placed prefix: [f, placed mask from f, window, next index to
+    # try, g, completed reads of the newest value still unplaced].
+    stack = [[f, 0, start, f, 0, need.get(BOTTOM, 0)]]
     while stack:
         frame = stack[-1]
-        placed, window, resume = frame
-        unplaced = ~placed
-        stranding = expect.get(window[-1], 0) & unplaced  # reads a write would kill
-        for i in range(resume, len(ops)):
-            bit = 1 << i
+        f, placed, window, resume, g, left = frame
+        for i in range(resume, n):
+            bit = 1 << i - f
             if placed & bit:
                 continue
-            if preds[i] & unplaced:
+            if cnt[i] > g:
                 break
             _, op, value, result, _, _ = record = ops[i]
             if op == "write":
-                if stranding:
+                if left:  # a write would kill an unplaced read
                     continue
-                after = slide(window, value)
-            elif window == result:
-                after = window
+                after, count = slide(window, value), need.get(value, 0)
+            elif window == result:  # a pending read's None never matches
+                after, count = window, left and left - 1  # 0 stays 0 when values repeat
             else:
                 continue
-            now = placed | bit
-            if (now, after) in seen:
+            now, lead, front = placed | bit, g, f
+            if resp[g] == i:
+                lead += 1
+                while resp[lead] < f or now >> resp[lead] - f & 1:
+                    lead += 1
+                if lead == last:
+                    order.append(record)
+                    return order
+            while now & 1 or front in pending_reads:  # move the frontier past placed operations
+                now >>= 1
+                front += 1
+            key = (front, now, after)
+            if key in seen:
                 continue
             order.append(record)
-            if not must & ~now:
-                return order
-            seen.add((now, after))
-            frame[2] = i + 1
-            lowest_unplaced = ((now + 1) & ~now).bit_length() - 1
-            stack.append([now, after, lowest_unplaced])
+            seen.add(key)
+            frame[3] = i + 1
+            stack.append([front, now, after, front, lead, count])
             break
         if stack[-1] is frame:  # no child left: backtrack
             stack.pop()

@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -357,18 +358,28 @@ def test_fresh_value_histories_agree_with_the_oracle(case):
 
 
 @settings(deadline=None, max_examples=300)
-@given(st.one_of(small_histories(), small_histories(halting=True)))
-def test_table_masks_are_real_time_order(case):
-    # The pass reads predecessor sets off the event order; by definition,
-    # j precedes i iff j responded before i was invoked.
+@given(st.one_of(small_histories(), small_histories(halting=True)), st.data())
+def test_table_counts_are_real_time_order(case, data):
+    # The pass reads response counts and the response order off the event
+    # order; by definition, j precedes i iff j responded before i was invoked.
     history = History(*case)
-    ops, preds, done = _table(history)
+    ops, cnt, resp = _table(history)
     assert [(o.op, o.value, o.result, o.invoked, o.responded) for o in ops] == [
         tuple(o) for o in _pair_events(history.events)
     ]
-    responded = [(j, o.responded) for j, o in enumerate(ops) if not o.pending]
-    assert done == sum(1 << j for j, _ in responded)
-    assert preds == [sum(1 << j for j, t in responded if t < o.invoked) for o in ops]
+    done = [j for j, o in enumerate(ops) if not o.pending]
+    assert cnt == [sum(ops[j].responded < o.invoked for j in done) for o in ops]
+    assert resp == sorted(done, key=lambda j: ops[j].responded)
+    # The search takes i to wait iff cnt[i] > g, where g counts the leading
+    # responders in resp that are placed.
+    for _ in range(3):
+        placed = data.draw(st.sets(st.integers(0, len(ops))))
+        g = 0
+        while g < len(resp) and resp[g] in placed:
+            g += 1
+        for i, o in enumerate(ops):
+            waits = any(ops[j].responded < o.invoked for j in done if j not in placed)
+            assert (cnt[i] > g) == waits
 
 
 def test_rewritten_value_keeps_a_history_linearizable():
@@ -469,6 +480,34 @@ def test_mid_history_pending_witnesses_are_pinned():
     assert digest == "4d857b6748fe8c85cbbba78a48513361ff2d7988772e9dfeb4a6dfdefc10bb0c"
 
 
+def test_long_history_witnesses_are_pinned():
+    # As test_witnesses_are_pinned, over one 16,000-operation stress history
+    # and its cuts to 2/3 and 1/2 of its events, which leave operations
+    # pending: the frontier and the response order are exercised at scale.
+    events = stress(4, 4000, 3, seed=1).events
+    cases = [(3, events[:cut]) for cut in (len(events), len(events) * 2 // 3, len(events) // 2)]
+    verdicts, digest = witness_digest(cases)
+    assert verdicts == {True: 3}
+    assert digest == "f507a0903271d68462081fc6294c9b37108af17db1db2e12ba2ac72b7c5d858a"
+
+
+def check_peak_bytes(ops):
+    """tracemalloc peak of check_linearizable on a stress history of ops operations."""
+    history = stress(4, ops // 4, 3, seed=1)
+    tracemalloc.start()
+    try:
+        assert check_linearizable(history) is not None
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checker_memory_grows_linearly():
+    # Memory linear in the history grows about fourfold here; state as wide
+    # as the history would grow it up to sixteenfold.
+    assert check_peak_bytes(8000) < 6 * check_peak_bytes(2000)
+
+
 def two_process_history(rounds, k, last_read=None):
     """Each round, p1 writes the round number while p2 reads; the read
     overlaps the write, seeing it in even rounds and missing it in odd
@@ -510,6 +549,20 @@ def test_pending_read_invoked_first_does_not_slow_the_search():
     elapsed = time.perf_counter() - started
     assert witness == check_linearizable(history)
     assert len(witness) == 6000
+    assert elapsed < 1.0
+
+
+def test_pending_read_mid_history_does_not_slow_the_search():
+    # As above, with the unanswered read invoked after the first round: the
+    # frontier must pass it, or every later placed-set would span the history.
+    history = two_process_history(3000, 2)
+    events = history.events[:4] + [ev("invoke", 3, "read", 0)] + history.events[4:]
+    stalled = History(2, [e._replace(timestamp=t) for t, e in enumerate(events)])
+    started = time.perf_counter()
+    witness = check_linearizable(stalled)
+    elapsed = time.perf_counter() - started
+    plain = check_linearizable(history)
+    assert [(o.pid, o.op, o.value) for o in witness] == [(o.pid, o.op, o.value) for o in plain]
     assert elapsed < 1.0
 
 

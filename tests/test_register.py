@@ -1,10 +1,9 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from kslide.register import (
     BOTTOM,
-    NarrowView,
     SlidingRegister,
     WindowShortRegister,
     empty_window,

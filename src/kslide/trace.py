@@ -10,17 +10,18 @@ one decoder: one table maps each field name to its decoder, for every record
 type, history events included, and a record's fields are decoded in
 declaration order, so an error names the first missing or mistyped field.
 Decoders check each field's JSON type: integers, arrays and booleans must be
-just that. lincheck file reads a history (read_history) through a fast path
-that decodes each well-formed history-event line inline, straight to a
-checker event; it accepts exactly the lines parse accepts as history events,
-and hands every other line to parse, so the errors are parse's.
+just that. lincheck file reads a history with read_history, which decodes
+each history-event line written in serialize's own encoding from one
+compiled pattern, with no JSON, and hands every other line to parse. The
+pattern accepts a subset of parse's history events and decodes them to the
+same values, so results and errors are parse's.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import operator
+import re
 from typing import Iterable, NamedTuple, Optional
 
 from .lincheck import Event, History
@@ -204,43 +205,58 @@ def read_records(path: str) -> list:
         return [parse(line) for line in map(str.strip, fh) if line]
 
 
-# read_history's per-line work: every field of a history-event payload in
-# one lookup, and an event built by tuple.__new__, which skips the
-# namedtuple's Python-level __new__.
-_event_fields = operator.itemgetter(
-    "type", "schema_version", "k", "kind", "pid", "op", "timestamp", "value", "result"
-)
+# read_history's per-line work: an event built by tuple.__new__, which
+# skips the namedtuple's Python-level __new__.
 _new_event = functools.partial(tuple.__new__, Event)
 
 
+@functools.cache
+def _event_line():
+    """fullmatch of a history-event line exactly as serialize writes it, with
+    null or integer values and window slots; compiled on first use."""
+    num = r"-?(?:0|[1-9][0-9]{0,17})"  # JSON's integers, far below int()'s digit limit
+    slots = rf"(?:null|{num})(?:,(?:null|{num}))*"
+    return re.compile(
+        rf'\{{"k":({num}),"kind":"(invoke|respond)","op":"(read|write)","pid":({num}),'
+        rf'"result":(null|\[(?:{slots})?\]),"schema_version":1,"timestamp":({num}),'
+        rf'"type":"history-event","value":(null|{num})\}}\n?'
+    ).fullmatch
+
+
+class _Decoded(dict):
+    """Memo from a matched group's text to what it decodes to: null is None,
+    an integer its int, an array a window (null slots BOTTOM), and a kind or
+    op word one string shared by every event."""
+
+    def __missing__(self, text: str):
+        self[text] = decoded = int(text) if text[0] != "[" else tuple(
+            [BOTTOM if s == "null" else int(s) for s in filter(None, text[1:-1].split(","))]
+        )
+        return decoded
+
+
 def read_history(path: str) -> History:
-    """The history in a history-event file. A well-formed event line (one
-    history-event object of schema version 1, integer k, pid and timestamp,
-    null or array result) is decoded once, straight to an event. Any other
-    line goes through parse, so each error is the one decoding every record
-    would give: a bad line raises at once, a record of another type last."""
-    events, ks, foreign = [], set(), []
+    """The history in a history-event file. A line as serialize writes it is
+    decoded from one pattern's groups, with no JSON; any other line goes
+    through parse, so the pattern's lines decode as parse would and every
+    error is parse's: a bad line raises at once, a record of another type last."""
+    match, events, ks, foreign = _event_line(), [], set(), []
+    text = _Decoded(null=None, invoke="invoke", respond="respond", read="read", write="write")
     with open(path, "r", encoding="utf-8") as fh:
-        for line in filter(None, map(str.strip, fh)):
-            try:
-                payload, end = _raw_decode(line)
-                name, version, k, kind, pid, op, ts, value, result = _event_fields(payload)
-                if (
-                    end == len(line) and name == "history-event"
-                    and type(version) is int and version == SCHEMA_VERSION
-                    and type(k) is int and type(pid) is int and type(ts) is int
-                    and (result is None or type(result) is list)
-                ):
-                    events.append(_new_event((
-                        kind, pid, op, ts, value, None if result is None else decode_window(result)
-                    )))
-                    ks.add(k)
-                    continue
-            except (KeyError, TypeError, ValueError, RecursionError):
-                pass  # not a well-formed event line: parse says what is wrong
-            # the fast path takes every line parse decodes to a history
-            # event, so what parse returns here is a record of another type
-            foreign.append(parse(line))
+        for line in fh:
+            if m := match(line):
+                k, kind, op, pid, result, ts, value = m.groups()
+                ks.add(text[k])
+                events.append(_new_event(
+                    (text[kind], text[pid], text[op], int(ts), text[value], text[result])
+                ))
+            elif line := line.strip():
+                record = parse(line)
+                if type(record) is HistoryEventRecord:
+                    events.append(Event._make(record[1:]))
+                    ks.add(record.k)
+                else:
+                    foreign.append(record)
     if foreign:
         raise TraceError(f"history files hold history-event records, got {foreign[0]!r}")
     return _history(ks, events)

@@ -539,6 +539,28 @@ def test_deep_history_is_checked_fast_without_recursion():
     assert elapsed < 1.0
 
 
+def test_dead_reads_are_pruned():
+    # Twelve concurrent writes, then twelve concurrent reads, read j returning
+    # the window of write j; the one linearization alternates write j, read j.
+    # A write placed while a read still expects the newest value kills that
+    # read, and without the prune the search explores every subtree below
+    # such a write: about 15 s here, against 0.1 ms with it.
+    m = 12
+    events = [ev("invoke", p, "write", p - 1, value=p) for p in range(1, m + 1)]
+    events += [ev("invoke", m + p, "read", m + p - 1) for p in range(1, m + 1)]
+    events += [ev("respond", p, "write", 2 * m + p - 1) for p in range(1, m + 1)]
+    events += [ev("respond", m + p, "read", 3 * m + p - 1, result=(p,)) for p in range(1, m + 1)]
+    history = History(1, events)
+    started = time.perf_counter()
+    witness = check_linearizable(history)
+    elapsed = time.perf_counter() - started
+    assert [(op.op, op.value if op.op == "write" else op.result) for op in witness] == [
+        step for p in range(1, m + 1) for step in (("write", p), ("read", (p,)))
+    ]
+    assert_witness(history, witness)
+    assert elapsed < 0.5
+
+
 def test_pending_read_invoked_first_does_not_slow_the_search():
     # A read that is invoked before everything else and never answered
     # constrains nothing; the search must not keep stopping at it.

@@ -1,11 +1,13 @@
 import json
 import os
+import re
 import tempfile
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kslide import trace
 from kslide.cli import main
 from kslide.lincheck import Event, History
 from kslide.register import BOTTOM
@@ -406,8 +408,29 @@ FIELD_VALUES = {
 }
 
 
+# alterations that set one field of a history-event line to raw JSON text,
+# keeping serialize's key order and separators everywhere else
+FIELD_TEXTS = {
+    "minus-zero": ("pid", "-0"),
+    "leading-zero-pid": ("pid", "01"),
+    "18-digit-value": ("value", "-" + "9" * 18),
+    "19-digit-value": ("value", "9" * 19),
+    "25-digit-value": ("value", "-" + "9" * 25),
+    "negative-slots": ("result", "[-1,null,-20]"),
+    "string-value": ("value", '"ab"'),
+    "float-value": ("value", "1.5"),
+    "true-value": ("value", "true"),
+    "unknown-kind": ("kind", '"begin"'),
+    "unknown-op": ("op", '"cas"'),
+}
+
+
 def alter(line, how):
-    """One history-event line changed the way `how` names."""
+    """One history-event line changed the way `how` names; "crlf" changes
+    the file's line endings instead."""
+    if how in FIELD_TEXTS:
+        name, text = FIELD_TEXTS[how]
+        return re.sub(rf'"{name}":(null|-?[0-9]+|"[a-z]*"|\[[^]]*\])', lambda _: f'"{name}":{text}', line)
     payload = json.loads(line)
     if how == "bad-json":
         return line[:-1]
@@ -435,13 +458,18 @@ def alter(line, how):
         return "  "
     elif how == "padded":
         return f" \t{line}  "
-    return json.dumps(payload)
+    elif how == "reordered-keys":
+        return json.dumps(dict(reversed(payload.items())), separators=(",", ":"))
+    elif how == "crlf":
+        return line
+    return json.dumps(payload)  # json's default separators
 
 
 history_lines = st.lists(
     st.tuples(
         st.sampled_from(["invoke", "respond"]), st.integers(1, 3),
-        st.sampled_from(["read", "write"]), st.one_of(st.none(), st.integers(0, 9)),
+        st.sampled_from(["read", "write"]),
+        st.one_of(st.none(), st.integers(0, 9), st.integers(-(10**19), 10**19)),
         st.one_of(st.none(), windows),
     ),
     max_size=6,
@@ -451,16 +479,16 @@ history_lines = st.lists(
         for ts, (kind, pid, op, value, result) in enumerate(events)
     ]
 )
-alterations = st.sampled_from(
-    [None, "bad-json", "outcome", "missing-key", "two-faults", "other-k", "float-pid", "float-timestamp",
-     "blank", "padded", "trailing-data", "deep", *FIELD_VALUES]
-)
+ALTERATIONS = [
+    None, "bad-json", "outcome", "missing-key", "two-faults", "other-k", "float-pid", "float-timestamp",
+    "blank", "padded", "trailing-data", "deep", "default-separators", "reordered-keys", "crlf",
+    *FIELD_VALUES, *FIELD_TEXTS,
+]
 
 
-@given(history_lines, alterations, st.integers(0, 5), st.booleans())
-@example(["{}", "{}"], "outcome", 0, False)  # a record of another type, then a bad line
-@settings(deadline=None, max_examples=300)
-def test_read_history_matches_records_then_history(lines, how, where, blank_lines):
+def assert_read_history_matches_reference(lines, how, where, blank_lines):
+    """read_history on the lines, line where altered by how, gives the
+    history or the error message that reference_history gives."""
     if how is not None and lines:
         where %= len(lines)
         lines = lines[:where] + [alter(lines[where], how)] + lines[where + 1 :]
@@ -469,7 +497,7 @@ def test_read_history_matches_records_then_history(lines, how, where, blank_line
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "history.jsonl")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("".join(line + "\n" for line in lines))
+            fh.write("".join(line + ("\r\n" if how == "crlf" else "\n") for line in lines))
         try:
             expected = reference_history(path)
         except TraceError as exc:
@@ -480,13 +508,37 @@ def test_read_history_matches_records_then_history(lines, how, where, blank_line
             assert read_history(path) == expected
 
 
-def test_read_history_matches_records_on_a_saved_stress_history(capsys, tmp_path):
+@given(history_lines, st.sampled_from(ALTERATIONS), st.integers(0, 5), st.booleans())
+@example(["{}", "{}"], "outcome", 0, False)  # a record of another type, then a bad line
+@settings(deadline=None, max_examples=300)
+def test_read_history_matches_records_then_history(lines, how, where, blank_lines):
+    assert_read_history_matches_reference(lines, how, where, blank_lines)
+
+
+@pytest.mark.parametrize("how", ALTERATIONS)
+def test_read_history_matches_records_on_each_alteration(how):
+    # every alteration on every line of one history, so none is left to chance
+    events = [("invoke", 1, "write", 0, 5, None), ("invoke", 2, "read", 1, None, None),
+              ("respond", 1, "write", 2, None, None), ("respond", 2, "read", 3, None, (BOTTOM, 5))]
+    lines = [serialize(HistoryEventRecord(2, *event)) for event in events]
+    for where in range(len(lines)):
+        assert_read_history_matches_reference(lines, how, where, False)
+
+
+def test_read_history_matches_records_on_a_saved_stress_history(capsys, monkeypatch, tmp_path):
     path = str(tmp_path / "history.jsonl")
     argv = ["lincheck", "stress", "--threads", "4", "--ops", "250", "--histories", "1"]
     assert main(argv + ["--save", path]) == 0
     with open(path, encoding="utf-8") as fh:
         assert sum(1 for _ in fh) == 2000
-    assert read_history(path) == reference_history(path)
+    expected = reference_history(path)
+
+    def refuse(line):
+        raise AssertionError(f"parse called on {line!r}")
+
+    # every line kslide writes matches read_history's pattern: none goes through parse
+    monkeypatch.setattr(trace, "parse", refuse)
+    assert read_history(path) == expected
     capsys.readouterr()
     assert main(["lincheck", "file", "--path", path]) == 0
     assert capsys.readouterr().out == "linearizable (1000 operations ordered)\n"

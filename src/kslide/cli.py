@@ -12,7 +12,9 @@ error (an unexpected exception, reported with its traceback on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import shutil
 import sys
 from typing import Optional
@@ -20,17 +22,19 @@ from typing import Optional
 from .consensus import check_outcome
 from .lincheck import check_linearizable, stress
 from .register import SlidingRegister, WindowShortRegister
+# verify_all, read_records and history_from_records go unused here but stay
+# bound for the benchmark tracer.
 from .sim import (
     consensus_protocol,
     default_inputs,
     find_violation,
     format_schedule,
     format_step,
+    list_violations,
     parse_schedule,
     run_schedule,
     verify_all,
 )
-# read_records and history_from_records stay bound for the benchmark tracer.
 from .trace import (
     ScheduleRecord,
     ValenceNodeRecord,
@@ -75,65 +79,63 @@ def _require_positive(name: str, value: int) -> int:
 
 
 def _export(lines: list[str], output: Optional[str]) -> None:
-    """Print lines, and write the same lines to output when one is given."""
+    """Print lines, after writing the same lines to output when one is given."""
     text = "".join(line + "\n" for line in lines)
-    print(text, end="")
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    print(text, end="")
 
 
-def _write_violations(k, n, inputs, violations, label, ending, output) -> None:
-    """Print one entry per violation, label, its steps and ending(violation),
-    in one write; with output, write its violation record to that file, one
-    line each, in one write as well (the file is made even when there are no
-    violations). A violation is a tuple that starts with its schedule and
-    ends with the final decided and crashed tuples, as verify_all's and
-    find_violation's do.
+LISTING_CHUNK = 4096  # violations per write
+
+
+def _write_violations(k, n, inputs, header, listing, label, ending, output) -> None:
+    """Print header, if any, then one entry per violation: label, its steps
+    and ending(report, decided); with output, write its violation record to
+    that file, one line each. The file is opened before anything is printed
+    and is made even when there are no violations. listing(render) yields
+    (steps, render(report, decided, crashed)) per violation, steps its
+    schedule's text ("E1,C2,E2"), as sim.list_violations' listing does; the
+    entries and records go out LISTING_CHUNK violations at a time.
 
     Violations with one outcome share every record field but the schedule,
-    so each distinct outcome is serialized once, with an empty schedule, and
-    split there: keys are unique and a '"' inside a JSON string is escaped,
-    so '"schedule":[]' occurs once. Step names ("E1", "C2") need no escaping,
-    so joining them in gives serialize's own bytes. ending is called once per
-    distinct outcome too, which is exact because the properties and the
-    decisions are functions of the outcome.
+    so each distinct outcome is rendered once: its record is serialized with
+    an empty schedule and split there. Keys are unique and a '"' inside a
+    JSON string is escaped, so '"schedule":[]' occurs once. Step names ("E1",
+    "C2") need no escaping, so quoting them in gives serialize's own bytes.
     """
-    # CLI proposals are ints (_parse_inputs, default_inputs), so an outcome
-    # is an exact key: no two distinct outcomes encode alike.
-    quoted = functools.cache(lambda step: f'"{format_step(step)}"')
-    templates = {}  # outcome -> (record head, record tail, stdout ending)
-    out, trace = [], []
-    for violation in violations:
-        outcome = violation[-2:]
-        template = templates.get(outcome)
-        if template is None:
+    with open(output, "w", encoding="utf-8") if output else contextlib.nullcontext() as fh:
+        if header:
+            print(header)
+
+        # CLI proposals are ints (_parse_inputs, default_inputs), so an
+        # outcome is an exact key: no two distinct outcomes encode alike.
+        @functools.cache
+        def render(report, decided, crashed) -> tuple:
             head = tail = ""
-            if output:
-                record = serialize(violation_record(k, n, inputs, (), *outcome))
+            if fh:
+                record = serialize(violation_record(k, n, inputs, (), decided, crashed))
                 head, tail = record.split('"schedule":[]')
-            template = head + '"schedule":[', "]" + tail + "\n", ending(violation) + "\n"
-            templates[outcome] = template
-        head, tail, end = template
-        steps = ",".join(map(quoted, violation[0]))
-        out.append(label + steps.replace('"', "") + end)
-        if output:
-            trace.append(head + steps + tail)
-    sys.stdout.write("".join(out))
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write("".join(trace))
+            return ending(report, decided) + "\n", head + '"schedule":["', '"]' + tail + "\n"
+
+        found = listing(render)
+        while chunk := list(itertools.islice(found, LISTING_CHUNK)):
+            sys.stdout.write("".join([label + steps + end for steps, (end, _, _) in chunk]))
+            if fh:
+                fh.write("".join([
+                    head + steps.replace(",", '","') + tail for steps, (_, head, tail) in chunk
+                ]))
 
 
-def _breaks(violation: tuple) -> str:
-    """The " breaks <properties>" text of a verify_all violation."""
-    prop = violation[1]
-    return " breaks " + ",".join(name for name, held in zip(prop._fields, prop) if not held)
+def _breaks(report, decided) -> str:
+    """The " breaks <properties>" text of a verify violation."""
+    return " breaks " + ",".join(name for name, held in zip(report._fields, report) if not held)
 
 
-def _decides(violation: tuple) -> str:
-    """One "  p<pid> decides <value>" line per decision of a find_violation hit."""
-    return "".join(f"\n  p{pid} decides {value}" for pid, value in violation[-2])
+def _decides(report, decided) -> str:
+    """One "  p<pid> decides <value>" line per decision of a violate hit."""
+    return "".join(f"\n  p{pid} decides {value}" for pid, value in decided)
 
 
 def cmd_verify(args) -> int:
@@ -155,13 +157,11 @@ def cmd_verify(args) -> int:
             f"termination={report.termination}"
         )
         return EXIT_OK if report.ok else EXIT_VIOLATION
-    report = verify_all(protocol, k, n, inputs, with_crashes=args.crashes)
-    label = (
-        "schedules including crash truncations" if args.crashes else "crash-free schedules"
-    )
-    print(f"{report.schedules_checked} {label}, {len(report.violations)} violations")
-    _write_violations(k, n, inputs, report.violations, "violation: ", _breaks, args.output)
-    return EXIT_VIOLATION if report.violations else EXIT_OK
+    schedules, count, listing = list_violations(protocol, k, n, inputs, args.crashes)
+    label = "schedules including crash truncations" if args.crashes else "crash-free schedules"
+    header = f"{schedules} {label}, {count} violations"
+    _write_violations(k, n, inputs, header, listing, "violation: ", _breaks, args.output)
+    return EXIT_VIOLATION if count else EXIT_OK
 
 
 def cmd_violate(args) -> int:
@@ -174,7 +174,12 @@ def cmd_violate(args) -> int:
     if not found:
         print("no agreement violation found")
         return EXIT_OK
-    _write_violations(k, n, inputs, found, "schedule: ", _decides, args.output)
+
+    def listing(render):
+        for sched, decided, crashed in found:
+            yield ",".join(map(format_step, sched)), render(None, decided, crashed)
+
+    _write_violations(k, n, inputs, None, listing, "schedule: ", _decides, args.output)
     return EXIT_VIOLATION
 
 

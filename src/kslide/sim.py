@@ -349,24 +349,29 @@ def _judge(inputs: Mapping[int, Value]) -> Callable[[tuple, tuple], PropertyRepo
     return functools.cache(lambda decided, crashed: check_outcome(inputs, dict(decided), crashed))
 
 
-def verify_all(
+def list_violations(
     protocol: Protocol,
     k: int,
     n: int,
     inputs: Optional[Mapping[int, Value]] = None,
     with_crashes: bool = False,
-) -> VerificationReport:
-    """Check the consensus properties on every enumerated schedule. Returns
-    the total schedule count and all violations, in enumeration order.
+) -> tuple[int, int, Callable[[Callable], Iterator[tuple]]]:
+    """(schedules, violations, listing): the number of enumerated schedules,
+    how many break a consensus property, and listing(render), a generator
+    of (steps, render(report, decided, crashed)) per violation in
+    enumeration order, where steps is the schedule's text ("E1,C2,E2") and
+    decided and crashed are the final configuration's sorted tuples.
 
     A schedule is a root-to-terminal path of valence.census's orbit graph
-    (crash-aware with with_crashes), so schedules_checked is the root's path
-    count. A second count takes only paths into terminals whose
-    representative outcome fails; the properties are invariant under the
-    group, so each distinct one is judged once (_judge). Only if some path
-    fails does _walk list the violations, over (orbit, renaming) states: an
-    edge lookup and a renaming composition per tree edge, no subtree without
-    a violation, and each terminal state's concrete outcome built once.
+    (crash-aware with with_crashes), so both counts are path counts, taken
+    before any walk: schedules over every terminal, violations over those
+    whose representative outcome fails. The properties are invariant under
+    the group, so each distinct outcome is judged once (_judge). listing
+    walks (orbit, renaming, steps) states with _walk and enters no subtree
+    without a violation. A tree edge is one edge lookup, one renaming
+    composition, memoized per pair, and one concatenation that adds its
+    step's text to the schedule's; each terminal state's concrete outcome is
+    rendered once.
     """
     from .valence import _orbit_graph  # valence imports this module
 
@@ -381,33 +386,58 @@ def verify_all(
         else:
             bad[node] = not judge(reps[node].decided, reps[node].crashed).ok
     if not bad[0]:
-        return VerificationReport(paths[0], ())
-    # A state (node, r) renames each pid p of the concrete configuration to
-    # r[p] in reps[node]; None prunes an edge with no violation below it.
-    edges = [{(type(s) is Crash, s.pid): (nxt, r) for s, nxt, r in out} for out in succ]
+        return paths[0], 0, lambda render: iter(())
+    # A state (node, r, steps) renames each pid p of the concrete
+    # configuration to r[p] in reps[node]; steps is the schedule's text so
+    # far, each step with a leading comma. None prunes an edge with no
+    # violation below it. edges[node] maps the representative's pid, negated
+    # for a Crash, to the successor and the renaming to it.
+    edges = [
+        {(-s.pid if type(s) is Crash else s.pid): (nxt, r) for s, nxt, r in out} for out in succ
+    ]
+    compose = functools.cache(lambda renaming, r: tuple([renaming[p] for p in r]))
 
-    def move(crash: bool, state: tuple, pid: int) -> Optional[tuple]:
-        node, r = state
-        node, renaming = edges[node][crash, r[pid]]
+    def move(sign: int, names: dict, at: tuple, pid: int) -> Optional[tuple]:
+        node, r, steps = at
+        node, renaming = edges[node][sign * r[pid]]
         if bad[node]:
-            return node, r if renaming is None else tuple([renaming[p] for p in r])
+            return node, r if renaming is None else compose(renaming, r), steps + names[pid]
         return None
 
-    def concrete(node: int, r: tuple) -> tuple:
+    def outcome(node: int, r: tuple) -> tuple:
         rep, old, values = reps[node], {new: pid for pid, new in enumerate(r)}, back(r) or {}
         decided = tuple(sorted((old[pid], values.get(v, v)) for pid, v in rep.decided))
         return judge(rep.decided, rep.crashed), decided, tuple(sorted(map(old.get, rep.crashed)))
 
-    steps = functools.partial(move, False), functools.partial(move, True)
-    listed: dict = {}  # terminal state -> concrete(*state)
-    violations = []
-    root = 0, tuple(range(n + 1))
-    for stack in _walk(n, protocol.steps_per_process, with_crashes, root, *steps):
-        state = stack[-1][0]
-        if state not in listed:
-            listed[state] = concrete(*state)
-        violations.append((_schedule(stack), *listed[state]))
-    return VerificationReport(paths[0], tuple(violations))
+    execs, crashes = ({pid: f",{kind}{pid}" for pid in range(1, n + 1)} for kind in "EC")
+    steps = functools.partial(move, 1, execs), functools.partial(move, -1, crashes)
+
+    def listing(render: Callable) -> Iterator[tuple]:
+        rendered = functools.cache(lambda node, r: render(*outcome(node, r)))
+        root = 0, tuple(range(n + 1)), ""
+        for stack in _walk(n, protocol.steps_per_process, with_crashes, root, *steps):
+            node, r, text = stack[-1][0]
+            yield text[1:], rendered(node, r)
+
+    return paths[0], bad[0], listing
+
+
+def verify_all(
+    protocol: Protocol,
+    k: int,
+    n: int,
+    inputs: Optional[Mapping[int, Value]] = None,
+    with_crashes: bool = False,
+) -> VerificationReport:
+    """Check the consensus properties on every enumerated schedule. Returns
+    the total schedule count and all violations, in enumeration order, as
+    list_violations counts and lists them."""
+    schedules, _, listing = list_violations(protocol, k, n, inputs, with_crashes)
+    violations = listing(lambda *outcome: outcome)
+    # filter: a protocol of no steps has the one empty schedule, text ""
+    return VerificationReport(schedules, tuple(
+        (parse_schedule(filter(None, text.split(","))), *outcome) for text, outcome in violations
+    ))
 
 
 def eviction_schedule(k: int) -> Schedule:

@@ -175,8 +175,9 @@ def parse(line: str):
         payload, end = _raw_decode(line)
         if end != len(line):
             json.loads(line)  # raises json's own "Extra data" error
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # nesting deeper than the decoder's recursion limit is malformed input too
+    except (ValueError, RecursionError) as exc:
+        # nesting past the decoder's recursion limit, and an integer past
+        # int()'s digit limit (a bare ValueError), are malformed input too
         raise TraceError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise TraceError("trace lines must be JSON objects")

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from kslide import cli
 from kslide.cli import main
+from kslide.consensus import check_outcome
 from kslide.sim import (
     consensus_protocol,
     find_violation,
@@ -37,6 +40,7 @@ from kslide.trace import (
     violation_record,
     write_records,
 )
+from oracles import schedule_order
 
 
 def run_cli(capsys, *argv):
@@ -177,6 +181,30 @@ def test_verify_writes_violation_records(capsys, tmp_path):
         ("E2", "E2", "E1", "E1"),
     ]
     assert all(isinstance(r, ViolationRecord) for r in records)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--k", "1", "--n", "2"),
+        ("verify", "--k", "2", "--n", "2"),
+        ("verify", "--k", "1", "--n", "2", "--schedule", "E1,E1,E2,E2"),
+        ("violate", "--k", "1", "--max", "2"),
+        ("valence", "--k", "1", "--n", "2", "--format", "json"),
+    ],
+)
+def test_unwritable_output_fails_before_printing(capsys, tmp_path, argv):
+    # the output file is opened before the first line is printed, so a
+    # path that cannot be written leaves no partial listing on stdout
+    code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path / "missing" / "x.jsonl"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2] No such file or directory")
+
+
+def test_clean_verify_still_writes_an_empty_output_file(capsys, tmp_path):
+    path = tmp_path / "v.jsonl"
+    code, out, _ = run_cli(capsys, "verify", "--k", "2", "--n", "2", "--output", str(path))
+    assert (code, out, path.read_bytes()) == (0, "6 crash-free schedules, 0 violations\n", b"")
 
 
 # violate
@@ -408,16 +436,24 @@ def test_repeated_input_violations_match_pinned_digests(
         ),
     ],
 )
-def test_violation_records_match_pinned_digests(
-    capsys, tmp_path, argv, out_digest, records_digest
-):
-    # stdout and the violation records as one record build, one
-    # serialize and one print per violation wrote them
-    path = tmp_path / "violations.jsonl"
-    code, out, _ = run_cli(capsys, "verify", *argv, "--output", str(path))
+def test_violation_records_match_pinned_digests(tmp_path, argv, out_digest, records_digest):
+    # stdout and the violation records as one record build, one serialize
+    # and one print per violation wrote them. The listing streams from the
+    # walk: at k=4 n=5 the tracemalloc peak was about 106 MB when each
+    # violation was held as a schedule, a stdout line and a record line
+    # before the first write
+    out, path = tmp_path / "stdout.txt", tmp_path / "violations.jsonl"
+    with open(out, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+        tracemalloc.start()
+        try:
+            code = main(["verify", *argv, "--output", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert code == 1
-    assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == out_digest
     assert hashlib.sha256(path.read_bytes()).hexdigest() == records_digest
+    assert peak <= 25e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 def listed(argv: list, output: str) -> tuple[int, str]:
@@ -465,6 +501,40 @@ def test_verify_listing_is_one_serialize_per_violation(data):
         f"violation: {','.join(format_schedule(sched))} breaks {breaks(prop)}"
         for sched, prop, _, _ in report.violations
     ]
+
+
+oracle_order = functools.cache(schedule_order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_verify_listing_matches_the_oracle_replay(data):
+    # the streamed listing against every schedule of the oracle's own
+    # enumeration, run from the start and judged one at a time
+    k, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    crashes = data.draw(st.booleans())
+    values = data.draw(proposals(n))
+    inputs = dict(enumerate(values, 1))
+    protocol = consensus_protocol()
+    order = oracle_order(n, protocol.steps_per_process, crashes)
+    out_lines, trace_lines = [], []
+    for sched in order:
+        end = run_schedule(protocol, inputs, k, sched)
+        report = check_outcome(inputs, dict(end.decided), end.crashed)
+        if not report.ok:
+            steps = ",".join(format_schedule(sched))
+            out_lines.append(f"violation: {steps} breaks {breaks(report)}")
+            record = violation_record(k, n, inputs, sched, end.decided, end.crashed)
+            trace_lines.append(serialize(record))
+    label = "schedules including crash truncations" if crashes else "crash-free schedules"
+    argv = ["verify", "--k", str(k), "--n", str(n), f"--inputs={','.join(map(str, values))}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "v.jsonl")
+        code, out = listed(argv + ["--crashes"] * crashes, path)
+        lines = text_lines(path)
+    assert code == (1 if out_lines else 0)
+    assert out.splitlines() == [f"{len(order)} {label}, {len(out_lines)} violations", *out_lines]
+    assert lines == trace_lines
 
 
 @settings(max_examples=40, deadline=None)
@@ -634,6 +704,13 @@ DEEP_ERROR = (
     "error: not valid JSON: maximum recursion depth exceeded "
     "while decoding a JSON {} from a unicode string"
 )
+# an integer past int()'s digit limit too, in the words the running Python uses
+LONG_VALUE = WRITE[0].replace('"value":5', '"value":' + "9" * 5000)
+try:
+    int("9" * 5000)
+    LONG_ERROR = ""
+except ValueError as exc:
+    LONG_ERROR = f"error: not valid JSON: {exc}"
 NOT_OBJECT_KEY = (
     "error: not valid JSON: Expecting property name enclosed in double quotes: "
     "line 1 column 2 (char 1)"
@@ -689,6 +766,7 @@ NOT_OBJECT_KEY = (
         (WRITE[:1] + ['{"a":' * 100_000 + "1" + "}" * 100_000], 2, DEEP_ERROR.format("object")),
         ([WRITE[0][:-1] + ',"deep":' + "[" * 100_000 + "]" * 100_000 + "}", WRITE[1]], 2,
          DEEP_ERROR.format("array")),
+        ([LONG_VALUE, WRITE[1]], 2 if LONG_ERROR else 0, LONG_ERROR),
     ],
     ids=[
         "valid", "blank-and-padded", "not-linearizable", "window-too-short",
@@ -698,7 +776,7 @@ NOT_OBJECT_KEY = (
         "wrong-record-type-then-bad-line", "missing-key", "bad-int", "mixed-k", "empty",
         "blank-only", "unhashable-value", "malformed-outcome", "bool-k", "float-pid",
         "float-timestamp", "string-window", "object-window", "deep-array", "deep-object",
-        "deep-event",
+        "deep-event", "long-value",
     ],
 )
 def test_lincheck_file_exit_code_and_first_error_line(capsys, tmp_path, lines, code, first_err):

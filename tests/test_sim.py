@@ -456,6 +456,14 @@ def test_verify_violations_follow_oracle_order(k, n, crashes):
     assert [s for s, *_ in report.violations] == violating
 
 
+def test_protocol_of_no_steps_lists_the_empty_schedule():
+    # the walk's text for the one schedule is "", which is no step at all
+    idle = Protocol("idle", 1, 0, None, None)
+    report = verify_all(idle, 1, 2)
+    assert report.schedules_checked == 1
+    assert report.violations == (((), check_outcome({1: 0, 2: 1}, {}, ()), (), ()),)
+
+
 def test_deep_protocol_is_walked_without_recursion():
     def next_op(pid, proposal, results):
         return ReadOp(0)

@@ -416,6 +416,7 @@ FIELD_TEXTS = {
     "18-digit-value": ("value", "-" + "9" * 18),
     "19-digit-value": ("value", "9" * 19),
     "25-digit-value": ("value", "-" + "9" * 25),
+    "5000-digit-value": ("value", "9" * 5000),  # past int()'s digit limit
     "negative-slots": ("result", "[-1,null,-20]"),
     "string-value": ("value", '"ab"'),
     "float-value": ("value", "1.5"),

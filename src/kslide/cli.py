@@ -17,7 +17,7 @@ import functools
 import itertools
 import shutil
 import sys
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .consensus import check_outcome
 from .lincheck import check_linearizable, stress
@@ -47,7 +47,7 @@ from .trace import (
     violation_record,
     write_records,
 )
-from .valence import Explorer, census, sorted_values
+from .valence import Valence, census, is_critical, sorted_values, unreduced_graph
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -78,16 +78,19 @@ def _require_positive(name: str, value: int) -> int:
     return value
 
 
-def _export(lines: list[str], output: Optional[str]) -> None:
-    """Print lines, after writing the same lines to output when one is given."""
-    text = "".join(line + "\n" for line in lines)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    print(text, end="")
+LISTING_CHUNK = 4096  # lines or violations per write
 
 
-LISTING_CHUNK = 4096  # violations per write
+def _export(lines: Iterable[str], output: Optional[str]) -> None:
+    """Print lines, LISTING_CHUNK at a time, writing each chunk to output
+    first when one is given. The file is opened before lines is read and
+    anything is printed, so an unwritable output leaves stdout empty."""
+    lines = iter(lines)
+    with open(output, "w", encoding="utf-8") if output else contextlib.nullcontext() as fh:
+        while chunk := "".join([line + "\n" for line in itertools.islice(lines, LISTING_CHUNK)]):
+            if fh:
+                fh.write(chunk)
+            sys.stdout.write(chunk)
 
 
 def _write_violations(k, n, inputs, header, listing, label, ending, output) -> None:
@@ -183,29 +186,36 @@ def cmd_violate(args) -> int:
     return EXIT_VIOLATION
 
 
-def _valence_json(vmap) -> list[str]:
-    edges_by_src = [[] for _ in vmap.nodes]
-    for src, step, dst in vmap.edges:
-        edges_by_src[src].append((format_step(step), dst))
-    return [
-        serialize(ValenceNodeRecord(
-            i, sorted_values(valence.values), critical, cfg.decided, tuple(edges)
+def _valence_json(protocol, inputs, k, crash_aware) -> Iterator[str]:
+    """One valence-node record line per node of the unreduced graph, in id
+    order, each with its edges in step order."""
+    configs, succ, _, decisions = unreduced_graph(protocol, inputs, k, crash_aware)
+    name = functools.cache(format_step)
+    for node, (cfg, out) in enumerate(zip(configs, succ)):
+        yield serialize(ValenceNodeRecord(
+            node,
+            sorted_values(decisions[node]),
+            is_critical(decisions, succ, node),
+            cfg.decided,
+            tuple([(name(step), dst) for step, dst, _ in out]),
         ))
-        for i, (cfg, valence, critical, edges) in enumerate(
-            zip(vmap.nodes, vmap.valences, vmap.critical, edges_by_src)
-        )
-    ]
 
 
-def _valence_dot(vmap) -> list[str]:
-    lines = ["digraph valence {"]
-    for i, (valence, critical) in enumerate(zip(vmap.valences, vmap.critical)):
-        peripheries = ", peripheries=2" if critical else ""
-        lines.append(f'  n{i} [label="{valence!r}"{peripheries}];')
-    for src, step, dst in vmap.edges:
-        lines.append(f'  n{src} -> n{dst} [label="{format_step(step)}"];')
-    lines.append("}")
-    return lines
+def _valence_dot(protocol, inputs, k, crash_aware) -> Iterator[str]:
+    """The unreduced graph in dot: every node in id order, then every edge
+    in source id and step order."""
+    _, succ, _, decisions = unreduced_graph(protocol, inputs, k, crash_aware)
+    # CLI proposals are ints (_parse_inputs), so equal decision sets print alike
+    label = functools.cache(lambda values: repr(Valence(values)))
+    yield "digraph valence {"
+    for node, values in enumerate(decisions):
+        peripheries = ", peripheries=2" if is_critical(decisions, succ, node) else ""
+        yield f'  n{node} [label="{label(values)}"{peripheries}];'
+    name = functools.cache(format_step)
+    for node, out in enumerate(succ):
+        for step, dst, _ in out:
+            yield f'  n{node} -> n{dst} [label="{name(step)}"];'
+    yield "}"
 
 
 def cmd_valence(args) -> int:
@@ -213,7 +223,8 @@ def cmd_valence(args) -> int:
     n = _require_positive("--n", args.n)
     inputs = _parse_inputs(args.inputs, n)
     protocol = consensus_protocol()
-    # The summary counts orbits; the exports list every node, unreduced.
+    # The summary counts orbits; the exports list every node, unreduced, and
+    # build the graph only once _export has opened the output file.
     if args.format == "text":
         summary = census(protocol, inputs, k, crash_aware=args.crash_aware)
         lines = [
@@ -223,8 +234,8 @@ def cmd_valence(args) -> int:
             f"critical configurations: {summary.critical}",
         ]
     else:
-        vmap = Explorer(protocol, inputs, k, crash_aware=args.crash_aware).valence_map()
-        lines = (_valence_json if args.format == "json" else _valence_dot)(vmap)
+        export = _valence_json if args.format == "json" else _valence_dot
+        lines = export(protocol, inputs, k, args.crash_aware)
     _export(lines, args.output)
     return EXIT_OK
 

@@ -147,6 +147,8 @@ _RECORD_TYPES = {
     "history-event": HistoryEventRecord,
 }
 _TYPE_NAMES = {cls: name for name, cls in _RECORD_TYPES.items()}
+# json.dumps with these options builds a new encoder per call; one serves all
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def serialize(record) -> str:
@@ -160,7 +162,7 @@ def serialize(record) -> str:
     if name == "history-event" and record.result is not None:
         payload["result"] = encode_window(record.result)
     payload.update(type=name, schema_version=SCHEMA_VERSION)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _encode(payload)
 
 
 _raw_decode = json.JSONDecoder().raw_decode

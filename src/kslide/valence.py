@@ -6,9 +6,11 @@ some schedule extension. A configuration is monovalent when that set is a
 singleton and bivalent when both outcomes remain possible. One builder,
 _orbit_graph, builds the reachable graph with one configuration per orbit of
 a process-renaming group, and _decision_sets fills the decision sets over
-it. Explorer reads it for the trivial group, where every orbit is one
-configuration: it gives a configuration's decision set, finds critical ones
-(bivalent, but every next operation forces monovalence), and exports the
+it. unreduced_graph is that graph for the trivial group, where every orbit
+is one configuration, with its decision sets; the cli's json and dot
+exports stream from it, and is_critical tells its critical nodes (bivalent,
+but every next operation forces monovalence). Explorer reads it too: it
+gives a configuration's decision set, finds critical ones, and exports the
 whole graph by node id.
 census counts the same classes from one configuration per orbit of the
 protocol's symmetry, so it reaches sizes the whole graph cannot.
@@ -97,7 +99,7 @@ class ValenceMap(NamedTuple):
     critical: list  # node id -> whether find_critical reports it
 
 
-def _critical(decisions: list, succ: list, node: int) -> bool:
+def is_critical(decisions: list, succ: list, node: int) -> bool:
     """find_critical's test over (step, node id, ...) edges: the node is
     bivalent and every Exec successor is monovalent."""
     return len(decisions[node]) >= 2 and all(
@@ -105,17 +107,34 @@ def _critical(decisions: list, succ: list, node: int) -> bool:
     )
 
 
+def unreduced_graph(
+    protocol: Protocol,
+    inputs: Mapping[int, Value],
+    k: int,
+    crash_aware: bool = False,
+) -> tuple:
+    """(configs, succ, find, decisions): the whole configuration graph, as
+    _orbit_graph builds it for the trivial group. configs[node] is the
+    configuration numbered node, breadth-first in step order from the
+    initial one (node 0); succ[node] holds its (step, node id, None)
+    successors, an Exec per live process in pid order, then, crash-aware, a
+    Crash per live process; find(cfg) is cfg's node id, a ValueError when
+    the initial configuration does not reach it; and decisions[node] is its
+    decision set from _decision_sets."""
+    trivial = protocol._replace(symmetric=False)
+    configs, _, succ, back, _, find = _orbit_graph(trivial, dict(inputs), k, crash_aware)
+    return configs, succ, find, _decision_sets(configs, succ, back)
+
+
 class Explorer:
     """Exhaustive forward exploration of one protocol instance.
 
-    The configuration graph is the orbit graph of the trivial group
-    (_orbit_graph with the protocol's symmetry undeclared): one node per
+    The configuration graph is unreduced_graph's: one node per
     configuration reachable from the initial one, numbered breadth-first in
     step order from node 0, with its successors as (step, node id, None)
-    triples and its decision set from _decision_sets. It is built on the
-    first query, and every query reads it: reachable_decisions by lookup,
-    find_critical and valence_map in node id order, which is therefore
-    breadth-first. A configuration the initial one does not reach raises
+    triples and its decision set. It is built on the first query, and every
+    query reads it: reachable_decisions by lookup, find_critical and
+    valence_map in node id order, which is therefore breadth-first. A configuration the initial one does not reach raises
     ValueError. With crash_aware=True the successor relation also includes
     crash steps; decision sets do not change, because never scheduling a
     process reaches the same decisions as crashing it, but the option exists
@@ -136,12 +155,7 @@ class Explorer:
 
     @functools.cached_property
     def _graph(self) -> tuple:
-        """(configs, succ, find, decisions) by node id; find(cfg) is cfg's id."""
-        trivial = self.protocol._replace(symmetric=False)
-        configs, _, succ, back, _, find = _orbit_graph(
-            trivial, self.inputs, self.k, self.crash_aware
-        )
-        return configs, succ, find, _decision_sets(configs, succ, back)
+        return unreduced_graph(self.protocol, self.inputs, self.k, self.crash_aware)
 
     def _node(self, cfg: Optional[Configuration]) -> int:
         """Node id of cfg (default: the initial configuration, node 0)."""
@@ -165,7 +179,7 @@ class Explorer:
                 ),
             )
             for node in range(len(configs))
-            if _critical(decisions, succ, node)
+            if is_critical(decisions, succ, node)
         ]
 
     def valence_map(self) -> ValenceMap:
@@ -174,7 +188,7 @@ class Explorer:
             list(configs),
             [Valence(values) for values in decisions],
             [(node, step, nxt) for node, out in enumerate(succ) for step, nxt, _ in out],
-            [_critical(decisions, succ, node) for node in range(len(configs))],
+            [is_critical(decisions, succ, node) for node in range(len(configs))],
         )
 
 
@@ -480,7 +494,7 @@ def census(
         nodes += size
         if len(values) >= 2:
             bivalent += size
-            critical += size * _critical(decisions, succ, node)
+            critical += size * is_critical(decisions, succ, node)
         elif values:
             monovalent += size
     return Census(Valence(decisions[0]), len(reps), nodes, bivalent, monovalent, critical)

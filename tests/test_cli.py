@@ -24,6 +24,7 @@ from kslide.sim import (
     consensus_protocol,
     find_violation,
     format_schedule,
+    format_step,
     parse_schedule,
     run_schedule,
     verify_all,
@@ -40,6 +41,7 @@ from kslide.trace import (
     violation_record,
     write_records,
 )
+from kslide.valence import Explorer, sorted_values
 from oracles import schedule_order
 
 
@@ -191,6 +193,7 @@ def test_verify_writes_violation_records(capsys, tmp_path):
         ("verify", "--k", "1", "--n", "2", "--schedule", "E1,E1,E2,E2"),
         ("violate", "--k", "1", "--max", "2"),
         ("valence", "--k", "1", "--n", "2", "--format", "json"),
+        ("valence", "--k", "2", "--n", "2", "--format", "dot"),
     ],
 )
 def test_unwritable_output_fails_before_printing(capsys, tmp_path, argv):
@@ -335,14 +338,28 @@ def test_valence_json_export(capsys, tmp_path):
             ("--k", "4", "--n", "5"),
             "957d6d555953eb4158c8cd065d117e9e67f4656c05729d937da8617be1425f6e",
         ),
+        (
+            # 1,546 lines, as printed when the export was built from the
+            # whole valence map
+            ("--k", "3", "--n", "3", "--crash-aware", "--format", "dot"),
+            "e6371f4b771ed207f533e7c547f1d72e90ef8b9f313b3db155565436aee2a175",
+        ),
+        (
+            # 242 records, likewise
+            ("--k", "3", "--n", "3", "--inputs", "5,5,5", "--crash-aware", "--format", "json"),
+            "7730b50925efdeba29f272f6a019b76c47298246ce329f9eb9a6f52668895e9b",
+        ),
     ],
 )
-def test_valence_output_matches_pinned_digest(capsys, argv, digest):
+def test_valence_output_matches_pinned_digest(capsys, tmp_path, argv, digest):
     # SHA-256 of stdout as the recursive explorer printed it: node, edge and
-    # critical order and every valence label stay byte-identical
-    code, out, _ = run_cli(capsys, "valence", *argv)
+    # critical order and every valence label stay byte-identical, and the
+    # --output file holds the same bytes
+    path = tmp_path / "valence.out"
+    code, out, _ = run_cli(capsys, "valence", *argv, "--output", str(path))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert path.read_bytes() == out.encode()
 
 
 @pytest.mark.parametrize(
@@ -581,6 +598,57 @@ def test_valence_summary_counts_graphs_too_large_to_build(capsys, argv, nodes):
     assert code == 0
     assert nodes in out
     assert elapsed < 10, f"valence {' '.join(argv)} took {elapsed:.1f} s"
+
+
+def reference_json(vmap) -> list[str]:
+    """The json export's lines, grouped from a whole ValenceMap's edges."""
+    edges_by_src = [[] for _ in vmap.nodes]
+    for src, step, dst in vmap.edges:
+        edges_by_src[src].append((format_step(step), dst))
+    return [
+        serialize(ValenceNodeRecord(
+            i, sorted_values(valence.values), critical, cfg.decided, tuple(edges)
+        ))
+        for i, (cfg, valence, critical, edges) in enumerate(
+            zip(vmap.nodes, vmap.valences, vmap.critical, edges_by_src)
+        )
+    ]
+
+
+def reference_dot(vmap) -> list[str]:
+    """The dot export's lines from a whole ValenceMap."""
+    lines = ["digraph valence {"]
+    for i, (valence, critical) in enumerate(zip(vmap.valences, vmap.critical)):
+        peripheries = ", peripheries=2" if critical else ""
+        lines.append(f'  n{i} [label="{valence!r}"{peripheries}];')
+    for src, step, dst in vmap.edges:
+        lines.append(f'  n{src} -> n{dst} [label="{format_step(step)}"];')
+    lines.append("}")
+    return lines
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_valence_exports_match_the_valence_map(data):
+    # the streamed exports against lines built from Explorer's whole map
+    k = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 4 if k <= 2 else 3))
+    crash_aware, fmt = data.draw(st.booleans()), data.draw(st.sampled_from(["json", "dot"]))
+    if data.draw(st.booleans()):
+        values = data.draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n, unique=True))
+    else:
+        values = data.draw(proposals(n))
+    inputs = dict(enumerate(values, 1))
+    vmap = Explorer(consensus_protocol(), inputs, k, crash_aware=crash_aware).valence_map()
+    expected = (reference_json if fmt == "json" else reference_dot)(vmap)
+    argv = ["valence", "--k", str(k), "--n", str(n), f"--inputs={','.join(map(str, values))}"]
+    argv += ["--format", fmt] + ["--crash-aware"] * crash_aware
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "export.txt")
+        code, out = listed(argv, path)
+        lines = text_lines(path)
+    assert code == 0
+    assert out.splitlines() == lines == expected
 
 
 def test_valence_crash_aware_adds_crash_edges(capsys):

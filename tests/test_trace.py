@@ -82,6 +82,52 @@ def test_every_record_round_trips(record):
     assert serialize(parse(line)) == line
 
 
+TYPE_NAMES = {
+    ScheduleRecord: "schedule",
+    OutcomeRecord: "outcome",
+    ViolationRecord: "violation",
+    ValenceNodeRecord: "valence-node",
+    HistoryEventRecord: "history-event",
+}
+
+# what json encodes, tuples included, with strings that need escaping
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+def dumped(record) -> str:
+    """The record's line as json.dumps writes its payload."""
+    payload = record._asdict()
+    if isinstance(record, HistoryEventRecord) and record.result is not None:
+        payload["result"] = encode_window(record.result)
+    payload.update(type=TYPE_NAMES[type(record)], schema_version=1)
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+@given(records, st.data())
+def test_serialize_writes_what_json_dumps_writes(record, data):
+    assert serialize(record) == dumped(record)
+    # any one field but a history event's result window holding any JSON value
+    field = data.draw(st.sampled_from([f for f in record._fields if f != "result"]))
+    record = record._replace(**{field: data.draw(json_values)})
+    assert serialize(record) == dumped(record)
+
+
+@given(records, st.data(), st.sampled_from([object(), 1j, Ellipsis, b"E1"]))
+def test_serialize_still_rejects_values_json_cannot_encode(record, data, bad):
+    field = data.draw(st.sampled_from([f for f in record._fields if f != "result"]))
+    with pytest.raises(TypeError):
+        serialize(record._replace(**{field: bad}))
+    with pytest.raises(TypeError):
+        serialize(record._replace(**{field: (1, {"nested": bad})}))
+
+
 def test_serialized_lines_carry_type_and_version():
     line = serialize(ScheduleRecord(("E1", "E2")))
     assert '"type":"schedule"' in line

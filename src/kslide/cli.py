@@ -246,19 +246,19 @@ def cmd_lincheck_stress(args) -> int:
     k = _require_positive("--k", args.k)
     histories = _require_positive("--histories", args.histories)
     factory = REGISTER_FACTORIES[args.mutant]
+    if args.save:  # an unwritable path fails before any history runs or prints
+        open(args.save, "w", encoding="utf-8").close()
     failures = 0
     first_failing = None
-    last = None
     for i in range(histories):
         history = stress(threads, ops, k, seed=args.seed + i, register_factory=factory)
-        last = history
         if check_linearizable(history) is None:
             failures += 1
             if first_failing is None:
                 first_failing = history
     print(f"{histories} histories checked, {failures} non-linearizable")
     if args.save:
-        chosen = first_failing if first_failing is not None else last
+        chosen = first_failing if first_failing is not None else history
         write_records(args.save, history_to_records(chosen))
         print(f"saved history to {args.save}")
     return EXIT_VIOLATION if failures else EXIT_OK

@@ -9,7 +9,7 @@ object degenerates to a classic atomic register.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional, Union
 
 Value = Any  # hashable application value; never BOTTOM
 Window = tuple  # k slots, oldest first; BOTTOM entries form a prefix
@@ -52,7 +52,29 @@ def empty_window(k: int) -> Window:
 def slide(window: Window, value: Value) -> Window:
     """Window after writing value: the oldest slot drops out and value
     becomes the newest. Over the padded window this is the whole of write."""
+    if value is BOTTOM:
+        raise ValueError("BOTTOM marks missing values and cannot be written")
     return window[1:] + (value,)
+
+
+class WriteOp(NamedTuple):
+    reg: int
+    value: Value
+
+    def apply(self, window: Window) -> tuple:
+        """(window after the write, result): a write's result is None."""
+        return slide(window, self.value), None
+
+
+class ReadOp(NamedTuple):
+    reg: int
+
+    def apply(self, window: Window) -> tuple:
+        """(window, result): a read leaves the window and returns it."""
+        return window, window
+
+
+RegisterOp = Union[WriteOp, ReadOp]
 
 
 class SlidingRegister:
@@ -74,8 +96,6 @@ class SlidingRegister:
 
     def write(self, value: Value) -> None:
         """Append one value to the logical sequence."""
-        if value is BOTTOM:
-            raise ValueError("BOTTOM marks missing values and cannot be written")
         self._window = slide(self._window, value)
         self._writes += 1
 

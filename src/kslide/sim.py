@@ -15,7 +15,7 @@ import itertools
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .consensus import PropertyReport, check_outcome
-from .register import BOTTOM, Value, empty_window, first_non_bottom, slide
+from .register import ReadOp, RegisterOp, Value, WriteOp, empty_window, first_non_bottom
 
 
 class ScheduleError(ValueError):
@@ -58,7 +58,7 @@ def format_step(step: Step) -> str:
 
 def parse_step(text: str) -> Step:
     body = text.strip()
-    if len(body) >= 2 and body[0] in "EC" and body[1:].isdigit():
+    if len(body) >= 2 and body[0] in "EC" and body[1:].isascii() and body[1:].isdigit():
         pid = int(body[1:])
         if pid >= 1:
             return Exec(pid) if body[0] == "E" else Crash(pid)
@@ -73,24 +73,13 @@ def parse_schedule(items: Iterable[str]) -> Schedule:
     return tuple(parse_step(s) for s in items)
 
 
-class WriteOp(NamedTuple):
-    reg: int
-    value: Value
-
-
-class ReadOp(NamedTuple):
-    reg: int
-
-
-RegisterOp = Union[WriteOp, ReadOp]
-
-
 class Protocol(NamedTuple):
     """Bounded step-functional protocol description.
 
     next_op(pid, proposal, results) names the process's next shared-register
-    operation given the results of its previous steps (None for a write, the
-    window for a read). Once a process has taken steps_per_process steps,
+    operation given the results of its previous steps; a step's result is
+    the result of its operation's apply (None for a write, the window for
+    a read). Once a process has taken steps_per_process steps,
     decide(pid, proposal, results) maps its results to a decision. Local
     computation is folded into the surrounding steps, so one step is exactly
     one atomic shared-register access.
@@ -186,9 +175,9 @@ def pending_op(
 def apply_exec(
     protocol: Protocol, inputs: Mapping[int, Value], cfg: Configuration, pid: int
 ) -> Configuration:
-    """Run one step of pid against an immutable configuration: a write
-    slides the register's window, a read returns it. This is the only
-    definition of a step; the window size k is carried by cfg's windows."""
+    """Run one step of pid against an immutable configuration: op.apply maps
+    the named register's window to its new window and the step's result.
+    This is the only step; the window size k is carried by cfg's windows."""
     if not is_live(protocol, cfg, pid):
         state = "crashed and cannot take steps" if pid in cfg.crashed else "already finished"
         raise ScheduleError(f"process {pid} {state}")
@@ -199,13 +188,11 @@ def apply_exec(
     reg = op.reg
     if not 0 <= reg < len(registers):
         raise ValueError(f"protocol named unknown register {reg}")
-    if isinstance(op, WriteOp):
-        if op.value is BOTTOM:
-            raise ValueError("BOTTOM marks missing values and cannot be written")
-        registers = registers[:reg] + (slide(registers[reg], op.value),) + registers[reg + 1 :]
-        results += (None,)
-    else:
-        results += (registers[reg],)
+    window = registers[reg]
+    after, result = op.apply(window)
+    if after is not window:  # a read leaves the registers as they are
+        registers = registers[:reg] + (after,) + registers[reg + 1 :]
+    results += (result,)
     if len(results) == protocol.steps_per_process:
         decided = tuple(sorted(decided + ((pid, protocol.decide(pid, proposal, results)),)))
     locals_ = locals_[: pid - 1] + (results,) + locals_[pid:]
@@ -219,9 +206,8 @@ def apply_crash(protocol: Protocol, cfg: Configuration, pid: int) -> Configurati
     if not is_live(protocol, cfg, pid):
         state = "crashed twice" if pid in cfg.crashed else "already finished"
         raise ScheduleError(f"process {pid} {state}")
-    return Configuration(
-        cfg.locals, cfg.registers, tuple(sorted(cfg.crashed + (pid,))), cfg.decided
-    )
+    crashed = tuple(sorted(cfg.crashed + (pid,)))
+    return tuple.__new__(Configuration, (cfg.locals, cfg.registers, crashed, cfg.decided))
 
 
 def run_schedule(

@@ -123,10 +123,17 @@ def test_verify_replay_with_crash_keeps_termination(capsys):
 
 
 def test_verify_replay_rejects_bad_schedule(capsys):
-    # --crashes only widens the enumeration, so a replay cannot take it
-    for extra in (["--schedule", "E1,bogus"], ["--schedule", "E1,E1", "--crashes"]):
+    # --crashes only widens the enumeration, so a replay cannot take it; a
+    # pid takes ASCII digits only, though str.isdigit accepts "١" and "²"
+    for extra in (
+        ["--schedule", "E1,bogus"],
+        ["--schedule", "E1,E1", "--crashes"],
+        ["--schedule", "E١,E١,E2,E2"],
+        ["--schedule", "E²"],
+    ):
         code, out, err = run_cli(capsys, "verify", "--k", "2", "--n", "2", *extra)
         assert (code, out, err.startswith("error:")) == (2, "", True)
+        assert "steps look like" in err or "--crashes" in err
 
 
 def test_verify_replay_rejects_a_crash_after_deciding(capsys):
@@ -188,18 +195,20 @@ def test_verify_writes_violation_records(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("verify", "--k", "1", "--n", "2"),
-        ("verify", "--k", "2", "--n", "2"),
-        ("verify", "--k", "1", "--n", "2", "--schedule", "E1,E1,E2,E2"),
-        ("violate", "--k", "1", "--max", "2"),
-        ("valence", "--k", "1", "--n", "2", "--format", "json"),
-        ("valence", "--k", "2", "--n", "2", "--format", "dot"),
+        ("verify", "--k", "1", "--n", "2", "--output"),
+        ("verify", "--k", "2", "--n", "2", "--output"),
+        ("verify", "--k", "1", "--n", "2", "--schedule", "E1,E1,E2,E2", "--output"),
+        ("violate", "--k", "1", "--max", "2", "--output"),
+        ("valence", "--k", "1", "--n", "2", "--format", "json", "--output"),
+        ("valence", "--k", "2", "--n", "2", "--format", "dot", "--output"),
+        ("lincheck", "stress", "--histories", "200", "--save"),
     ],
 )
 def test_unwritable_output_fails_before_printing(capsys, tmp_path, argv):
-    # the output file is opened before the first line is printed, so a
-    # path that cannot be written leaves no partial listing on stdout
-    code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path / "missing" / "x.jsonl"))
+    # argv ends with the command's output flag. The file is opened before
+    # the first line is printed (and before the first stress history runs),
+    # so a path that cannot be written leaves no partial listing on stdout
+    code, out, err = run_cli(capsys, *argv, str(tmp_path / "missing" / "x.jsonl"))
     assert (code, out) == (2, "")
     assert err.startswith("error: [Errno 2] No such file or directory")
 

@@ -4,12 +4,15 @@ from hypothesis import strategies as st
 
 from kslide.register import (
     BOTTOM,
+    ReadOp,
     SlidingRegister,
     WindowShortRegister,
+    WriteOp,
     empty_window,
     first_non_bottom,
     slide,
 )
+from kslide.sim import Configuration, Protocol, apply_exec
 from oracles import FullSequenceRegister, padded_last_k
 
 values = st.integers(min_value=0, max_value=9)
@@ -99,6 +102,43 @@ def test_slide_matches_register_and_oracle(k, writes):
         window = slide(window, value)
         reg.write(value)
         assert window == reg.read() == padded_last_k(writes[: i + 1], k)
+
+
+BOTTOM_WRITE = "^BOTTOM marks missing values and cannot be written$"
+
+# one step per process, writing BOTTOM: apply_exec reaches slide's check
+WRITES_BOTTOM = Protocol("write-bottom", 1, 1, lambda *_: WriteOp(0, BOTTOM), lambda *_: None)
+
+
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.lists(st.one_of(st.builds(WriteOp, st.just(0), values), st.just(ReadOp(0))), max_size=12),
+)
+def test_operations_fold_like_the_oracles(k, ops):
+    window, written = empty_window(k), []
+    reg, oracle = SlidingRegister(k), FullSequenceRegister(k)
+    for op in ops:
+        before = window
+        window, result = op.apply(window)
+        if type(op) is WriteOp:
+            written.append(op.value)
+            reg.write(op.value)
+            oracle.write(op.value)
+            assert result is None
+        else:
+            assert window is before and result is before
+        assert window == padded_last_k(written, k) == oracle.read() == reg.read()
+    # every write path refuses BOTTOM through slide's one check, from any window
+    cfg = Configuration(((),), (window,), (), ())
+    for write in (
+        lambda: slide(window, BOTTOM),
+        lambda: WriteOp(0, BOTTOM).apply(window),
+        lambda: reg.write(BOTTOM),
+        lambda: apply_exec(WRITES_BOTTOM, {1: 0}, cfg, 1),
+    ):
+        with pytest.raises(ValueError, match=BOTTOM_WRITE):
+            write()
+    assert (reg.read(), reg.writes) == (window, len(written))
 
 
 @given(write_lists, sizes)

@@ -1,12 +1,13 @@
 import functools
 import re
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kslide.consensus import check_outcome
-from kslide.register import BOTTOM, first_non_bottom
+from kslide.register import BOTTOM, first_non_bottom, slide
 from kslide.sim import (
     Configuration,
     Crash,
@@ -31,7 +32,7 @@ from kslide.sim import (
     run_schedule,
     verify_all,
 )
-from kslide.valence import Explorer, check_commutation
+from kslide.valence import Explorer, census, check_commutation
 from oracles import crash_free_count, replay_consensus, schedule_order, with_crash_count
 
 PROTO = consensus_protocol()
@@ -64,9 +65,10 @@ def test_steps_compare_by_type():
     assert len(set(schedules)) == len(schedules)
 
 
-@pytest.mark.parametrize("bad", ["", "E", "X1", "E0", "E-1", "1", "EE1"])
+# non-ASCII digits are digits to str.isdigit, and "²" is not one to int()
+@pytest.mark.parametrize("bad", ["", "E", "X1", "E0", "E-1", "1", "EE1", "E²", "E١", "C٣"])
 def test_bad_step_strings(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^steps look like 'E1' or 'C2', got "):
         parse_step(bad)
 
 
@@ -166,6 +168,15 @@ def test_run_schedule_agrees_with_pure_stepping(n, k, data):
         else:
             cfg = apply_crash(PROTO, cfg, step.pid)
     assert cfg == end
+
+
+def test_a_read_step_keeps_the_registers_tuple():
+    # apply_exec rebuilds the registers only when op.apply returns a new window
+    inputs = default_inputs(2)
+    written = apply_exec(PROTO, inputs, initial_config(PROTO, inputs, 2), 1)
+    read = apply_exec(PROTO, inputs, written, 1)
+    assert read.registers is written.registers
+    assert read.locals[0] == (None, (BOTTOM, 0))
 
 
 def test_pending_op_reflects_protocol_position():
@@ -531,7 +542,7 @@ def replayed_verify(inputs, k, n, crashes, protocol=PROTO):
     """verify_all's answer, replaying every schedule from the start."""
     violations = []
     count = 0
-    for s in enumerate_schedules(n, 2, crashes):
+    for s in enumerate_schedules(n, protocol.steps_per_process, crashes):
         end = run_schedule(protocol, inputs, k, s)
         report = check_outcome(inputs, dict(end.decided), end.crashed)
         count += 1
@@ -584,6 +595,56 @@ def test_shared_prefix_checks_match_per_schedule_replay(
     assert repr(report.violations) == repr(want[1])
     found = find_violation(protocol, k, n, inputs, max_results)
     assert found == replayed_violations(inputs, k, n, max_results, protocol)
+
+
+class SwapOp(NamedTuple):
+    """An operation no kslide module names: write value to register reg and
+    return the window the write replaced."""
+
+    reg: int
+    value: object
+
+    def apply(self, window):
+        return slide(window, self.value), window
+
+
+def _swap_consensus():
+    """One swap per process: decide the newest value of the window the swap
+    replaced, or the own proposal if that slot is BOTTOM. At k=1 this is
+    consensus for two processes: the third swapper sees the second's value."""
+
+    def next_op(pid, proposal, results):
+        return SwapOp(0, proposal)
+
+    def decide(pid, proposal, results):
+        newest = results[-1][-1]
+        return proposal if newest is BOTTOM else newest
+
+    return Protocol("swap", 1, 1, next_op, decide)
+
+
+SWAP = _swap_consensus()
+
+
+@pytest.mark.parametrize("crashes", [False, True])
+@pytest.mark.parametrize("n, holds", [(2, True), (3, False)])
+def test_the_step_applies_an_operation_sim_does_not_know(n, holds, crashes):
+    inputs = default_inputs(n)
+    report = verify_all(SWAP, 1, n, inputs, with_crashes=crashes)
+    assert report.ok is holds
+    assert (report.schedules_checked, report.violations) == replayed_verify(
+        inputs, 1, n, crashes, SWAP
+    )
+    explorer = Explorer(SWAP, inputs, 1, crash_aware=crashes)
+    vmap = explorer.valence_map()
+    c = census(SWAP, inputs, 1, crash_aware=crashes)
+    assert (repr(c.root), c.nodes, c.bivalent, c.monovalent, c.critical) == (
+        repr(vmap.valences[0]),
+        len(vmap.nodes),
+        sum(v.bivalent for v in vmap.valences),
+        sum(v.monovalent for v in vmap.valences),
+        len(explorer.find_critical()),
+    )
 
 
 # ---------------------------------------------------------------- violation

@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import functools
 import itertools
+import re
 import shutil
 import sys
 from typing import Iterable, Iterator, Optional
@@ -63,10 +64,11 @@ REGISTER_FACTORIES = {
 def _parse_inputs(text: Optional[str], n: int) -> dict:
     if text is None:
         return default_inputs(n)
-    try:
-        values = [int(part) for part in text.split(",")]
-    except ValueError:
+    parts = [part.strip() for part in text.split(",")]
+    # int() alone would also take "1_0" and non-ASCII digits
+    if not all(re.fullmatch("[+-]?[0-9]+", part) for part in parts):
         raise ValueError(f"--inputs takes comma-separated integers, got {text!r}")
+    values = [int(part) for part in parts]
     if len(values) != n:
         raise ValueError(f"--inputs needs {n} values, got {len(values)}")
     return {pid: values[pid - 1] for pid in range(1, n + 1)}
@@ -171,15 +173,16 @@ def cmd_violate(args) -> int:
     k = _require_positive("--k", args.k)
     n = k + 1
     inputs = _parse_inputs(args.inputs, n)
-    _require_positive("--max", args.max)
-    protocol = consensus_protocol()
-    found = find_violation(protocol, k, n, inputs, max_results=args.max)
-    if not found:
+    # islice takes no stop above sys.maxsize, and no search finds that many
+    most = min(_require_positive("--max", args.max), sys.maxsize)
+    found = itertools.islice(find_violation(consensus_protocol(), k, n, inputs), most)
+    first = next(found, None)
+    if first is None:
         print("no agreement violation found")
         return EXIT_OK
 
     def listing(render):
-        for sched, decided, crashed in found:
+        for sched, decided, crashed in itertools.chain((first,), found):
             yield ",".join(map(format_step, sched)), render(None, decided, crashed)
 
     _write_violations(k, n, inputs, None, listing, "schedule: ", _decides, args.output)

@@ -446,25 +446,22 @@ def find_violation(
     k: int,
     n: int,
     inputs: Optional[Mapping[int, Value]] = None,
-    max_results: Optional[int] = None,
-) -> list[tuple[Schedule, tuple, tuple]]:
-    """(schedule, decided, crashed) per agreement violation, eviction run
-    first; decided and crashed are the final configuration's sorted tuples.
+) -> Iterator[tuple[Schedule, tuple, tuple]]:
+    """Yield (schedule, decided, crashed) per agreement violation, eviction
+    run first, as the search finds it; decided and crashed are the final
+    configuration's sorted tuples. Take a bounded number with
+    itertools.islice.
 
     The canonical eviction schedule is run first when n == k + 1; after
     that every other complete crash-free schedule is checked in enumeration
-    order, by verify_all's walk, until max_results are found. Crash markers
-    cannot create disagreement on their own (they only remove future
-    steps), so the complete crash-free set is the exhaustive one for runs
-    where every process decides.
+    order, by verify_all's walk. Crash markers cannot create disagreement on
+    their own (they only remove future steps), so the complete crash-free
+    set is the exhaustive one for runs where every process decides.
     """
     inputs = _proposals(n, inputs)
     root = initial_config(protocol, inputs, k)
     exec_step = functools.partial(apply_exec, protocol, inputs)
     judge = _judge(inputs)
-    found: list[tuple[Schedule, tuple, tuple]] = []
-    if max_results is not None and max_results <= 0:
-        return found
     evict = None
     # The eviction run is a valid schedule exactly when every process has
     # at least the two steps it uses.
@@ -472,17 +469,11 @@ def find_violation(
         evict = eviction_schedule(k)
         cfg = run_schedule(protocol, inputs, k, evict)
         if not judge(cfg.decided, cfg.crashed).agreement:
-            found.append((evict, cfg.decided, cfg.crashed))
-            if len(found) == max_results:
-                return found
+            yield evict, cfg.decided, cfg.crashed
     # without crashes _walk never takes a crash step
     for stack in _walk(n, protocol.steps_per_process, False, root, exec_step, None):
         cfg = stack[-1][0]
         if not judge(cfg.decided, cfg.crashed).agreement:
             sched = _schedule(stack)
             if sched != evict:
-                found.append((sched, cfg.decided, cfg.crashed))
-                if len(found) == max_results:
-                    break
-    return found
-
+                yield sched, cfg.decided, cfg.crashed

@@ -134,11 +134,12 @@ class Explorer:
     step order from node 0, with its successors as (step, node id, None)
     triples and its decision set. It is built on the first query, and every
     query reads it: reachable_decisions by lookup, find_critical and
-    valence_map in node id order, which is therefore breadth-first. A configuration the initial one does not reach raises
-    ValueError. With crash_aware=True the successor relation also includes
-    crash steps; decision sets do not change, because never scheduling a
-    process reaches the same decisions as crashing it, but the option exists
-    to make that checkable.
+    valence_map in node id order, which is therefore breadth-first. A
+    configuration the initial one does not reach raises ValueError. With
+    crash_aware=True the successor relation also includes crash steps;
+    decision sets do not change, because never scheduling a process reaches
+    the same decisions as crashing it, but the option exists to make that
+    checkable.
     """
 
     def __init__(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import time
 from contextlib import redirect_stdout
 
@@ -136,7 +137,7 @@ def test_criterion_2_one_extra_participant_breaks_agreement():
     start = time.monotonic()
     for k in (1, 2, 3):
         n = k + 1
-        found = find_violation(protocol, k, n, max_results=1)
+        found = list(itertools.islice(find_violation(protocol, k, n), 1))
         if not found:
             problems.append(f"k={k}: no violating schedule found")
             continue
@@ -148,7 +149,7 @@ def test_criterion_2_one_extra_participant_breaks_agreement():
         end = run_schedule(protocol, default_inputs(n), k, lead)
         if len({value for _, value in end.decided}) < 2:
             problems.append(f"k={k}: decisions {dict(end.decided)} do not disagree")
-    exhaustive = find_violation(protocol, 1, 2)
+    exhaustive = list(find_violation(protocol, 1, 2))
     if not exhaustive:
         problems.append("k=1 exhaustive search found nothing")
     got = {tuple(format_schedule(s)) for s, _, _ in exhaustive}

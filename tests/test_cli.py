@@ -3,6 +3,7 @@ import contextlib
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -84,9 +85,13 @@ def test_verify_rejects_bad_inputs(capsys):
     code, _, err = run_cli(capsys, "verify", "--k", "2", "--n", "2", "--inputs", "1")
     assert code == 2
     assert "--inputs needs 2 values" in err
-    code, _, err = run_cli(capsys, "verify", "--k", "2", "--n", "2", "--inputs", "a,b")
-    assert code == 2
-    assert "comma-separated integers" in err
+    # int() alone takes underscores and non-ASCII digits: "1_0" is 10, "١" is 1
+    for text in ("a,b", "1_0,2", "١,2", "1,²", "+-1,2", "1 2,3", ",1"):
+        code, out, err = run_cli(capsys, "verify", "--k", "2", "--n", "2", f"--inputs={text}")
+        assert (code, out) == (2, "")
+        assert f"--inputs takes comma-separated integers, got {text!r}" in err
+    code, out, _ = run_cli(capsys, "verify", "--k", "2", "--n", "2", "--inputs", " +5 , -6 ")
+    assert (code, out) == (0, "6 crash-free schedules, 0 violations\n")
 
 
 def test_verify_replays_one_schedule(capsys, tmp_path):
@@ -242,6 +247,16 @@ def test_violate_max_limits_results(capsys):
     code, out, _ = run_cli(capsys, "violate", "--k", "1", "--max", "2")
     assert code == 1
     assert out.count("schedule:") == 2
+
+
+def test_violate_max_above_sys_maxsize_lists_every_schedule(capsys):
+    # itertools.islice refuses a stop above sys.maxsize
+    code, out, err = run_cli(capsys, "violate", "--k", "1", "--max", str(10**20))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "schedule: E1,E1,E2,E2", "  p1 decides 0", "  p2 decides 1",
+        "schedule: E2,E2,E1,E1", "  p1 decides 0", "  p2 decides 1",
+    ]
 
 
 def test_violate_records_replay_to_same_outcome(capsys, tmp_path):
@@ -574,7 +589,7 @@ def test_violate_listing_is_one_serialize_per_violation(data):
         path = os.path.join(tmp, "v.jsonl")
         code, out = listed(argv + [f"--inputs={','.join(map(str, values))}"], path)
         lines = text_lines(path) if os.path.exists(path) else None
-    found = find_violation(consensus_protocol(), k, k + 1, inputs, max_results=most)
+    found = list(itertools.islice(find_violation(consensus_protocol(), k, k + 1, inputs), most))
     if not found:
         assert (code, out, lines) == (0, "no agreement violation found\n", None)
         return

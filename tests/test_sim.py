@@ -1,4 +1,5 @@
 import functools
+import itertools
 import re
 from typing import NamedTuple
 
@@ -485,7 +486,7 @@ def test_deep_protocol_is_walked_without_recursion():
     deep = Protocol("deep", 1, 1200, next_op, decide)
     report = verify_all(deep, 1, 1)
     assert report.schedules_checked == 1 and report.ok
-    assert find_violation(deep, 1, 1) == []
+    assert list(find_violation(deep, 1, 1)) == []
     assert list(enumerate_schedules(1, 1200)) == [(Exec(1),) * 1200]
 
 
@@ -593,7 +594,8 @@ def test_shared_prefix_checks_match_per_schedule_replay(
     # repr tells 1, 1.0 and True apart, which == does not
     assert (report.schedules_checked, report.violations) == want
     assert repr(report.violations) == repr(want[1])
-    found = find_violation(protocol, k, n, inputs, max_results)
+    # islice with a stop of None takes every hit
+    found = list(itertools.islice(find_violation(protocol, k, n, inputs), max_results))
     assert found == replayed_violations(inputs, k, n, max_results, protocol)
 
 
@@ -659,7 +661,7 @@ def test_eviction_schedule_shape():
 
 
 def test_find_violation_k2_leads_with_the_eviction_run():
-    found = find_violation(PROTO, 2, 3, max_results=1)
+    found = list(itertools.islice(find_violation(PROTO, 2, 3), 1))
     assert [format_schedule(s) for s, _, _ in found] == [["E1", "E1", "E2", "E3", "E2"]]
     assert found[0][1:] == (((1, 0), (2, 1)), ())
     end = run_schedule(PROTO, default_inputs(3), 2, found[0][0])
@@ -667,7 +669,7 @@ def test_find_violation_k2_leads_with_the_eviction_run():
 
 
 def test_find_violation_k1_is_exhaustive():
-    found = find_violation(PROTO, 1, 2)
+    found = list(find_violation(PROTO, 1, 2))
     assert [format_schedule(s) for s, _, _ in found] == [
         ["E1", "E1", "E2", "E2"],
         ["E2", "E2", "E1", "E1"],
@@ -675,12 +677,25 @@ def test_find_violation_k1_is_exhaustive():
 
 
 def test_find_violation_within_capacity_is_empty():
-    assert find_violation(PROTO, 3, 3) == []
+    assert list(find_violation(PROTO, 3, 3)) == []
 
 
-def test_find_violation_respects_max_results():
-    found = find_violation(PROTO, 1, 2, max_results=1)
-    assert len(found) == 1
+def test_find_violation_yields_the_eviction_run_before_walking():
+    # the eviction run at k=6 is 9 steps, one next_op call each; a walk
+    # step before the first hit would call next_op again, and fails at once
+    # rather than walk the 681,080,400 schedules of n=7
+    calls = []
+
+    def next_op(pid, proposal, results):
+        calls.append(pid)
+        assert len(calls) <= 9, "find_violation stepped past the eviction run"
+        return PROTO.next_op(pid, proposal, results)
+
+    counted = PROTO._replace(next_op=next_op)
+    found = find_violation(counted, 6, 7)
+    assert calls == []
+    assert next(found)[0] == eviction_schedule(6)
+    assert calls == [1, 1, 2, 3, 4, 5, 6, 7, 2]
 
 
 @pytest.mark.parametrize(
@@ -695,5 +710,6 @@ def test_find_violation_respects_max_results():
 )
 def test_inputs_must_hold_one_proposal_per_process(check, k, n, inputs):
     # n counts the processes, so inputs must hold exactly n proposals
+    # list: find_violation is a generator and checks them on the first next()
     with pytest.raises(ValueError, match=f"{len(inputs)} proposals given for {n} processes"):
-        check(PROTO, k, n, inputs=inputs)
+        list(check(PROTO, k, n, inputs=inputs))

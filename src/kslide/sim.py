@@ -452,11 +452,11 @@ def find_violation(
     configuration's sorted tuples. Take a bounded number with
     itertools.islice.
 
-    The canonical eviction schedule is run first when n == k + 1; after
-    that every other complete crash-free schedule is checked in enumeration
-    order, by verify_all's walk. Crash markers cannot create disagreement on
-    their own (they only remove future steps), so the complete crash-free
-    set is the exhaustive one for runs where every process decides.
+    The eviction schedule is run first when n == k + 1; then _walk steps
+    concrete configurations with apply_exec, one call per tree edge, over
+    every other complete crash-free schedule in enumeration order. Crash
+    markers cannot create disagreement on their own (they only remove future
+    steps), so the crash-free set is exhaustive where every process decides.
     """
     inputs = _proposals(n, inputs)
     root = initial_config(protocol, inputs, k)

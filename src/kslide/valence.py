@@ -448,22 +448,20 @@ def _orbit_graph(protocol: Protocol, inputs: dict, k: int, crash_aware: bool):
     return reps, stabs, succ, back, group, find
 
 
-def _pull(values: frozenset, back: Optional[dict]) -> frozenset:
-    return values if back is None else frozenset(back.get(v, v) for v in values)
-
-
 def _decision_sets(reps: list, succ: list, back) -> list[frozenset]:
     """The set of reachable decisions per node of an _orbit_graph. Every
     step adds one result to a process's locals or one process to the
     crashed set, so every edge leads one step deeper, to a higher node id:
     id order is topological and the sets fill from the last node back.
-    Values enter the node's own decisions first, then each successor's set,
-    read in the successor's labeling, in step order."""
+    Each node's set is the union of its own decisions and then each
+    successor's set, read in the successor's labeling, in step order; a set
+    keeps the first of equal values, so 1, 1.0 and True keep their objects."""
     decisions = [frozenset()] * len(reps)
     for node in range(len(reps) - 1, -1, -1):
-        values = {v: None for _, v in reps[node].decided}
+        values = {v for _, v in reps[node].decided}
         for _, nxt, renaming in succ[node]:
-            values.update(dict.fromkeys(_pull(decisions[nxt], back(renaming))))
+            vmap, reached = back(renaming), decisions[nxt]
+            values.update(reached if vmap is None else (vmap.get(v, v) for v in reached))
         decisions[node] = frozenset(values)
     return decisions
 
@@ -479,9 +477,9 @@ def census(
     "Better verification through symmetry", 1996).
 
     The orbit graph (_orbit_graph, which Explorer reads for the trivial
-    group and sim.verify_all counts paths over) replaces each successor by
-    its representative. Each orbit keeps its stabilizer size, so every count
-    is an exact sum of orbit sizes |G| / |Stab|, and each edge keeps the
+    group and sim.list_violations counts paths over) replaces each successor
+    by its representative. Each orbit keeps its stabilizer size, so every
+    count is an exact sum of orbit sizes |G| / |Stab|, and each edge keeps the
     renaming that takes the successor to its representative; the value map
     derived from it reads the representative's decision set in the
     successor's labeling. Critical means what find_critical means. For an

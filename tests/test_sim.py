@@ -127,6 +127,12 @@ def test_unknown_pid_is_malformed():
         run_schedule(PROTO, default_inputs(2), 2, sched("E3"))
 
 
+def test_non_step_is_rejected():
+    # a bare (1,) equals no Exec or Crash, so it is neither step kind
+    with pytest.raises(TypeError, match=r"^not a schedule step: \(1,\)$"):
+        run_schedule(PROTO, {1: 0, 2: 1}, 2, [(1,)])
+
+
 def test_inputs_must_be_dense():
     with pytest.raises(ValueError):
         run_schedule(PROTO, {1: 0, 3: 1}, 2, sched("E1"))
@@ -696,6 +702,25 @@ def test_find_violation_yields_the_eviction_run_before_walking():
     assert calls == []
     assert next(found)[0] == eviction_schedule(6)
     assert calls == [1, 1, 2, 3, 4, 5, 6, 7, 2]
+
+
+def test_find_violation_walks_lazily_past_its_first_hit():
+    # after the eviction run, each hit costs only the walk's tree edges up
+    # to it: 14 next_op calls down the first complete schedule, then 3 more
+    # for the next one. A search that took its later hits from an orbit
+    # graph of all 681,080,400 schedules would build that graph first
+    calls = []
+
+    def next_op(pid, proposal, results):
+        calls.append(pid)
+        return PROTO.next_op(pid, proposal, results)
+
+    found = find_violation(PROTO._replace(next_op=next_op), 6, 7)
+    counts = []
+    for _ in range(3):
+        next(found)
+        counts.append(len(calls))
+    assert counts == [9, 23, 26]
 
 
 @pytest.mark.parametrize(

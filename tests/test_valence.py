@@ -69,6 +69,8 @@ def test_valence_predicates():
     biv = Valence(frozenset({0, 1}))
     assert biv.bivalent and not biv.monovalent
     assert repr(biv) == "Bivalent({0, 1})"
+    # 0 and "x" do not compare, so sorted_values orders them by repr
+    assert repr(census(PROTO, {1: 0, 2: "x"}, 2).root) == "Bivalent({'x', 0})"
     with pytest.raises(ValueError):
         biv.value
 

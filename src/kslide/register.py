@@ -103,10 +103,6 @@ class SlidingRegister:
         """Window of the last k written values, oldest first, BOTTOM padded."""
         return self._window
 
-    def narrow(self, k_prime: int) -> "NarrowView":
-        """Size-k' view of this register, 1 <= k' <= k."""
-        return NarrowView(self, k_prime)
-
     # Snapshots of the write counter and the window.
     def state(self) -> tuple:
         return (self._writes, self._window)
@@ -119,36 +115,6 @@ class SlidingRegister:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} k={self.k} writes={self._writes} window={list(self.read())}>"
-
-
-class NarrowView:
-    """Size-k' window onto a wider register.
-
-    Writes pass straight through; reads keep only the newest k' slots of the
-    base window, so the view behaves exactly like a size-k' register fed the
-    same writes.
-    """
-
-    def __init__(self, base, k: int):
-        empty_window(k)  # rejects a bad k
-        if k > base.k:
-            raise ValueError(f"cannot widen a size-{base.k} register to {k}")
-        self._base = base
-        self.k = k
-
-    def write(self, value: Value) -> None:
-        self._base.write(value)
-
-    def read(self) -> Window:
-        return self._base.read()[-self.k:]
-
-    def narrow(self, k_prime: int) -> "NarrowView":
-        if k_prime > self.k:
-            raise ValueError(f"cannot widen a size-{self.k} view to {k_prime}")
-        return NarrowView(self._base, k_prime)
-
-    def __repr__(self) -> str:
-        return f"<NarrowView k={self.k} of {self._base!r}>"
 
 
 class WindowShortRegister(SlidingRegister):

@@ -87,11 +87,12 @@ class Protocol(NamedTuple):
     symmetric declares that renaming processes, and relabeling their
     proposals with them, maps runs to runs: next_op and decide treat pids
     and proposals as opaque tokens, and only proposals are written. The
-    valence census then explores one configuration per orbit of that group.
-    It defaults to False so that a protocol built outside this module and
-    passed to valence.census, such as one where each process owns its own
-    register, is counted on the unreduced graph unless it declares the
-    symmetry.
+    valence census then explores one configuration per orbit of that group,
+    and raises ValueError on a written value that is not a proposal; the
+    next_op and decide half goes unchecked. It defaults to False, so a
+    protocol built outside this module, such as one where each process owns
+    its own register, is counted on the unreduced graph unless it declares
+    the symmetry.
     """
 
     name: str

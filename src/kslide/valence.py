@@ -14,7 +14,6 @@ gives a configuration's decision set, finds critical ones, and exports the
 whole graph by node id.
 census counts the same classes from one configuration per orbit of the
 protocol's symmetry, so it reaches sizes the whole graph cannot.
-check_commutation tests whether two pending operations commute.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .sim import (
     apply_exec,
     initial_config,
     is_live,
-    pending_op,
 )
 
 
@@ -261,7 +259,7 @@ def _canonicalizer(inputs: Mapping[int, Value], classes: list, relabel: bool):
     them (Filliâtre and Conchon, 2006), in tables that live as long as it
     does:
     - per pid, locals -> signature head (length, crashed, read pattern);
-    - registers -> each pid's proposal slots;
+    - registers -> each pid's proposal slots, ValueError on a non-proposal;
     - pid order -> (sources, rank, value map, renaming, relabelled), and
       with relabel, relabelled maps locals or registers to one shared tuple
       per relabelled value; without it a representative keeps the run's
@@ -291,12 +289,15 @@ def _canonicalizer(inputs: Mapping[int, Value], classes: list, relabel: bool):
         return (len(mine), False, pattern), (len(mine), True, pattern)
 
     heads = [_Table(functools.partial(head, inputs[pid])) for pid in targets]
+    written = {BOTTOM, *values}  # all that a symmetric protocol may write
 
     def slots(registers: tuple) -> list:
         where = [{} for _ in registers]  # per register, value -> the slots that hold it
         for held, window in zip(where, registers):
             for i, value in enumerate(window):
                 held[value] = held.get(value, ()) + (i,)
+            for value in held.keys() - written:
+                raise ValueError(f"a symmetric protocol writes only proposals, not {value!r}")
         return [tuple([held.get(inputs[pid], ()) for held in where]) for pid in targets]
 
     holds = _Table(slots)
@@ -498,22 +499,3 @@ def census(
             monovalent += size
     return Census(Valence(decisions[0]), len(reps), nodes, bivalent, monovalent, critical)
 
-
-def check_commutation(
-    protocol: Protocol,
-    inputs: Mapping[int, Value],
-    cfg: Configuration,
-    pid_a: int,
-    pid_b: int,
-) -> bool:
-    """True when the next operations of two processes reach the same
-    configuration in either order. Both processes must have a pending
-    operation in cfg."""
-    if pid_a == pid_b:
-        raise ValueError("commutation needs two distinct processes")
-    for pid in (pid_a, pid_b):
-        if pending_op(protocol, inputs, cfg, pid) is None:
-            raise ValueError(f"process {pid} has no pending operation")
-    ab = apply_exec(protocol, inputs, apply_exec(protocol, inputs, cfg, pid_a), pid_b)
-    ba = apply_exec(protocol, inputs, apply_exec(protocol, inputs, cfg, pid_b), pid_a)
-    return ab == ba

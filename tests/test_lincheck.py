@@ -561,6 +561,29 @@ def test_dead_reads_are_pruned():
     assert elapsed < 0.5
 
 
+def writers_then_two_reads(w, first, second):
+    """Writers 1..w each write their pid, all concurrently; then process
+    w + 1 reads twice in sequence with k=1, seeing first, then second, as
+    the newest value."""
+    events = [ev("invoke", p, "write", p - 1, value=p) for p in range(1, w + 1)]
+    events += [ev("respond", p, "write", w + p - 1) for p in range(1, w + 1)]
+    events += completed_read(w + 1, (first,), 2 * w, 2 * w + 1)
+    events += completed_read(w + 1, (second,), 2 * w + 2, 2 * w + 3)
+    return History(1, events)
+
+
+@pytest.mark.parametrize("w", [4, 8, 10])
+def test_reads_after_concurrent_writers_agree_on_the_newest(w):
+    # Every write precedes both reads, so the reads cannot see different
+    # newest values. The search refutes this only after trying exponentially
+    # many sets of placed writes (ROADMAP prototype 3).
+    assert check_linearizable(writers_then_two_reads(w, 1, 2)) is None
+    history = writers_then_two_reads(w, 1, 1)
+    witness = check_linearizable(history)
+    assert witness is not None and len(witness) == w + 2
+    assert_witness(history, witness)
+
+
 def test_pending_read_invoked_first_does_not_slow_the_search():
     # A read that is invoked before everything else and never answered
     # constrains nothing; the search must not keep stopping at it.

@@ -17,6 +17,7 @@ from kslide.sim import (
     default_inputs,
     initial_config,
     is_live,
+    list_violations,
     pending_op,
 )
 from kslide.valence import (
@@ -25,7 +26,6 @@ from kslide.valence import (
     _canonicalizer,
     _symmetry,
     census,
-    check_commutation,
 )
 from oracles import (
     _exact,
@@ -253,6 +253,13 @@ def test_map_numbers_nodes_breadth_first_from_the_root(k, proposals, crash_aware
 # ------------------------------------------------------------ commutation
 
 
+def in_order(proto, inputs, cfg, *pids):
+    """cfg after each pid in turn takes its next step."""
+    for pid in pids:
+        cfg = apply_exec(proto, inputs, cfg, pid)
+    return cfg
+
+
 def test_operations_on_distinct_registers_commute_everywhere():
     proto = two_register_protocol()
     inputs = default_inputs(2)
@@ -260,7 +267,7 @@ def test_operations_on_distinct_registers_commute_everywhere():
     checked = 0
     for cfg in ex.valence_map().nodes:
         if all(pending_op(proto, inputs, cfg, pid) is not None for pid in (1, 2)):
-            assert check_commutation(proto, inputs, cfg, 1, 2)
+            assert in_order(proto, inputs, cfg, 1, 2) == in_order(proto, inputs, cfg, 2, 1)
             checked += 1
     assert checked > 0
 
@@ -268,26 +275,14 @@ def test_operations_on_distinct_registers_commute_everywhere():
 def test_same_register_writes_do_not_commute():
     inputs = default_inputs(2)
     cfg = initial_config(PROTO, inputs, 2)
-    assert not check_commutation(PROTO, inputs, cfg, 1, 2)
+    assert in_order(PROTO, inputs, cfg, 1, 2) != in_order(PROTO, inputs, cfg, 2, 1)
 
 
 def test_same_register_reads_commute():
     inputs = default_inputs(2)
-    cfg = initial_config(PROTO, inputs, 2)
-    cfg = apply_exec(PROTO, inputs, cfg, 1)
-    cfg = apply_exec(PROTO, inputs, cfg, 2)
+    cfg = in_order(PROTO, inputs, initial_config(PROTO, inputs, 2), 1, 2)
     # both pending operations are now reads of register 0
-    assert check_commutation(PROTO, inputs, cfg, 1, 2)
-
-
-def test_commutation_requires_pending_operations():
-    inputs = default_inputs(2)
-    cfg = initial_config(PROTO, inputs, 2)
-    with pytest.raises(ValueError):
-        check_commutation(PROTO, inputs, cfg, 1, 1)
-    done = apply_crash(PROTO, cfg, 2)
-    with pytest.raises(ValueError):
-        check_commutation(PROTO, inputs, done, 1, 2)
+    assert in_order(PROTO, inputs, cfg, 1, 2) == in_order(PROTO, inputs, cfg, 2, 1)
 
 
 # ------------------------------------------------------------ oracle, depth
@@ -523,6 +518,31 @@ def test_census_explores_one_configuration_per_orbit(k, n, crash_aware, inputs, 
     assert census_counts(PROTO, inputs, k, crash_aware) == explorer_counts(
         PROTO, inputs, k, crash_aware
     )
+
+
+def full_information_protocol(symmetric: bool) -> Protocol:
+    """Write (pid, proposal, results), then read; decide the proposal of
+    the oldest visible write. It writes more than proposals, so renaming
+    processes is no symmetry of it."""
+
+    def next_op(pid, proposal, results):
+        return ReadOp(0) if results else WriteOp(0, (pid, proposal, results))
+
+    def decide(pid, proposal, results):
+        return first_non_bottom(results[-1])[1]
+
+    return Protocol("full-information", 1, 2, next_op, decide, symmetric=symmetric)
+
+
+def test_symmetric_protocol_that_writes_more_than_proposals_is_refused():
+    inputs = {1: 0, 2: 1}
+    assert census(full_information_protocol(False), inputs, 2).nodes == 17
+    assert list_violations(full_information_protocol(False), 2, 2, inputs)[:2] == (6, 0)
+    declared = full_information_protocol(True)
+    with pytest.raises(ValueError, match=r"writes only proposals, not \(1, 0, \(\)\)"):
+        census(declared, inputs, 2)
+    with pytest.raises(ValueError, match="writes only proposals"):
+        list_violations(declared, 2, 2, inputs)
 
 
 @pytest.mark.parametrize("crash_aware", [False, True])

@@ -40,17 +40,6 @@ class History(NamedTuple):
     k: int
     events: List[Event]
 
-    def validate(self) -> None:
-        """Raise MalformedHistoryError unless events form per-process invoke and
-        respond pairs with strictly increasing timestamps, hashable written
-        values and hashable read windows of k slots; pending invokes are fine."""
-        _table(self)
-
-    def operations(self) -> "list[OpRecord]":
-        """Pair events into operation records, ordered by invocation time,
-        validating them on the way (see validate)."""
-        return _table(self)[0]
-
 
 def _hashable(value) -> bool:
     try:
@@ -66,18 +55,17 @@ class OpRecord(NamedTuple):
     value: Value
     result: Optional[Window]
     invoked: int
-    responded: Optional[int]
-
-    @property
-    def pending(self) -> bool:
-        return self.responded is None
+    responded: Optional[int]  # None while the operation is pending
 
 
 def _table(history: History) -> tuple:
-    """(ops, cnt, resp) from one validating pass over the events (see
-    History.validate): OpRecords in invocation order, the number of responses
-    seen before each invoke, and the completed operations' indices in response
-    order, so operation j responded before i was invoked iff j is in resp[:cnt[i]]."""
+    """(ops, cnt, resp) from one validating pass over the events: OpRecords in
+    invocation order, the number of responses seen before each invoke, and the
+    completed operations' indices in response order, so operation j responded
+    before i was invoked iff j is in resp[:cnt[i]]. Raises MalformedHistoryError
+    unless events form per-process invoke and respond pairs (invokes may pend)
+    with strictly increasing timestamps, hashable written values and hashable
+    read windows of k slots."""
     ops: list = []  # OpRecord per operation, None while it is open
     cnt: list = []
     resp: list = []

@@ -43,10 +43,13 @@ def first_non_bottom(window: Window) -> Optional[Value]:
 
 def empty_window(k: int) -> Window:
     """Window of a size-k register nothing was written to: k BOTTOM slots.
-    Rejects a k that is not a positive integer."""
+    Rejects a k that is not a positive integer or is too large to allocate."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"window size must be a positive integer, got {k!r}")
-    return (BOTTOM,) * k
+    try:
+        return (BOTTOM,) * k
+    except (OverflowError, MemoryError):  # raised before anything is allocated
+        raise ValueError(f"window size {k} is too large") from None
 
 
 def slide(window: Window, value: Value) -> Window:
@@ -78,43 +81,29 @@ RegisterOp = Union[WriteOp, ReadOp]
 
 
 class SlidingRegister:
-    """Sequential reference implementation.
-
-    State is the padded window that `slide` writes plus a total write
-    counter; the counter tells how many values the window has seen, which
-    the window alone forgets once it is full.
-    """
+    """Sequential reference implementation. Its state is the padded window
+    that `slide` writes; like the paper's object, it counts no past writes."""
 
     def __init__(self, k: int):
         self.k = k
         self._window = empty_window(k)  # rejects a bad k
-        self._writes = 0
-
-    @property
-    def writes(self) -> int:
-        return self._writes
 
     def write(self, value: Value) -> None:
         """Append one value to the logical sequence."""
         self._window = slide(self._window, value)
-        self._writes += 1
 
     def read(self) -> Window:
         """Window of the last k written values, oldest first, BOTTOM padded."""
         return self._window
 
-    # Snapshots of the write counter and the window.
-    def state(self) -> tuple:
-        return (self._writes, self._window)
+    def state(self) -> Window:  # a snapshot: the window itself
+        return self._window
 
     @classmethod
-    def from_state(cls, k: int, state: tuple) -> "SlidingRegister":
+    def from_state(cls, k: int, window: Window) -> "SlidingRegister":
         reg = cls(k)
-        reg._writes, reg._window = state
+        reg._window = window
         return reg
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} k={self.k} writes={self._writes} window={list(self.read())}>"
 
 
 class WindowShortRegister(SlidingRegister):

@@ -95,7 +95,6 @@ class Protocol(NamedTuple):
     the symmetry.
     """
 
-    name: str
     registers: int
     steps_per_process: int
     next_op: Callable[[int, Value, tuple], RegisterOp]
@@ -116,7 +115,6 @@ def consensus_protocol() -> Protocol:
         return first_non_bottom(results[-1])
 
     return Protocol(
-        name="consensus",
         registers=1,
         steps_per_process=2,
         next_op=next_op,
@@ -314,10 +312,6 @@ class VerificationReport(NamedTuple):
     # ((schedule, PropertyReport, decided, crashed), ...), where decided and
     # crashed are the final configuration's sorted tuples
     violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def _proposals(n: int, inputs: Optional[Mapping[int, Value]]) -> dict:

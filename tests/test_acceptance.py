@@ -336,7 +336,6 @@ def _two_register_fixture() -> Protocol:
         return proposal
 
     return Protocol(
-        name="two-register-fixture",
         registers=2,
         steps_per_process=2,
         next_op=next_op,

@@ -928,6 +928,32 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert "RuntimeError: boom" in err
 
 
+def history_file(tmp_path, k) -> str:
+    path = tmp_path / "history.jsonl"
+    lines = [event_line(k=k), event_line(k=k, kind="respond", timestamp=1, value=None)]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return str(path)
+
+
+# Only paths that size the window before anything else: a huge --n, violate
+# --k, --threads or --ops would allocate until the host runs out of memory.
+@pytest.mark.parametrize("k", [2**63, 2**62])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda k, tmp: ["verify", "--k", str(k), "--n", "1"],
+        lambda k, tmp: ["valence", "--k", str(k), "--n", "2"],
+        lambda k, tmp: ["lincheck", "stress", "--threads", "2", "--ops", "2",
+                        "--histories", "1", "--k", str(k)],
+        lambda k, tmp: ["lincheck", "file", "--path", history_file(tmp, k)],
+    ],
+    ids=["verify", "valence", "lincheck-stress", "lincheck-file"],
+)
+def test_window_too_large_to_allocate_is_a_usage_error(capsys, tmp_path, argv, k):
+    code, out, err = run_cli(capsys, *argv(k, tmp_path))
+    assert (code, out, err) == (2, "", f"error: window size {k} is too large\n")
+
+
 def test_module_entry_point(capsys, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "kslide", "verify", "--k", "1", "--n", "1"],

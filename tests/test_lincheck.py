@@ -41,12 +41,12 @@ def completed_read(pid, window, t0, t1):
 
 def test_validate_accepts_a_clean_history():
     events = completed_write(1, 5, 0, 1) + completed_read(2, (5,), 2, 3)
-    History(1, events).validate()
+    _table(History(1, events))
 
 
 def test_validate_allows_pending_tail():
     events = completed_write(1, 5, 0, 1) + [ev("invoke", 2, "write", 2, value=6)]
-    History(1, events).validate()
+    _table(History(1, events))
 
 
 BROKEN_HISTORIES = [
@@ -90,7 +90,7 @@ BROKEN_HISTORIES = [
 )
 def test_validate_rejects_broken_histories(events, message):
     # the checker validates in its own pass and must raise the same error
-    for check in (History.validate, check_linearizable):
+    for check in (_table, check_linearizable):
         with pytest.raises(MalformedHistoryError) as raised:
             check(History(1, events))
         assert str(raised.value) == message
@@ -103,8 +103,8 @@ def test_operations_pairs_events():
         + [ev("invoke", 3, "write", 4, value=7)],
         key=lambda e: e.timestamp,
     )
-    ops = History(1, events).operations()
-    assert [(o.pid, o.op, o.pending) for o in ops] == [
+    ops = _table(History(1, events))[0]
+    assert [(o.pid, o.op, o.responded is None) for o in ops] == [
         (1, "write", False),
         (2, "read", False),
         (3, "write", True),
@@ -122,7 +122,7 @@ def test_pending_operations_keep_their_invocation_slot():
         ev("invoke", 2, "read", 4),
         ev("respond", 2, "read", 5, result=(5,)),
     ]
-    assert History(1, events).operations() == [
+    assert _table(History(1, events))[0] == [
         OpRecord(1, "write", 7, None, 0, None),
         OpRecord(2, "write", 5, None, 1, 3),
         OpRecord(3, "read", None, None, 2, None),
@@ -195,7 +195,7 @@ def test_pending_read_never_blocks():
     events = completed_write(1, 5, 0, 1) + [ev("invoke", 2, "read", 2)]
     witness = check_linearizable(History(1, events))
     assert witness is not None
-    assert all(not o.pending or o.op == "write" for o in witness)
+    assert all(o.responded is not None or o.op == "write" for o in witness)
 
 
 def test_memo_tells_windows_apart_by_their_oldest_slot():
@@ -321,10 +321,10 @@ def assert_witness(history, witness):
         else:
             assert reg.read() == op.result
     placed = Counter(witness)
-    assert all(placed[o] == 1 for o in history.operations() if not o.pending)
+    assert all(placed[o] == 1 for o in _table(history)[0] if o.responded is not None)
     latest_invoked = -1
     for op in witness:
-        assert op.pending or op.responded > latest_invoked
+        assert op.responded is None or op.responded > latest_invoked
         latest_invoked = max(latest_invoked, op.invoked)
 
 
@@ -367,7 +367,7 @@ def test_table_counts_are_real_time_order(case, data):
     assert [(o.op, o.value, o.result, o.invoked, o.responded) for o in ops] == [
         tuple(o) for o in _pair_events(history.events)
     ]
-    done = [j for j, o in enumerate(ops) if not o.pending]
+    done = [j for j, o in enumerate(ops) if o.responded is not None]
     assert cnt == [sum(ops[j].responded < o.invoked for j in done) for o in ops]
     assert resp == sorted(done, key=lambda j: ops[j].responded)
     # The search takes i to wait iff cnt[i] > g, where g counts the leading
@@ -420,7 +420,7 @@ def test_unhashable_value_that_is_never_placed_does_not_crash():
 def test_unhashable_read_window_is_malformed():
     events = completed_read(1, (BOTTOM, [1]), 0, 1)
     with pytest.raises(MalformedHistoryError, match="read window .* is not hashable"):
-        History(2, events).validate()
+        _table(History(2, events))
 
 
 @pytest.mark.parametrize(
@@ -627,7 +627,7 @@ def test_stress_produces_a_full_history():
     stamps = [e.timestamp for e in history.events]
     assert stamps == sorted(stamps)
     assert len(set(stamps)) == len(stamps)
-    history.validate()
+    _table(history)
 
 
 def test_stress_op_mixes_are_seeded():

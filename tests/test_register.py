@@ -23,7 +23,6 @@ sizes = st.integers(min_value=1, max_value=5)
 def test_empty_window_is_all_bottom():
     reg = SlidingRegister(3)
     assert reg.read() == (BOTTOM, BOTTOM, BOTTOM) == empty_window(3)
-    assert reg.writes == 0
 
 
 def test_partial_window_pads_on_the_left():
@@ -44,7 +43,6 @@ def test_overflow_evicts_the_oldest():
     for v in (5, 7, 9):
         reg.write(v)
     assert reg.read() == (7, 9)
-    assert reg.writes == 3
 
 
 def test_k1_degenerates_to_plain_register():
@@ -90,7 +88,6 @@ def test_matches_full_sequence_oracle(writes, k):
         reg.write(v)
         oracle.write(v)
         assert reg.read() == oracle.read()
-    assert reg.writes == len(writes)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -107,7 +104,7 @@ def test_slide_matches_register_and_oracle(k, writes):
 BOTTOM_WRITE = "^BOTTOM marks missing values and cannot be written$"
 
 # one step per process, writing BOTTOM: apply_exec reaches slide's check
-WRITES_BOTTOM = Protocol("write-bottom", 1, 1, lambda *_: WriteOp(0, BOTTOM), lambda *_: None)
+WRITES_BOTTOM = Protocol(1, 1, lambda *_: WriteOp(0, BOTTOM), lambda *_: None)
 
 
 @given(
@@ -138,7 +135,7 @@ def test_operations_fold_like_the_oracles(k, ops):
     ):
         with pytest.raises(ValueError, match=BOTTOM_WRITE):
             write()
-    assert (reg.read(), reg.writes) == (window, len(written))
+    assert reg.read() == window
 
 
 @given(write_lists, sizes)
@@ -170,10 +167,10 @@ def test_state_round_trip(writes, k):
         reg.write(v)
     clone = SlidingRegister.from_state(k, reg.state())
     assert clone.read() == reg.read()
-    assert clone.writes == reg.writes
+    assert clone.state() == reg.state()
     clone.write(99)
     # clones are independent
-    assert reg.writes == len(writes)
+    assert reg.read() == padded_last_k(writes, k)
 
 
 @given(write_lists, sizes, sizes)
@@ -206,7 +203,7 @@ def test_window_short_mutant_reads_bottom_in_the_oldest_slot(k, writes):
         short.write(v)
         plain.write(v)
         assert short.read() == (BOTTOM,) + padded_last_k(writes[: i + 1], k)[1:]
-        assert short.writes == plain.writes == i + 1
+        assert short.state() == plain.state()
         for reg in (short, plain):
             assert type(reg).from_state(k, reg.state()).read() == reg.read()
 

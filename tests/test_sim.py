@@ -216,7 +216,7 @@ def test_out_of_range_pid_is_a_schedule_error(call, pid):
 
 def _writes(reg, value):
     """A one-step protocol whose only operation is WriteOp(reg, value)."""
-    return Protocol("bad", 1, 1, lambda pid, p, r: WriteOp(reg, value), lambda *a: None)
+    return Protocol(1, 1, lambda pid, p, r: WriteOp(reg, value), lambda *a: None)
 
 
 def _after(*names):
@@ -444,7 +444,7 @@ def test_schedule_makers_reject_bad_counts(n, m):
 
 def test_verify_within_capacity_has_no_violations():
     report = verify_all(PROTO, 2, 2, with_crashes=True)
-    assert report.ok
+    assert not report.violations
     assert report.schedules_checked == 38
 
 
@@ -475,7 +475,7 @@ def test_verify_violations_follow_oracle_order(k, n, crashes):
 
 def test_protocol_of_no_steps_lists_the_empty_schedule():
     # the walk's text for the one schedule is "", which is no step at all
-    idle = Protocol("idle", 1, 0, None, None)
+    idle = Protocol(1, 0, None, None)
     report = verify_all(idle, 1, 2)
     assert report.schedules_checked == 1
     assert report.violations == (((), check_outcome({1: 0, 2: 1}, {}, ()), (), ()),)
@@ -488,9 +488,9 @@ def test_deep_protocol_is_walked_without_recursion():
     def decide(pid, proposal, results):
         return proposal
 
-    deep = Protocol("deep", 1, 1200, next_op, decide)
+    deep = Protocol(1, 1200, next_op, decide)
     report = verify_all(deep, 1, 1)
-    assert report.schedules_checked == 1 and report.ok
+    assert report.schedules_checked == 1 and not report.violations
     assert list(find_violation(deep, 1, 1)) == []
     assert list(enumerate_schedules(1, 1200)) == [(Exec(1),) * 1200]
 
@@ -506,7 +506,7 @@ def _shared_register_zero():
     def decide(pid, proposal, results):
         return first_non_bottom(results[-1])
 
-    return Protocol("own-registers-read-zero", 4, 2, next_op, decide)
+    return Protocol(4, 2, next_op, decide)
 
 
 UNDECLARED = _shared_register_zero()
@@ -522,7 +522,7 @@ def _read_twice():
     def decide(pid, proposal, results):
         return first_non_bottom(results[-1])
 
-    return Protocol("write-read-read", 1, 3, next_op, decide, symmetric=True)
+    return Protocol(1, 3, next_op, decide, symmetric=True)
 
 
 READ_TWICE = _read_twice()
@@ -627,7 +627,7 @@ def _swap_consensus():
         newest = results[-1][-1]
         return proposal if newest is BOTTOM else newest
 
-    return Protocol("swap", 1, 1, next_op, decide)
+    return Protocol(1, 1, next_op, decide)
 
 
 SWAP = _swap_consensus()
@@ -638,7 +638,7 @@ SWAP = _swap_consensus()
 def test_the_step_applies_an_operation_sim_does_not_know(n, holds, crashes):
     inputs = default_inputs(n)
     report = verify_all(SWAP, 1, n, inputs, with_crashes=crashes)
-    assert report.ok is holds
+    assert (not report.violations) is holds
     assert (report.schedules_checked, report.violations) == replayed_verify(
         inputs, 1, n, crashes, SWAP
     )

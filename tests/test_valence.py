@@ -56,7 +56,7 @@ def two_register_protocol() -> Protocol:
     def decide(pid, proposal, results):
         return first_non_bottom(results[-1])
 
-    return Protocol("independent-registers", 2, 2, next_op, decide)
+    return Protocol(2, 2, next_op, decide)
 
 
 # ------------------------------------------------------------ classification
@@ -327,7 +327,7 @@ def test_deep_protocol_is_classified_without_recursion():
     def decide(pid, proposal, results):
         return proposal
 
-    deep = Protocol("deep", 1, 1200, next_op, decide)
+    deep = Protocol(1, 1200, next_op, decide)
     ex = Explorer(deep, {1: 0}, 1)
     assert ex.reachable_decisions() == frozenset({0})
     vmap = ex.valence_map()
@@ -531,7 +531,7 @@ def full_information_protocol(symmetric: bool) -> Protocol:
     def decide(pid, proposal, results):
         return first_non_bottom(results[-1])[1]
 
-    return Protocol("full-information", 1, 2, next_op, decide, symmetric=symmetric)
+    return Protocol(1, 2, next_op, decide, symmetric=symmetric)
 
 
 def test_symmetric_protocol_that_writes_more_than_proposals_is_refused():

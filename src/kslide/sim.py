@@ -351,10 +351,10 @@ def list_violations(
     walks (orbit, renaming, steps) states with _walk and enters no subtree
     without a violation. A tree edge is one edge lookup, one renaming
     composition, memoized per pair, and one concatenation that adds its
-    step's text to the schedule's; each terminal state's concrete outcome is
-    rendered once.
+    step's text to the schedule's; a terminal state's concrete outcome is
+    rendered once per distinct (decided, crashed, renaming) triple.
     """
-    from .valence import _orbit_graph  # valence imports this module
+    from .valence import _orbit_graph, _typed  # valence imports this module
 
     inputs = _proposals(n, inputs)
     reps, _, succ, back, _, _ = _orbit_graph(protocol, inputs, k, with_crashes)
@@ -394,11 +394,18 @@ def list_violations(
     steps = functools.partial(move, 1, execs), functools.partial(move, -1, crashes)
 
     def listing(render: Callable) -> Iterator[tuple]:
+        # outcome reads only a terminal's decided and crashed pairs and r, so
+        # terminals with equal pairs, types included (1, 1.0 and True render
+        # apart), share the render of the first of them the walk reaches
+        alike: dict = {}
+        first = functools.cache(
+            lambda node: alike.setdefault(_typed((reps[node].decided, reps[node].crashed)), node)
+        )
         rendered = functools.cache(lambda node, r: render(*outcome(node, r)))
         root = 0, tuple(range(n + 1)), ""
         for stack in _walk(n, protocol.steps_per_process, with_crashes, root, *steps):
             node, r, text = stack[-1][0]
-            yield text[1:], rendered(node, r)
+            yield text[1:], rendered(first(node), r)
 
     return paths[0], bad[0], listing
 

@@ -456,14 +456,23 @@ def _decision_sets(reps: list, succ: list, back) -> list[frozenset]:
     id order is topological and the sets fill from the last node back.
     Each node's set is the union of its own decisions and then each
     successor's set, read in the successor's labeling, in step order; a set
-    keeps the first of equal values, so 1, 1.0 and True keep their objects."""
+    keeps the first of equal values, so 1, 1.0 and True keep their objects.
+    Few sets are distinct: a node stores its first successor's set read with
+    no value map when the union adds nothing to it."""
     decisions = [frozenset()] * len(reps)
     for node in range(len(reps) - 1, -1, -1):
-        values = {v for _, v in reps[node].decided}
+        values, same = {v for _, v in reps[node].decided}, None
         for _, nxt, renaming in succ[node]:
             vmap, reached = back(renaming), decisions[nxt]
             values.update(reached if vmap is None else (vmap.get(v, v) for v in reached))
-        decisions[node] = frozenset(values)
+            if same is None and vmap is None:
+                same = reached
+        # the union holds same's values, but 1, 1.0 and True are equal, not
+        # one object: share only when the two sets, iterated side by side,
+        # meet the same objects (a differing iteration order just shares less)
+        if same is None or len(values) != len(same) or not all(map(operator.is_, values, same)):
+            same = frozenset(values)
+        decisions[node] = same
     return decisions
 
 

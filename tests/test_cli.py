@@ -988,6 +988,67 @@ def test_start_up_imports_neither_dataclasses_nor_inspect():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+def fresh_main(*argvs) -> tuple[str, str]:
+    """(stderr, stdout) of a fresh interpreter that imports kslide.cli,
+    builds the full parser, runs main on each argv in turn and then prints
+    the exit codes and whether json is loaded to stderr."""
+    code = (
+        "import sys, kslide.cli; kslide.cli.build_parser()\n"
+        f"codes = [kslide.cli.main(argv) for argv in {list(map(list, argvs))!r}]\n"
+        "print(codes, 'json' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    return proc.stderr, proc.stdout
+
+
+STRESS = ["lincheck", "stress", "--threads", "3", "--ops", "4", "--histories", "2"]
+
+
+def test_commands_that_move_no_record_never_import_json(capsys, tmp_path):
+    # json is about 2 ms of a process's start-up, and only serialize and
+    # parse load it: the parser, verify, the census, the dot export, violate
+    # and stress with no file, and lincheck file on the lines stress --save
+    # writes never do
+    path = str(tmp_path / "history.jsonl")
+    assert main(STRESS + ["--save", path]) == 0
+    capsys.readouterr()
+    argvs = (
+        ["verify", "--k", "2", "--n", "2"],
+        ["valence", "--k", "2", "--n", "2"],
+        ["valence", "--k", "2", "--n", "2", "--format", "dot"],
+        ["violate", "--k", "1"],
+        STRESS,
+        ["lincheck", "file", "--path", path],
+    )
+    stderr, stdout = fresh_main(*argvs)
+    assert stderr == "[0, 0, 0, 1, 0, 0] False\n"
+    assert stdout.endswith("\nlinearizable (12 operations ordered)\n")
+
+
+def test_serialize_and_parse_import_json_on_first_use(capsys, tmp_path):
+    # a space-padded history line is decoded by parse, and verify --output
+    # encodes with serialize: each loads json in its own fresh interpreter
+    # and gives the bytes pinned in the tests above
+    history, padded, replay = (tmp_path / name for name in ("h.jsonl", "p.jsonl", "r.jsonl"))
+    assert main(STRESS + ["--save", str(history)]) == 0
+    capsys.readouterr()
+    first, *rest = history.read_text(encoding="utf-8").splitlines(keepends=True)
+    padded.write_text(" " + first + "".join(rest), encoding="utf-8")
+    assert fresh_main(["lincheck", "file", "--path", str(padded)]) == (
+        "[0] True\n", "linearizable (12 operations ordered)\n"
+    )
+    stderr, stdout = fresh_main(
+        ["verify", "--k", "2", "--n", "2", "--schedule", "E1,C1,E2,E2", "--output", str(replay)]
+    )
+    assert stderr == "[0] True\n"
+    assert hashlib.sha256(stdout.encode()).hexdigest() == (
+        "1b92a82d18318061f87854085ee56d34f8753a9212c1248b091ce80f85305598"
+    )
+    assert hashlib.sha256(replay.read_bytes()).hexdigest() == (
+        "cda64c29d993fb55a900dcc95d6e5b0520156dd0ff8c27fbb69e84155ad61549"
+    )
+
+
 @pytest.mark.parametrize(
     "module", ["register", "consensus", "sim", "valence", "lincheck", "trace", "cli"]
 )

@@ -27,6 +27,7 @@ from kslide.sim import (
     format_schedule,
     format_step,
     initial_config,
+    list_violations,
     parse_schedule,
     parse_step,
     pending_op,
@@ -455,6 +456,18 @@ def test_verify_k1_two_processes_finds_the_disagreements():
     for _, prop, decided, crashed in report.violations:
         assert not prop.agreement
         assert len(set(dict(decided).values())) == 2 and crashed == ()
+
+
+def test_listing_renders_each_distinct_outcome_once():
+    # the benchmark's evict job: 1,944 violations reach 552 (orbit, renaming)
+    # terminal states, but only 216 distinct (decided, crashed, renaming)
+    # triples, and a render reads nothing else; distinct renamings still
+    # give equal outcomes, 84 in all, which cli's render memo folds
+    calls = []
+    schedules, count, listing = list_violations(PROTO, 3, 4)
+    found = list(listing(lambda *outcome: calls.append(outcome) or outcome))
+    assert (schedules, count, len(found), len(calls)) == (2520, 1944, 1944, 216)
+    assert len(set(calls)) == 84
 
 
 @pytest.mark.parametrize("crashes", [False, True])

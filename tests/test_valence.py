@@ -24,6 +24,8 @@ from kslide.valence import (
     Explorer,
     Valence,
     _canonicalizer,
+    _decision_sets,
+    _orbit_graph,
     _symmetry,
     census,
 )
@@ -403,6 +405,32 @@ def test_equal_proposals_of_distinct_types_are_distinct_nodes(crash_aware, nodes
         decided = [v for _, v in vmap.nodes[i].decided]
         assert all(any(v is d for d in decided) for v in vmap.valences[i].values)
         assert vmap.valences[i].values == frozenset(decided)
+
+
+def _unshared_decision_sets(reps, succ, back):
+    """_decision_sets' union with a new frozenset per node, which the shared
+    sets must match object for object."""
+    decisions = [frozenset()] * len(reps)
+    for node in range(len(reps) - 1, -1, -1):
+        values = {v for _, v in reps[node].decided}
+        for _, nxt, renaming in succ[node]:
+            vmap, reached = back(renaming), decisions[nxt]
+            values.update(reached if vmap is None else (vmap.get(v, v) for v in reached))
+        decisions[node] = frozenset(values)
+    return decisions
+
+
+@pytest.mark.parametrize("crash_aware", [False, True])
+@pytest.mark.parametrize("inputs", [*EQUAL_PROPOSALS, {1: 0, 2: 1, 3: 2}, {1: 0, 2: 0, 3: 1}])
+@pytest.mark.parametrize("k", [1, 2])
+def test_shared_decision_sets_hold_the_unshared_objects(k, inputs, crash_aware):
+    # a node stores a successor's set only when the union holds its very
+    # objects: with 1, 1.0 and True the union can equal a set it is not
+    reps, _, succ, back, _, _ = _orbit_graph(PROTO, inputs, k, crash_aware)
+    shared = _decision_sets(reps, succ, back)
+    want = _unshared_decision_sets(reps, succ, back)
+    assert [{*map(id, values)} for values in shared] == [{*map(id, values)} for values in want]
+    assert len({*map(id, shared)}) < len(shared)
 
 
 @settings(deadline=None, max_examples=80)

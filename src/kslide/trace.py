@@ -10,11 +10,13 @@ one decoder: one table maps each field name to its decoder, for every record
 type, history events included, and a record's fields are decoded in
 declaration order, so an error names the first missing or mistyped field.
 Decoders check each field's JSON type: integers, arrays and booleans must be
-just that. lincheck file reads a history with read_history, which decodes
-each history-event line written in serialize's own encoding from one
-compiled pattern, with no JSON, and hands every other line to parse. The
-pattern accepts a subset of parse's history events and decodes them to the
-same values, so results and errors are parse's.
+just that. lincheck file reads a history with read_history, which reads the
+file in blocks of whole lines and scans each block with one compiled
+pattern: runs of history-event lines written in serialize's own encoding
+are decoded a column at a time, with no JSON, and every other line goes to
+parse, in file order. The pattern accepts a subset of parse's history
+events and decodes them to the same values, so results and errors are
+parse's.
 
 json is imported on the first serialize or parse call, not with this
 module: verify without --output or --schedule, violate without --output,
@@ -29,6 +31,8 @@ from __future__ import annotations
 
 import functools
 import re
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .lincheck import Event, History
@@ -231,28 +235,40 @@ def read_records(path: str) -> list:
         return [parse(line) for line in map(str.strip, fh) if line]
 
 
-# read_history's per-line work: an event built by tuple.__new__, which
+# read_history's per-event work: an event built by tuple.__new__, which
 # skips the namedtuple's Python-level __new__.
 _new_event = functools.partial(tuple.__new__, Event)
+# Characters read_history reads at a time: 64 KiB blocks were no faster and
+# raised the lincheck benchmark's peak RSS.
+_BLOCK = 1 << 14
 
 
 @functools.cache
-def _event_line():
-    """fullmatch of a history-event line exactly as serialize writes it, with
-    null or integer values and window slots; compiled on first use."""
+def _history_lines():
+    """findall of every line in a block of whole lines: a history-event line
+    exactly as serialize writes it, with null or integer values and window
+    slots, gives 7 groups and an empty 8th; any other line gives 7 empty
+    groups and the line itself. Compiled on first use. A null, "invoke" or
+    "read" captures nothing, and "respond" and "write" one letter: the scan
+    allocates no string for an empty or one-letter group."""
     num = r"-?(?:0|[1-9][0-9]{0,17})"  # JSON's integers, far below int()'s digit limit
     slots = rf"(?:null|{num})(?:,(?:null|{num}))*"
     return re.compile(
-        rf'\{{"k":({num}),"kind":"(invoke|respond)","op":"(read|write)","pid":({num}),'
-        rf'"result":(null|\[(?:{slots})?\]),"schema_version":1,"timestamp":({num}),'
-        rf'"type":"history-event","value":(null|{num})\}}\n?'
-    ).fullmatch
+        rf'^(?:\{{"k":({num}),"kind":"(?:invoke|(r)espond)","op":"(?:read|(w)rite)","pid":({num}),'
+        rf'"result":(?:null|(\[(?:{slots})?\])),"schema_version":1,"timestamp":({num}),'
+        rf'"type":"history-event","value":(?:null|({num}))\}}|(.*))$',
+        re.MULTILINE,
+    ).findall
+
+
+_KINDS = {"": "invoke", "r": "respond"}
+_OPS = {"": "read", "w": "write"}
 
 
 class _Decoded(dict):
-    """Memo from a matched group's text to what it decodes to: null is None,
-    an integer its int, an array a window (null slots BOTTOM), and a kind or
-    op word one string shared by every event."""
+    """Memo from a matched group's text to what it decodes to: an empty group
+    (null) is None, an integer its int, and an array a window (null slots
+    BOTTOM)."""
 
     def __missing__(self, text: str):
         self[text] = decoded = int(text) if text[0] != "[" else tuple(
@@ -261,28 +277,55 @@ class _Decoded(dict):
         return decoded
 
 
+def _blocks(fh):
+    """The file's text as blocks of whole lines, the file's last line last,
+    whether or not a newline ends it. Each read is searched for a newline on
+    its own, and the pieces of a line longer than a block are joined once, so
+    reading stays linear in the file's length. The pieces are let go before
+    a block is scanned: a line that fills its block is then held once, since
+    the scan's group for it is the block itself."""
+    partial = []
+    while block := fh.read(_BLOCK):
+        cut = block.rfind("\n")
+        if cut < 0:
+            partial.append(block)
+        else:
+            partial.append(block[:cut])
+            whole, partial = "".join(partial), [block[cut + 1 :]]
+            yield whole
+    whole, partial = "".join(partial), None
+    yield whole
+
+
 def read_history(path: str) -> History:
-    """The history in a history-event file. A line as serialize writes it is
-    decoded from one pattern's groups, with no JSON; any other line goes
-    through parse, so the pattern's lines decode as parse would and every
-    error is parse's: a bad line raises at once, a record of another type last."""
-    match, events, ks, foreign = _event_line(), [], set(), []
-    text = _Decoded(null=None, invoke="invoke", respond="respond", read="read", write="write")
+    """The history in a history-event file, read in blocks of whole lines. One
+    pattern scan splits each block into lines, and each run of lines as
+    serialize writes them, sharing one k, is decoded a column at a time, with
+    no JSON; any other non-blank line goes through parse, in file order, so
+    the pattern's lines decode as parse would and every error is parse's: a
+    bad line raises at once, a record of another type last."""
+    lines, events, ks, foreign = _history_lines(), [], set(), []
+    text = _Decoded({"": None})
+    get = text.__getitem__
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if m := match(line):
-                k, kind, op, pid, result, ts, value = m.groups()
-                ks.add(text[k])
-                events.append(_new_event(
-                    (text[kind], text[pid], text[op], int(ts), text[value], text[result])
-                ))
-            elif line := line.strip():
-                record = parse(line)
-                if type(record) is HistoryEventRecord:
-                    events.append(Event._make(record[1:]))
-                    ks.add(record.k)
-                else:
-                    foreign.append(record)
+        for block in _blocks(fh):
+            for k, rows in groupby(lines(block), itemgetter(0)):
+                if k:
+                    ks.add(text[k])
+                    _, kinds, ops, pids, results, stamps, values, _ = zip(*rows)
+                    events += map(_new_event, zip(
+                        map(_KINDS.__getitem__, kinds), map(get, pids), map(_OPS.__getitem__, ops),
+                        map(int, stamps), map(get, values), map(get, results),
+                    ))
+                    continue
+                for line in map(itemgetter(7), rows):
+                    if line.strip():
+                        record = parse(line)
+                        if type(record) is HistoryEventRecord:
+                            events.append(Event._make(record[1:]))
+                            ks.add(record.k)
+                        else:
+                            foreign.append(record)
     if foreign:
         raise TraceError(f"history files hold history-event records, got {foreign[0]!r}")
     return _history(ks, events)

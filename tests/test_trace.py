@@ -545,14 +545,20 @@ def assert_read_history_matches_reference(lines, how, where, blank_lines):
         path = os.path.join(tmp, "history.jsonl")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("".join(line + ("\r\n" if how == "crlf" else "\n") for line in lines))
-        try:
-            expected = reference_history(path)
-        except TraceError as exc:
-            with pytest.raises(TraceError) as raised:
-                read_history(path)
-            assert str(raised.value) == str(exc)
-        else:
-            assert read_history(path) == expected
+        assert_read_history_matches_reference_on(path)
+
+
+def assert_read_history_matches_reference_on(path):
+    """read_history on the file gives the history or the error message that
+    reference_history gives."""
+    try:
+        expected = reference_history(path)
+    except TraceError as exc:
+        with pytest.raises(TraceError) as raised:
+            read_history(path)
+        assert str(raised.value) == str(exc)
+    else:
+        assert read_history(path) == expected
 
 
 @given(history_lines, st.sampled_from(ALTERATIONS), st.integers(0, 5), st.booleans())
@@ -589,3 +595,92 @@ def test_read_history_matches_records_on_a_saved_stress_history(capsys, monkeypa
     capsys.readouterr()
     assert main(["lincheck", "file", "--path", path]) == 0
     assert capsys.readouterr().out == "linearizable (1000 operations ordered)\n"
+
+
+def block_spanning_lines():
+    """Serialized lines of a sequential history at least three of
+    read_history's blocks long."""
+    lines, ts = [], 0
+    while sum(map(len, lines)) <= 3 * trace._BLOCK:
+        pid, value = ts % 3 + 1, ts * 7
+        lines += [serialize(HistoryEventRecord(3, "invoke", pid, "write", ts, value)),
+                  serialize(HistoryEventRecord(3, "respond", pid, "write", ts + 1)),
+                  serialize(HistoryEventRecord(3, "invoke", pid, "read", ts + 2)),
+                  serialize(HistoryEventRecord(3, "respond", pid, "read", ts + 3, None, (BOTTOM, 5, value)))]
+        ts += 4
+    return lines
+
+
+def write_text(path, lines, newline="\n", last_newline=True):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(newline.join(lines) + (newline if last_newline else ""))
+
+
+@pytest.mark.parametrize("first", [False, True], ids=["last-line-of-a-block", "first-line-of-the-next"])
+@pytest.mark.parametrize("how", ALTERATIONS)
+def test_read_history_matches_records_at_a_block_edge(tmp_path, how, first):
+    # A blank padding line puts the altered line right before or right after
+    # an edge between blocks; a line longer than a block ("deep") ends at
+    # the first edge it can.
+    lines, block = block_spanning_lines(), trace._BLOCK
+    head, line, tail = lines[:2], alter(lines[2], how) if how else lines[2], lines[3:]
+    before = sum(len(text) + 1 for text in head) + 1  # with the padding line's newline
+    if first:
+        start = block
+    else:
+        start = -(-(before + len(line) + 1) // block) * block - len(line) - 1
+    path = tmp_path / "history.jsonl"
+    write_text(path, [*head, " " * (start - before), line, *tail], "\r\n" if how == "crlf" else "\n")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert len(text) > 3 * block and text[start : start + len(line)] == line
+    assert (start % block == 0) if first else ((start + len(line) + 1) % block == 0)
+    assert_read_history_matches_reference_on(path)
+
+
+@pytest.mark.parametrize("how", [None, "padded", "bad-json"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_read_history_matches_records_when_the_last_line_straddles_a_block_edge(tmp_path, newline, how):
+    # the final line, with no newline after it, starts before the third
+    # block edge and ends after it; whole lines and a blank padding line
+    # come before it
+    *lines, last = block_spanning_lines()
+    last = alter(last, how) if how else last
+    start = 3 * trace._BLOCK - len(last) // 2
+    head, before = [], 1
+    for line in lines:
+        if before + len(line) + 1 > start:
+            break
+        head.append(line)
+        before += len(line) + 1
+    path = tmp_path / "history.jsonl"
+    write_text(path, [*head, " " * (start - before), last], newline, last_newline=False)
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read()[start:] == last
+    assert_read_history_matches_reference_on(path)
+
+
+def test_read_history_reads_a_line_longer_than_many_blocks_once(tmp_path):
+    # a write of a 3 MB string: the line goes through parse, and each block
+    # read is searched for a newline once, so the read stays linear
+    value = "ab" * (3 << 19)
+    line = serialize(HistoryEventRecord(2, "invoke", 1, "write", 0, value))
+    path = tmp_path / "history.jsonl"
+    write_text(path, [line])
+    assert read_history(path) == reference_history(path) == History(2, [Event("invoke", 1, "write", 0, value)])
+
+    searched = []
+
+    class Block(str):
+        def rfind(self, *args):
+            searched.append(len(self))
+            return super().rfind(*args)
+
+    class Reader:
+        def read(self, size):
+            return Block(fh.read(size))
+
+    with open(path, encoding="utf-8") as fh:
+        blocks = list(trace._blocks(Reader()))
+    assert blocks == [line, ""]
+    assert sum(searched) == len(line) + 1 and max(searched) <= trace._BLOCK

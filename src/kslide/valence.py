@@ -457,22 +457,20 @@ def _decision_sets(reps: list, succ: list, back) -> list[frozenset]:
     Each node's set is the union of its own decisions and then each
     successor's set, read in the successor's labeling, in step order; a set
     keeps the first of equal values, so 1, 1.0 and True keep their objects.
-    Few sets are distinct: a node stores its first successor's set read with
-    no value map when the union adds nothing to it."""
+    Few sets are distinct, so each is interned, keyed by its objects' ids:
+    1, 1.0 and True key apart, and an id stays valid while the interned set
+    holds its object."""
     decisions = [frozenset()] * len(reps)
+    interned = {}  # frozenset of ids -> the one set of those objects
     for node in range(len(reps) - 1, -1, -1):
-        values, same = {v for _, v in reps[node].decided}, None
+        values = {v for _, v in reps[node].decided}
         for _, nxt, renaming in succ[node]:
             vmap, reached = back(renaming), decisions[nxt]
             values.update(reached if vmap is None else (vmap.get(v, v) for v in reached))
-            if same is None and vmap is None:
-                same = reached
-        # the union holds same's values, but 1, 1.0 and True are equal, not
-        # one object: share only when the two sets, iterated side by side,
-        # meet the same objects (a differing iteration order just shares less)
-        if same is None or len(values) != len(same) or not all(map(operator.is_, values, same)):
-            same = frozenset(values)
-        decisions[node] = same
+        key = frozenset(map(id, values))
+        if key not in interned:
+            interned[key] = frozenset(values)
+        decisions[node] = interned[key]
     return decisions
 
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import functools
+import gc
 import hashlib
 import io
 import itertools
@@ -13,6 +14,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -928,6 +930,55 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert "RuntimeError: boom" in err
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, enabled):
+    # main pauses the cyclic collector while a command runs; every way out
+    # restores the caller's setting, and an off collector stays off
+    def broken(args):
+        raise RuntimeError("boom")
+
+    runs = [
+        (["verify", "--k", "1", "--n", "1"], cli.EXIT_OK),
+        (["--help"], 0),  # argparse's SystemExit
+        (["verify", "--k", "x", "--n", "1"], 2),  # argparse's SystemExit
+        (["verify", "--k", "0", "--n", "1"], cli.EXIT_USAGE),  # a ValueError
+        (["violate", "--k", "1"], cli.EXIT_INTERNAL),  # broken, below
+    ]
+    monkeypatch.setattr(cli, "cmd_violate", broken)
+    exits = []
+    try:
+        for argv, _ in runs:
+            gc.enable() if enabled else gc.disable()
+            try:
+                exits.append((main(argv), gc.isenabled()))
+            except SystemExit as exc:
+                exits.append((exc.code, gc.isenabled()))
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert exits == [(code, enabled) for _, code in runs]
+
+
+@pytest.mark.parametrize(
+    "small, large",
+    [
+        (["verify", "--k", "2", "--n", "2"], ["verify", "--k", "4", "--n", "4"]),
+        (["lincheck", "stress", "--histories", "2"], ["lincheck", "stress", "--histories", "40"]),
+    ],
+    ids=["verify", "lincheck-stress"],
+)
+def test_cyclic_garbage_main_leaves_does_not_grow_with_input(capsys, small, large):
+    # what the paused collector leaves is argparse's parser objects only; a
+    # command that made a reference cycle per item would fail here
+    def garbage(argv) -> int:
+        gc.collect()
+        assert main(argv) == cli.EXIT_OK
+        return gc.collect()
+
+    assert garbage(large) <= garbage(small)
+    capsys.readouterr()
+
+
 def history_file(tmp_path, k) -> str:
     path = tmp_path / "history.jsonl"
     lines = [event_line(k=k), event_line(k=k, kind="respond", timestamp=1, value=None)]
@@ -1109,11 +1160,7 @@ def test_help_is_what_argparse_formats(monkeypatch, columns):
     # build_parser reads the terminal width once per build; every parser's
     # help must still be what argparse's formatter, reading it per call, gives
     monkeypatch.setenv("COLUMNS", str(columns))
-    parsers = [cli.build_parser()]
-    for parser in parsers:  # grows as subcommand parsers are found
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                parsers.extend(action.choices.values())
+    parsers = _parsers(cli.build_parser())
     assert len(parsers) == 7
     for parser in parsers:
         built = parser.format_help()
@@ -1183,25 +1230,40 @@ def _parsers(parser):
 @pytest.mark.parametrize(
     "argv, count",
     [
-        (["lincheck", "file", "--path", "x"], 3),
-        (["verify", "--k", "1"], 2),
-        (None, 7),
+        (["lincheck", "file", "--path", "x"], 1),
+        (["verify", "--k", "1", "--n", "1"], 1),
+        # no command's arguments reached: the full tree only
         (["--help"], 7),
         (["verfy"], 7),
+        # arguments left over: the command's parser, then the full tree
+        (["verify", "--k", "2", "--n", "2", "extra"], 1 + 7),
     ],
 )
-def test_parser_builds_only_the_named_command(argv, count):
-    assert len(_parsers(cli.build_parser(argv))) == count
+def test_parse_args_builds_one_parser_for_a_command(monkeypatch, argv, count):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _parse(cli.parse_args, argv)
+    assert len(built) == count
 
 
-def _parse(parser, argv):
-    """parse_args's Namespace, or its exit code with what it printed."""
+def _parse(parse, argv):
+    """parse(argv)'s Namespace, or its exit code with what it printed."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return parser.parse_args(argv)
+            return parse(argv)
         except SystemExit as exc:
             return exc.code, out.getvalue(), err.getvalue()
+
+
+def _full_parse(argv):
+    return cli.build_parser().parse_args(argv)
 
 
 PARSE_CORPUS = [argv for argv, _, _ in readme_examples()] + [
@@ -1228,4 +1290,73 @@ PARSE_CORPUS = [argv for argv, _, _ in readme_examples()] + [
 def test_parser_for_argv_parses_as_the_full_parser(monkeypatch, argv):
     # the same Namespace, or the same exit code, help and error text
     monkeypatch.setenv("COLUMNS", "80")
-    assert _parse(cli.build_parser(argv), argv) == _parse(cli.build_parser(), argv)
+    assert _parse(cli.parse_args, argv) == _parse(_full_parse, argv)
+
+
+NAMES = ("verify", "violate", "valence", "lincheck", "stress", "file", "verfy", "stres", "")
+# each command path with its required options, and options it takes
+COMMAND_ARGS = (
+    (
+        ["verify", "--k", "2", "--n", "2"],
+        [("--inputs", "1,2"), ("--crashes",), ("--schedule", "E1"), ("--output", "o")],
+    ),
+    (["violate", "--k", "2"], [("--inputs", "1,2,3"), ("--max", "3"), ("--output", "o")]),
+    (
+        ["valence", "--k", "2", "--n", "2"],
+        [("--inputs", "1,2"), ("--format", "dot"), ("--crash-aware",), ("--output", "o")],
+    ),
+    (
+        ["lincheck", "stress"],
+        [("--threads", "2"), ("--ops", "3"), ("--k", "3"), ("--seed", "4"),
+         ("--histories", "2"), ("--mutant", "window-short"), ("--save", "s")],
+    ),
+    (["lincheck", "file", "--path", "x"], [("--path", "y")]),
+)
+OPTIONS = sorted({
+    option
+    for parser in _parsers(cli.build_parser())
+    for action in parser._actions
+    for option in action.option_strings
+})
+VALUES = ("0", "2", "-1", "x", "1,2", "E1,E2", "json", "yaml", "window-short", "-", "--", "")
+
+
+@st.composite
+def options(draw):
+    """Any option of any parser, whole, cut short or with an =value."""
+    option = draw(st.sampled_from(OPTIONS))
+    form = draw(st.sampled_from(("whole", "prefix", "value")))
+    if form == "prefix":
+        return option[:draw(st.integers(2, len(option)))]
+    if form == "value":
+        return f"{option}={draw(st.sampled_from(VALUES))}"
+    return option
+
+
+@st.composite
+def argvs(draw):
+    """Half the time a command path with its required options and some it
+    takes, else up to two names, real or not; then a few tokens of any kind:
+    options, values, names, `--` and junk."""
+    if draw(st.booleans()):
+        head, takes = draw(st.sampled_from(COMMAND_ARGS))
+        for chunk in draw(st.lists(st.sampled_from(takes), max_size=3)):
+            head = head + list(chunk)
+    else:
+        head = draw(st.lists(st.sampled_from(NAMES), max_size=2))
+    token = st.one_of(
+        options(),
+        st.sampled_from(VALUES),
+        st.sampled_from(NAMES),
+        st.integers(-3, 12).map(str),
+        st.text(max_size=4),
+    )
+    return head + draw(st.lists(token, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_parse_args_parses_generated_argv_as_the_full_parser(argv):
+    # COLUMNS is read when the parsers are built; both build under the same one
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        assert _parse(cli.parse_args, argv) == _parse(_full_parse, argv)

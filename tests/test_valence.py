@@ -424,13 +424,14 @@ def _unshared_decision_sets(reps, succ, back):
 @pytest.mark.parametrize("inputs", [*EQUAL_PROPOSALS, {1: 0, 2: 1, 3: 2}, {1: 0, 2: 0, 3: 1}])
 @pytest.mark.parametrize("k", [1, 2])
 def test_shared_decision_sets_hold_the_unshared_objects(k, inputs, crash_aware):
-    # a node stores a successor's set only when the union holds its very
-    # objects: with 1, 1.0 and True the union can equal a set it is not
+    # nodes share a set only when their unions hold the very same objects:
+    # with 1, 1.0 and True a union can equal a set it is not; and each
+    # distinct set of objects is one set object
     reps, _, succ, back, _, _ = _orbit_graph(PROTO, inputs, k, crash_aware)
     shared = _decision_sets(reps, succ, back)
-    want = _unshared_decision_sets(reps, succ, back)
-    assert [{*map(id, values)} for values in shared] == [{*map(id, values)} for values in want]
-    assert len({*map(id, shared)}) < len(shared)
+    want = [frozenset(map(id, values)) for values in _unshared_decision_sets(reps, succ, back)]
+    assert [frozenset(map(id, values)) for values in shared] == want
+    assert len({*map(id, shared)}) == len(set(want)) < len(shared)
 
 
 @settings(deadline=None, max_examples=80)
